@@ -17,7 +17,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.events import AllOf
 from repro.sim.kernel import Simulator
 from repro.sim.network import MIGRATION_CLASS, Network
-from repro.sim.rpc import RetryPolicy, RpcStats, RpcTimeout, reliable_send
+from repro.sim.rpc import RetryPolicy, RpcStats, RpcTimeout, clean_send, reliable_send
 from repro.sim.topology import LinkProfile, Topology
 from repro.txn.errors import RpcAbort, TransactionError
 from repro.txn.timestamps import DtsOracle, GtsOracle
@@ -91,6 +91,11 @@ class Cluster:
         :data:`~repro.sim.network.MIGRATION_CLASS` so ``pump_share`` caps
         it).
         """
+        arrived = clean_send(self.network, src, dst, size, traffic_class)
+        if arrived is not None:
+            # Clean link: this generator is the hop's only frame.
+            yield arrived
+            return
         policy = self.rpc_commit_policy if persistent else self.rpc_policy
         try:
             yield from reliable_send(

@@ -190,26 +190,24 @@ class Session:
     # ------------------------------------------------------------------
     # Statement execution
     # ------------------------------------------------------------------
+    # Each statement hands back the ``_execute`` generator itself: callers
+    # ``yield from`` it, and a wrapping generator per statement would only
+    # add a frame to every resumption underneath.
     def read(self, txn, table, key):
-        value = yield from self._execute(txn, table, key, "read")
-        return value
+        return self._execute(txn, table, key, "read")
 
     def update(self, txn, table, key, value):
-        result = yield from self._execute(txn, table, key, "update", value)
-        return result
+        return self._execute(txn, table, key, "update", value)
 
     def insert(self, txn, table, key, value):
-        result = yield from self._execute(txn, table, key, "insert", value)
-        return result
+        return self._execute(txn, table, key, "insert", value)
 
     def delete(self, txn, table, key):
-        result = yield from self._execute(txn, table, key, "delete")
-        return result
+        return self._execute(txn, table, key, "delete")
 
     def lock_row(self, txn, table, key):
         """SELECT ... FOR UPDATE."""
-        result = yield from self._execute(txn, table, key, "lock")
-        return result
+        return self._execute(txn, table, key, "lock")
 
     def scan_table(self, txn, table):
         """Full table scan (the hybrid-B analytical query, §4.3).
@@ -261,21 +259,27 @@ class Session:
 
     def _execute(self, txn, table, key, op, value=None):
         txn.check_doomed()
-        schema = self.cluster.tables[table]
+        cluster = self.cluster
+        node = self.node
+        schema = cluster.tables[table]
         shard_id = schema.shard_for_key(key)
-        yield self.node.cpu.use(self.costs.client_overhead)
-        owner = yield from self._route(txn, shard_id)
-        if self.cluster.replication.groups:
-            self.cluster.replication.on_route(txn, shard_id, owner)
+        yield node.cpu.use(self.costs.client_overhead)
+        # Same steps as _route, without its generator frame per statement.
+        yield node.cpu.use(self.costs.cpu_route)
+        owner = self._cached_owner(txn, shard_id)
+        if owner is None:
+            owner = yield from self._read_owner(txn, shard_id)
+        if cluster.replication.groups:
+            cluster.replication.on_route(txn, shard_id, owner)
         is_write = op != "read"
-        target = self.cluster.nodes[owner]
+        target = cluster.nodes[owner]
         if target.failed:
             yield from target.wait_available()
-        remote = owner != self.node_id
+        remote = owner != node.node_id
         if remote:
-            self.oracle.observe(owner, self.oracle.peek(self.node_id))
-            yield from self.cluster.rpc_send(self.node_id, owner, _RPC_SIZE)
-        if self.cluster.cc_mode == "shard_lock":
+            self.oracle.observe(owner, self.oracle.peek(node.node_id))
+            yield from cluster.rpc_send(node.node_id, owner, _RPC_SIZE)
+        if cluster.cc_mode == "shard_lock":
             mode = (
                 SharedExclusiveLockTable.EXCLUSIVE
                 if is_write
@@ -285,7 +289,7 @@ class Session:
         # Access hooks run under the shard lock (when one exists): a Squall
         # chunk cannot move between the hook's tracker check and the
         # statement touching the row.
-        yield from self.cluster.run_access_hooks(txn, shard_id, owner, key, is_write)
+        yield from cluster.run_access_hooks(txn, shard_id, owner, key, is_write)
         size = schema.tuple_size
         if op == "read":
             result = yield from target.manager.read(txn, shard_id, key)
@@ -300,41 +304,49 @@ class Session:
         else:
             raise ValueError("unknown op {!r}".format(op))
         if remote:
-            yield from self.cluster.rpc_send(owner, self.node_id, _RPC_SIZE)
-            self.oracle.observe(self.node_id, self.oracle.peek(owner))
+            yield from cluster.rpc_send(owner, node.node_id, _RPC_SIZE)
+            self.oracle.observe(node.node_id, self.oracle.peek(owner))
         return result
 
     def _route(self, txn, shard_id):
         """Generator: resolve the owning node for ``shard_id`` (§3.5.1).
 
-        Fast path: the private cache. Slow path (an MVCC read of the shard
-        map table under the transaction's snapshot, inheriting prepare-wait
-        on an in-flight T_m) when either (a) the shard is in
-        cache-read-through state — the window around T_m's execution — or
-        (b) the cached entry is *newer* than this transaction's snapshot,
-        i.e. the shard moved after the transaction started and it must keep
-        seeing the pre-migration owner.
+        Fast path: the private cache (:meth:`_cached_owner`). Slow path
+        (:meth:`_read_owner`): an MVCC read of the shard map table under the
+        transaction's snapshot, inheriting prepare-wait on an in-flight T_m.
         """
-        cache = self.node.shardmap_cache
         yield self.node.cpu.use(self.costs.cpu_route)
+        owner = self._cached_owner(txn, shard_id)
+        if owner is None:
+            owner = yield from self._read_owner(txn, shard_id)
+        return owner
+
+    def _cached_owner(self, txn, shard_id):
+        """The owner from the private cache, or ``None`` when the shard map
+        table must be read: either (a) the shard is in cache-read-through
+        state — the window around T_m's execution — or (b) the cached entry
+        is *newer* than this transaction's snapshot, i.e. the shard moved
+        after the transaction started and it must keep seeing the
+        pre-migration owner."""
+        cache = self.node.shardmap_cache
         if cache.is_read_through(shard_id):
-            cache.read_through_lookups += 1
-            yield self.node.cpu.use(self.costs.cpu_shardmap_read)
-            owner, cts = yield from read_shard_owner(
-                self.node.shardmap_heap,
-                self.node.clog,
-                shard_id,
-                txn.plain_snapshot(),
-            )
-            cache.maybe_update(shard_id, owner, cts)
-            return owner
+            return None
         owner, cached_cts = cache.entry(shard_id)
         if cached_cts > txn.start_ts:
-            yield self.node.cpu.use(self.costs.cpu_shardmap_read)
-            owner, _cts = yield from read_shard_owner(
-                self.node.shardmap_heap,
-                self.node.clog,
-                shard_id,
-                txn.plain_snapshot(),
-            )
+            return None
+        return owner
+
+    def _read_owner(self, txn, shard_id):
+        """Generator: the owner visible to ``txn`` in the shard map table."""
+        node = self.node
+        cache = node.shardmap_cache
+        read_through = cache.is_read_through(shard_id)
+        if read_through:
+            cache.read_through_lookups += 1
+        yield node.cpu.use(self.costs.cpu_shardmap_read)
+        owner, cts = yield from read_shard_owner(
+            node.shardmap_heap, node.clog, shard_id, txn.plain_snapshot()
+        )
+        if read_through:
+            cache.maybe_update(shard_id, owner, cts)
         return owner

@@ -122,22 +122,14 @@ class Profiler:
 
         Resuming a process is attributed to the *innermost* suspended
         generator frame — the code that actually executes when the process
-        wakes — found by walking the ``gi_yieldfrom`` chain. Non-process
-        callbacks (event completions, bare functions) classify by their own
-        code object.
+        wakes — found by walking the ``gi_yieldfrom`` chain; the process is
+        the wakeup callback's ``__self__``. Non-process callbacks (event
+        completions, bare functions) classify by their own code object.
         """
         owner = getattr(callback, "__self__", None)
-        if owner is None:
-            closure = getattr(callback, "__closure__", None)
-            if closure is not None:
-                for cell in closure:
-                    try:
-                        contents = cell.cell_contents
-                    except ValueError:
-                        continue
-                    if isinstance(contents, Process):
-                        owner = contents
-                        break
+        if not isinstance(owner, Process):
+            # An AllOf/AnyOf wait wakes its process through a waiter object.
+            owner = getattr(owner, "process", None) or owner
         if isinstance(owner, Process):
             generator = owner._generator
             while True:

@@ -49,26 +49,32 @@ class Event:
         return self._exception
 
     def succeed(self, value: Any = None) -> "Event":
-        """Complete the event, waking every waiter with ``value``."""
-        self._complete(value=value, exception=None)
+        """Complete the event, waking every waiter with ``value``.
+
+        Each waiter gets its own zero-delay ``sim.schedule`` slot, in
+        registration order (see DESIGN.md §8, "wakeup path").
+        """
+        if self._done:
+            raise SimulationError("event {!r} triggered twice".format(self.name))
+        self._done = True
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            schedule = self.sim.schedule
+            for callback in callbacks:
+                schedule(0.0, callback, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Complete the event, throwing ``exception`` into every waiter."""
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        self._complete(value=None, exception=exception)
-        return self
-
-    def _complete(self, value: Any, exception: BaseException | None) -> None:
-        if self._done:
-            raise SimulationError("event {!r} triggered twice".format(self.name))
-        self._done = True
-        self._value = value
+        # Waiters only look at the event from their own schedule slot, so
+        # the exception is in place before any of them runs.
+        self.succeed(None)
         self._exception = exception
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.sim.schedule(0.0, callback, self)
+        return self
 
     def succeed_inline(self, value: Any = None) -> "Event":
         """Complete the event, running every waiter callback *synchronously*.

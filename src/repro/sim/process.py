@@ -4,12 +4,63 @@ from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, At, Event, Timeout
 
 
-class _ProcessReturn(Exception):
-    """Internal: carries a generator's return value."""
+class _CompositeWait:
+    """One process parked on an ``AllOf``/``AnyOf``.
 
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
+    The member events call :meth:`on_done` (one bound method shared by all
+    of them); ``process`` is cleared once the wait is over — satisfied,
+    failed or abandoned by an interrupt — so completions that arrive later,
+    including ones already queued in the heap, are ignored.
+    """
+
+    __slots__ = ("process", "events", "remaining")
+
+    def __init__(self, process, events):
+        self.process = process
+        self.events = events
+        self.remaining = len(events)
+
+    def detach(self):
+        """Abandon the wait: no member event may wake the process any more."""
+        self.process = None
+        callback = self.on_done
+        for event in self.events:
+            event.remove_callback(callback)
+
+
+class _AllOfWait(_CompositeWait):
+    __slots__ = ()
+
+    def on_done(self, _event):
+        process = self.process
+        if process is None or process._done_event._done:
+            return
+        self.remaining -= 1
+        # The first failed member in list order wins, even when it is not
+        # the one whose completion is being delivered right now.
+        for event in self.events:
+            failure = event._exception
+            if failure is not None:
+                self.process = None
+                process._resume(None, failure)
+                return
+        if self.remaining == 0:
+            self.process = None
+            process._resume([event._value for event in self.events], None)
+
+
+class _AnyOfWait(_CompositeWait):
+    __slots__ = ()
+
+    def on_done(self, event):
+        process = self.process
+        if process is None or process._done_event._done:
+            return
+        self.process = None
+        if event._exception is not None:
+            process._resume(None, event._exception)
+        else:
+            process._resume((self.events.index(event), event._value), None)
 
 
 class Process:
@@ -24,6 +75,10 @@ class Process:
     Processes may be cancelled asynchronously via :meth:`interrupt`, which
     throws :class:`~repro.sim.errors.Interrupt` into the generator at its
     current yield point.
+
+    Every wakeup — an event completing, a timer firing, an interrupt —
+    reaches :meth:`_resume` through its own ``sim.schedule`` slot; nothing
+    resumes a generator inline (DESIGN.md §8, "wakeup path").
     """
 
     __slots__ = (
@@ -40,8 +95,8 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._done_event = Event(sim, name="done:{}".format(self.name))
-        self._waiting_on = None
+        self._done_event = Event(sim, "done:" + self.name)
+        self._waiting_on = None  # the Event or _CompositeWait parked on
         self._pending_timer = None
         self._interrupt_pending = None
         sim.schedule(0.0, self._resume, None, None)
@@ -51,7 +106,7 @@ class Process:
     # ------------------------------------------------------------------
     @property
     def finished(self):
-        return self._done_event.triggered
+        return self._done_event._done
 
     @property
     def done_event(self):
@@ -73,7 +128,9 @@ class Process:
         """Throw :class:`Interrupt` into the process at its next resumption.
 
         Interrupting a finished process is a no-op so that race conditions
-        between completion and cancellation are harmless.
+        between completion and cancellation are harmless. A wakeup already
+        queued in the heap for a single event or timer is delivered first;
+        the interrupt then lands at whatever the process yields next.
         """
         if self.finished or self._interrupt_pending is not None:
             return
@@ -85,6 +142,9 @@ class Process:
         exc, self._interrupt_pending = self._interrupt_pending, None
         if exc is None or self.finished:
             return
+        # A wakeup that was already queued may have run since interrupt()
+        # and parked the process on something new: abandon that too.
+        self._detach_wait()
         self._resume(None, exc)
 
     def _detach_wait(self):
@@ -92,122 +152,94 @@ class Process:
         if self._pending_timer is not None:
             self.sim.cancel(self._pending_timer)
             self._pending_timer = None
-        if self._waiting_on is not None:
-            waited, callback = self._waiting_on
-            waited.remove_callback(callback)
+        waited = self._waiting_on
+        if waited is not None:
             self._waiting_on = None
+            if isinstance(waited, Event):
+                waited.remove_callback(self._on_event)
+            else:
+                waited.detach()
 
     # ------------------------------------------------------------------
     # Generator driving
     # ------------------------------------------------------------------
     def _resume(self, value, exception):
-        if self.finished:
+        done = self._done_event
+        if done._done:
             return
         self._pending_timer = None
         self._waiting_on = None
         try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
+            if exception is None:
                 target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exception)
         except StopIteration as stop:
-            self._finish(value=stop.value, exception=None)
-            return
-        except _ProcessReturn as ret:
-            self._finish(value=ret.value, exception=None)
+            done.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to joiners
-            self._finish(value=None, exception=exc)
-            return
-        self._wait_on(target)
-
-    def _finish(self, value, exception):
-        if exception is None:
-            self._done_event.succeed(value)
-        else:
             # Record the failure on the simulator so that crashes in detached
             # background processes (nobody joins them) are not silent.
             failures = getattr(self.sim, "failed_processes", None)
             if failures is not None:
-                failures.append((self, exception))
-            self._done_event.fail(exception)
+                failures.append((self, exc))
+            done.fail(exc)
+            return
+        # Park on what the generator yielded, most frequent kinds first.
+        kind = type(target)
+        if kind is Event:
+            self._waiting_on = target
+            if target._done:
+                self.sim.schedule(0.0, self._on_event, target)
+            else:
+                target._callbacks.append(self._on_event)
+        elif kind is Timeout:
+            self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
+        else:
+            self._wait_on(target)
+
+    def _on_event(self, event):
+        """Wakeup callback of a single-event wait (runs in its own slot)."""
+        if event._exception is None:
+            self._resume(event._value, None)
+        else:
+            self._resume(None, event._exception)
 
     def _wait_on(self, target):
-        if isinstance(target, (int, float)):
-            target = Timeout(target)
-        if isinstance(target, Timeout):
-            self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
-            return
-        if isinstance(target, At):
-            self._pending_timer = self.sim.schedule_at(target.time, self._resume, None, None)
-            return
+        """Park on the less common waitables (and subclasses of any)."""
         if isinstance(target, Process):
-            target = target.done_event
-        if isinstance(target, Event):
-            self._wait_on_event(target)
-            return
+            target = target._done_event
         if isinstance(target, AllOf):
-            self._wait_on_all(target)
-            return
-        if isinstance(target, AnyOf):
-            self._wait_on_any(target)
-            return
-        self._resume(
-            None,
-            SimulationError("process {!r} yielded non-waitable {!r}".format(self.name, target)),
-        )
-
-    def _wait_on_event(self, event):
-        def callback(ev):
-            if self.finished:
-                return
-            self._waiting_on = None
-            if ev.exception is not None:
-                self._resume(None, ev.exception)
+            events = [self._as_event(item) for item in target.waitables]
+            if events:
+                self._wait_on_composite(_AllOfWait(self, events))
             else:
-                self._resume(ev.value, None)
+                self._pending_timer = self.sim.schedule(0.0, self._resume, [], None)
+        elif isinstance(target, (int, float)):
+            self._pending_timer = self.sim.schedule(target, self._resume, None, None)
+        elif isinstance(target, Event):
+            self._waiting_on = target
+            target.add_callback(self._on_event)
+        elif isinstance(target, AnyOf):
+            events = [self._as_event(item) for item in target.waitables]
+            self._wait_on_composite(_AnyOfWait(self, events))
+        elif isinstance(target, At):
+            self._pending_timer = self.sim.schedule_at(target.time, self._resume, None, None)
+        elif isinstance(target, Timeout):
+            self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
+        else:
+            self._resume(
+                None,
+                SimulationError(
+                    "process {!r} yielded non-waitable {!r}".format(self.name, target)
+                ),
+            )
 
-        self._waiting_on = (event, callback)
-        event.add_callback(callback)
-
-    def _wait_on_all(self, allof):
-        events = [self._as_event(item) for item in allof.waitables]
-        if not events:
-            self.sim.schedule(0.0, self._resume, [], None)
-            return
-        state = {"remaining": len(events), "failed": None}
-
-        def on_done(_ev):
-            if self.finished:
-                return
-            state["remaining"] -= 1
-            failure = next((e.exception for e in events if e.triggered and e.exception), None)
-            if failure is not None and state["failed"] is None:
-                state["failed"] = failure
-                self._resume(None, failure)
-                return
-            if state["remaining"] == 0 and state["failed"] is None:
-                self._resume([e.value for e in events], None)
-
-        for event in events:
-            event.add_callback(on_done)
-
-    def _wait_on_any(self, anyof):
-        events = [self._as_event(item) for item in anyof.waitables]
-        state = {"done": False}
-
-        def on_done(ev):
-            if self.finished or state["done"]:
-                return
-            state["done"] = True
-            index = events.index(ev)
-            if ev.exception is not None:
-                self._resume(None, ev.exception)
-            else:
-                self._resume((index, ev.value), None)
-
-        for event in events:
-            event.add_callback(on_done)
+    def _wait_on_composite(self, waiter):
+        self._waiting_on = waiter
+        callback = waiter.on_done
+        for event in waiter.events:
+            event.add_callback(callback)
 
     def _as_event(self, item):
         if isinstance(item, Process):

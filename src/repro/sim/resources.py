@@ -3,6 +3,7 @@
 from collections import deque
 
 from repro.sim.errors import SimulationError
+from repro.sim.events import Event
 
 
 class Resource:
@@ -18,6 +19,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._event_name = "acquire:" + name
         self._in_use = 0
         self._queue = deque()
 
@@ -30,7 +32,7 @@ class Resource:
         return len(self._queue)
 
     def acquire(self):
-        event = self.sim.event(name="acquire:{}".format(self.name))
+        event = Event(self.sim, self._event_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed(self)
@@ -83,6 +85,7 @@ class CpuResource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._event_name = "cpu:" + name
         self.bin_width = bin_width
         self._free = capacity
         self._queue = deque()
@@ -93,9 +96,15 @@ class CpuResource:
         """Occupy one CPU slot for ``duration``; returns a completion event."""
         if duration < 0:
             raise SimulationError("negative CPU duration")
-        done = self.sim.event(name="cpu:{}".format(self.name))
-        self._queue.append((duration, done, tag))
-        self._dispatch()
+        sim = self.sim
+        done = Event(sim, self._event_name)
+        if self._free > 0:
+            # A slot is free only while nothing is queued: grant it now.
+            self._free -= 1
+            self._account(sim.now, duration)
+            sim.schedule(duration, self._complete, done)
+        else:
+            self._queue.append((duration, done))
         return done
 
     def use_run(self, unit, count, tag=None):
@@ -112,9 +121,9 @@ class CpuResource:
         """
         if unit < 0:
             raise SimulationError("negative CPU duration")
-        if self._free <= 0 or self._queue:
+        if self._free <= 0:
             return None
-        done = self.sim.event(name="cpu:{}".format(self.name))
+        done = Event(self.sim, self._event_name)
         self._free -= 1
         cursor = self.sim.now
         for _ in range(count):
@@ -123,28 +132,38 @@ class CpuResource:
         self.sim.schedule_at(cursor, self._complete, done)
         return done
 
-    def _dispatch(self):
-        while self._free > 0 and self._queue:
-            duration, done, tag = self._queue.popleft()
-            self._free -= 1
-            self._account(self.sim.now, duration)
-            self.sim.schedule(duration, self._complete, done)
-
     def _complete(self, done):
-        self._free += 1
+        """A charge ended: wake its waiter, then hand the slot straight to
+        the oldest queued charge (or free it when none is waiting)."""
         done.succeed(None)
-        self._dispatch()
+        if self._queue:
+            duration, queued_done = self._queue.popleft()
+            sim = self.sim
+            self._account(sim.now, duration)
+            sim.schedule(duration, self._complete, queued_done)
+        else:
+            self._free += 1
 
     def _account(self, start, duration):
         """Spread ``duration`` of one slot's busy time across time bins."""
         self.total_busy_time += duration
+        if duration <= 1e-12:
+            return
+        bins = self._busy_bins
+        width = self.bin_width
+        bin_index = int(start / width)
+        if duration <= (bin_index + 1) * width - start:
+            # The whole charge ends inside the bin it starts in: exactly
+            # the one iteration the loop below would make.
+            bins[bin_index] = bins.get(bin_index, 0.0) + duration
+            return
         remaining = duration
         cursor = start
         while remaining > 1e-12:
-            bin_index = int(cursor / self.bin_width)
-            bin_end = (bin_index + 1) * self.bin_width
+            bin_index = int(cursor / width)
+            bin_end = (bin_index + 1) * width
             chunk = min(remaining, bin_end - cursor)
-            self._busy_bins[bin_index] = self._busy_bins.get(bin_index, 0.0) + chunk
+            bins[bin_index] = bins.get(bin_index, 0.0) + chunk
             cursor += chunk
             remaining -= chunk
 

@@ -22,9 +22,9 @@ send path all route their cross-node hops through :func:`reliable_send`.
 
 When the link carries no fault state at send time the timeout machinery is
 skipped entirely and the sender waits on the delivery event directly
-(:meth:`~repro.sim.network.Network.link_is_clean`): a clean link's message
-is guaranteed to arrive, and dropping the ``AnyOf``/``Timeout`` allocation
-per message keeps the fault-free hot path allocation-lean.
+(:func:`clean_send`): a clean link's message is guaranteed to arrive, and
+dropping the ``AnyOf``/``Timeout`` allocation per message keeps the
+fault-free hot path allocation-lean.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AnyOf, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 
 if TYPE_CHECKING:
     from repro.sim.network import Network
@@ -79,6 +79,23 @@ DEFAULT_POLICY = RetryPolicy()
 PERSISTENT_POLICY = RetryPolicy(persistent=True, max_attempts=0)
 
 
+def clean_send(
+    network: "Network", src: str, dst: str, size: int = 0, traffic_class: str | None = None
+) -> Event | None:
+    """Send over a link that carries no fault state; ``None`` on any other.
+
+    The returned arrival event is guaranteed to fire
+    (:meth:`~repro.sim.network.Network.link_is_clean`), so the caller waits
+    on it directly — no AnyOf/Timeout allocations, no dangling timeout
+    entry left in the heap, and no generator frame of this module under the
+    caller's. On ``None`` nothing was sent: fall back to
+    :func:`reliable_send`.
+    """
+    if network.link_is_clean(src, dst):
+        return network.send(src, dst, size, traffic_class)
+    return None
+
+
 def reliable_send(
     network: "Network",
     src: str,
@@ -99,11 +116,9 @@ def reliable_send(
     them; see :data:`repro.sim.network.MIGRATION_CLASS`).
     """
     policy = policy or DEFAULT_POLICY
-    if network.link_is_clean(src, dst):
-        # Fault-free fast path: the message is guaranteed to arrive, so wait
-        # on the delivery event directly — no AnyOf/Timeout allocations, no
-        # dangling timeout entry left in the heap.
-        yield network.send(src, dst, size, traffic_class)
+    arrived = clean_send(network, src, dst, size, traffic_class)
+    if arrived is not None:
+        yield arrived
         return 1
     attempt = 0
     while True:

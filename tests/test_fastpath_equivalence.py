@@ -137,6 +137,47 @@ def test_profiler_rejects_nesting():
 
 
 # ----------------------------------------------------------------------
+# Golden commit timelines: the oracle for rewrites of the hot path
+# ----------------------------------------------------------------------
+#: approach -> (sha256[:16] of the commit timeline + final table, committed
+#: txns, kernel events scheduled) for smoke-sized ``load_balancing`` at seed
+#: 0, recorded on the commit *before* the wakeup-path rewrite (PR 13). A
+#: change that only makes events cheaper keeps all three; one that removes,
+#: adds or reorders a single wakeup moves the event count or the digest.
+#: Re-pin only for a change that means to alter the simulated timeline.
+_GOLDEN_LOAD_BALANCING = {
+    "remus": ("dc93f8b578d77e1b", 9712, 158146),
+    "lock_and_abort": ("7b815a8e04042496", 9688, 157535),
+    "wait_and_remaster": ("75e8812e029332dc", 9675, 157301),
+    "squall": ("b4c4bc97653183fe", 5284, 92183),
+}
+
+
+@pytest.mark.parametrize("approach", sorted(_GOLDEN_LOAD_BALANCING))
+def test_golden_commit_timeline_and_event_count(approach, monkeypatch):
+    import hashlib
+
+    from repro.experiments import load_balancing
+
+    clusters = []
+    build_cluster = load_balancing.build_cluster
+
+    def capturing_build(*args, **kwargs):
+        clusters.append(build_cluster(*args, **kwargs))
+        return clusters[-1]
+
+    monkeypatch.setattr(load_balancing, "build_cluster", capturing_build)
+    _run_cell("load_balancing", approach, 0)
+    (cluster,) = clusters
+    commits = [(r.time, r.label, r.latency) for r in cluster.metrics.commits]
+    dump = sorted(cluster.dump_table("ycsb").items())
+    digest = hashlib.sha256(repr((commits, dump)).encode()).hexdigest()[:16]
+    # ``_seq`` numbers every schedule()/schedule_at() call of the run, so
+    # events per committed txn (16.28 for remus) is pinned seed-exactly.
+    assert (digest, len(commits), cluster.sim._seq) == _GOLDEN_LOAD_BALANCING[approach]
+
+
+# ----------------------------------------------------------------------
 # Storm engine equivalence: batch workload + partitioned event loop
 # ----------------------------------------------------------------------
 def _storm_payload(mode, seed):

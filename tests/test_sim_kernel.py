@@ -299,3 +299,125 @@ def test_rng_streams_are_independent_and_reproducible():
         sim_b.rng("x").random() for _ in range(3)
     ]
     assert sim_a.rng("x").random() != sim_a.rng("y").random()
+
+
+# ----------------------------------------------------------------------
+# The wakeup-path ordering contract (DESIGN.md §8): every wakeup takes its
+# own schedule slot, and an abandoned wait can never wake the process later.
+# ----------------------------------------------------------------------
+def test_same_instant_wakeups_run_fifo_after_already_queued_entries():
+    sim = Simulator()
+    event = sim.event()
+    seen = []
+
+    def waiter(tag):
+        yield event
+        seen.append(tag)
+
+    sim.spawn(waiter("A"))
+    sim.spawn(waiter("B"))
+
+    def trigger():
+        event.succeed(None)
+        sim.schedule(0.0, seen.append, "after-succeed")
+
+    sim.schedule(1.0, trigger)
+    sim.schedule(1.0, seen.append, "queued-before")
+    sim.run()
+    # The waiters wake in registration order, each in a slot of its own:
+    # behind what was already queued for t=1, ahead of what trigger()
+    # schedules after the succeed.
+    assert seen == ["queued-before", "A", "B", "after-succeed"]
+
+
+def test_interrupt_racing_a_triggered_event_delivers_the_value_first():
+    sim = Simulator()
+    event = sim.event()
+    event.succeed("value")
+    log = []
+
+    def victim():
+        log.append((yield event))
+        try:
+            yield Timeout(5.0)
+        except Interrupt as exc:
+            log.append(("interrupt", exc.cause, sim.now))
+        log.append(("slept", (yield Timeout(10.0)), sim.now))
+
+    proc = sim.spawn(victim())
+    assert sim.step()  # parks on the triggered event: its wakeup is queued
+    proc.interrupt("race")
+    sim.run()
+    # The queued wakeup wins its slot; the interrupt lands at the next
+    # yield, and the 5 s timer abandoned there never fires into the process.
+    assert log == ["value", ("interrupt", "race", 0.0), ("slept", None, 10.0)]
+    assert proc.finished
+
+
+@pytest.mark.parametrize(
+    "wait_on", [lambda event: event, lambda event: AllOf([event]), lambda event: AnyOf([event])],
+    ids=["event", "AllOf", "AnyOf"],
+)
+def test_interrupt_detaches_from_the_wait(wait_on):
+    """Regression: a process interrupted while parked on AllOf/AnyOf used to
+    stay registered on the members and was woken with their stale values at
+    whatever yield it had reached since. (A single event always detached;
+    it now does so by removing the process's bound-method callback.)"""
+    sim = Simulator()
+    event = sim.event()
+    log = []
+
+    def victim():
+        try:
+            yield wait_on(event)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        log.append(("slept", (yield Timeout(10.0)), sim.now))
+
+    proc = sim.spawn(victim())
+    sim.schedule(0.5, proc.interrupt)
+    sim.schedule(1.0, event.succeed, "late")
+    sim.run()
+    assert log == [("interrupted", 0.5), ("slept", None, 10.5)]
+    assert proc.finished and not sim.failed_processes
+
+
+@pytest.mark.parametrize("composite", [AllOf, AnyOf])
+def test_interrupt_neutralises_a_queued_composite_completion(composite):
+    sim = Simulator()
+    event = sim.event()
+    log = []
+
+    def victim():
+        try:
+            log.append((yield composite([event, sim.event()])))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        log.append(("slept", (yield Timeout(10.0)), sim.now))
+
+    proc = sim.spawn(victim())
+    # Same instant, completion first: its callback is already in the heap
+    # when the interrupt abandons the wait.
+    sim.schedule(0.5, event.succeed, "late")
+    sim.schedule(0.5, proc.interrupt)
+    sim.run()
+    assert log == [("interrupted", 0.5), ("slept", None, 10.5)]
+    assert proc.finished and not sim.failed_processes
+
+
+def test_remove_callback_matches_a_bound_method_by_equality():
+    sim = Simulator()
+    event = sim.event()
+    seen = []
+
+    class Waiter:
+        def on_event(self, ev):
+            seen.append(ev.value)
+
+    waiter = Waiter()
+    event.add_callback(waiter.on_event)
+    assert waiter.on_event is not waiter.on_event  # a fresh object per access
+    event.remove_callback(waiter.on_event)
+    event.succeed("ignored")
+    sim.run()
+    assert seen == []

@@ -185,3 +185,52 @@ def test_network_broadcast_waits_for_all():
     sim.spawn(caller())
     sim.run()
     assert arrival == [pytest.approx(0.1)]
+
+
+def _reference_account(bins, start, duration, width):
+    """The original per-bin loop of ``CpuResource._account``."""
+    remaining = duration
+    cursor = start
+    while remaining > 1e-12:
+        bin_index = int(cursor / width)
+        bin_end = (bin_index + 1) * width
+        chunk = min(remaining, bin_end - cursor)
+        bins[bin_index] = bins.get(bin_index, 0.0) + chunk
+        cursor += chunk
+        remaining -= chunk
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_cpu_bins_and_completion_instants_match_the_reference_loop(capacity):
+    """Charges inside one bin, ending exactly on a boundary, straddling one
+    and several boundaries, and too short to count: busy bins and
+    completion instants are bit-identical to the per-bin loop's, whether a
+    charge is granted on arrival or handed a slot by a completing one."""
+    width = 0.5
+    durations = [0.3, 0.3, 0.2, 1.2, 0.1, 1e-13, 0.0, 0.7, 0.25, 0.05]
+    sim = Simulator()
+    cpu = CpuResource(sim, capacity=capacity, bin_width=width)
+    finished = []
+
+    def work(index, duration):
+        yield cpu.use(duration)
+        finished.append((index, sim.now))
+
+    for index, duration in enumerate(durations):
+        sim.spawn(work(index, duration))
+    sim.run()
+
+    # Replay the FIFO grant discipline with the reference accounting.
+    bins = {}
+    expected = []
+    free_at = [0.0] * capacity
+    for index, duration in enumerate(durations):
+        slot = min(range(capacity), key=lambda s: (free_at[s], s))
+        start = free_at[slot]
+        _reference_account(bins, start, duration, width)
+        free_at[slot] = start + duration
+        expected.append((index, start + duration))
+    assert sorted(finished) == expected  # exact floats, not approx
+    assert cpu._busy_bins == bins
+    assert cpu.total_busy_time == sum(durations[1:], durations[0])
+    assert cpu._free == capacity and not cpu._queue
