@@ -158,7 +158,9 @@ class Cluster:
         self.nodes[node_id] = node
         if hasattr(self, "shard_owners"):
             for shard_id, owner in self.shard_owners.items():
-                node.shardmap_heap.put_version(shard_id, owner, BOOTSTRAP_XID)
+                node.shardmap_heap.put_version(
+                    shard_id, owner, BOOTSTRAP_XID, committed=True
+                )
                 node.shardmap_cache.install(shard_id, owner)
         return node
 
@@ -226,7 +228,9 @@ class Cluster:
 
     def _install_shardmap_row(self, shard_id, owner):
         for node in self.nodes.values():
-            node.shardmap_heap.put_version(shard_id, owner, BOOTSTRAP_XID)
+            node.shardmap_heap.put_version(
+                shard_id, owner, BOOTSTRAP_XID, committed=True
+            )
             node.shardmap_cache.install(shard_id, owner)
 
     def bulk_load(self, table, items):

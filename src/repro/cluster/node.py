@@ -115,26 +115,25 @@ class Node:
         Used for initial data loading and for the streaming snapshot install
         on a migration destination (§3.2), where the copied tuples must be
         visible to any destination transaction starting after the snapshot.
+        The bootstrap transaction is committed, so the rows are no vacuum
+        candidates until something updates or deletes them.
         """
         heap = self.heap_for(shard_id)
         for key, value in items:
-            heap.put_version(key, value, BOOTSTRAP_XID)
+            heap.put_version(key, value, BOOTSTRAP_XID, committed=True)
 
     # ------------------------------------------------------------------
     # Vacuum
     # ------------------------------------------------------------------
     def start_vacuum(self):
-        """Begin the periodic vacuum daemon for this node."""
+        """Begin the periodic vacuum daemon for this node (idempotent)."""
         if self._vacuum_running:
             return
         self._vacuum_running = True
         self.sim.spawn(self._vacuum_loop(), name="vacuum:{}".format(self.node_id))
 
-    def stop_vacuum(self):
-        self._vacuum_running = False
-
     def _vacuum_loop(self):
-        while self._vacuum_running:
+        while True:
             yield self.config.vacuum_interval
             if self.cluster is None:
                 continue

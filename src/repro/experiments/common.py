@@ -143,11 +143,13 @@ def migration_window(metrics):
     return metrics.first_mark("migration_start"), metrics.last_mark("migration_end")
 
 
-def summarize(result, metrics, label, end_time, weighted_label=None):
+def summarize(result, metrics, label, end_time, weighted_label=None, bin_width=1.0):
     """Fill the common measurement fields of ``result`` from the metrics."""
     start_mig, end_mig = migration_window(metrics)
     result.migration_window = (start_mig, end_mig)
-    result.throughput = metrics.throughput_series(label=label, bin_width=1.0, end=end_time)
+    result.throughput = metrics.throughput_series(
+        label=label, bin_width=bin_width, end=end_time
+    )
     if weighted_label:
         result.batch_throughput = metrics.throughput_series(
             label=weighted_label, bin_width=1.0, end=end_time, weighted=True

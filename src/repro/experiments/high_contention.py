@@ -22,6 +22,7 @@ from repro.experiments.common import (
     check_no_crashes,
     note_topology,
     run_until_finished,
+    summarize,
 )
 from repro.migration import Migration
 from repro.workloads.client import ClientPool, ClosedLoopClient
@@ -121,16 +122,16 @@ def _high_contention(approach="remus", config=None):
     check_no_crashes(cluster)
 
     metrics = cluster.metrics
-    mig_start = metrics.first_mark("migration_start")
-    mig_end = metrics.last_mark("migration_end")
+    result = ExperimentResult(approach=approach, scenario="high_contention")
+    # 0.5 s bins: the copy-phase dip of Figure 10 lasts a second or two.
+    summarize(result, metrics, "hot", end, bin_width=0.5)
+    result.abort_ratio = metrics.abort_ratio(label="hot")
+    mig_start, mig_end = result.migration_window
     migration = plan.migrations[0]
     copy_start, copy_end = migration.stats.phase_times.get(
         "snapshot_copy", (mig_start, mig_end)
     )
 
-    result = ExperimentResult(approach=approach, scenario="high_contention")
-    result.migration_window = (mig_start, mig_end)
-    result.throughput = metrics.throughput_series(label="hot", bin_width=0.5, end=end)
     result.extra["cpu_source"] = cluster.nodes[source].cpu.usage_series(0.0, end)
     result.extra["cpu_dest"] = cluster.nodes[dest].cpu.usage_series(0.0, end)
     result.extra["tput_baseline"] = metrics.average_throughput(

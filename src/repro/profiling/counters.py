@@ -43,6 +43,8 @@ class FastPathCounters:
         "drain_instants",
         "drain_barrier_msgs",
         "drain_reflected_msgs",
+        "vacuum_chains_visited",
+        "vacuum_versions_reclaimed",
     )
 
     def __init__(self) -> None:
@@ -102,6 +104,12 @@ class FastPathCounters:
             # Nonzero means a worker sent to a partition owned elsewhere —
             # outside the partition-closed envelope, so surface it loudly.
             out["drain_reflected_msgs"] = self.drain_reflected_msgs
+        if self.vacuum_chains_visited:
+            # Chains vacuum looked at (its candidate set, not the heap) and
+            # what that bought: a full sweep would show up here as a visit
+            # count near passes x heap keys.
+            out["vacuum_chains_visited"] = self.vacuum_chains_visited
+            out["vacuum_versions_reclaimed"] = self.vacuum_versions_reclaimed
         return out
 
 

@@ -7,6 +7,12 @@ new version and stamp the old one's ``xmax``; vacuum trims versions that no
 active snapshot can see (long snapshot scans hold vacuum back, which is the
 mechanism behind the paper's Figure 10 throughput dip).
 
+Vacuum does not sweep the heap: the table keeps a *candidate set* of the
+keys whose chain may hold garbage now or later (fed by ``put_version`` and
+``mark_deleted``, drained by ``vacuum`` itself), so a pass costs what the
+churn since the last pass costs, not what the heap holds. The invariant is
+spelled out on :meth:`HeapTable.vacuum` and in DESIGN.md §9.
+
 Hot-path note: :meth:`HeapTable.visible_version` decides visibility through
 the non-blocking hint-bit checks (``creation_visible_fast``) and only falls
 back to the blocking generator when a writer is PREPARED, so the common
@@ -40,6 +46,9 @@ class HeapTable:
         self.shard_id = shard_id
         self._chains = {}
         self.version_count = 0
+        # Keys whose chain may hold a version that is, or can still become,
+        # reclaimable (insertion-ordered; see ``vacuum`` for the invariant).
+        self._vacuum_candidates = {}
         # Sorted key index for migration snapshot scans: built lazily on the
         # first ``sorted_keys()`` call and maintained incrementally from then
         # on, so repeated scans (crash-recovery retries, repair passes) stop
@@ -89,8 +98,16 @@ class HeapTable:
     # ------------------------------------------------------------------
     # Physical mutation (called by the transaction layer under locks)
     # ------------------------------------------------------------------
-    def put_version(self, key, value, xmin):
-        """Prepend a new version for ``key`` created by ``xmin``."""
+    def put_version(self, key, value, xmin, committed=False):
+        """Prepend a new version for ``key`` created by ``xmin``.
+
+        The key becomes a vacuum candidate (``xmin`` may still abort) unless
+        the caller passes ``committed=True``, vouching that ``xmin`` is
+        already COMMITTED in this node's CLOG: such a version carries no
+        ``xmax`` and can only turn into garbage through a later
+        :meth:`mark_deleted`, which enrols the key itself. Bulk loads use
+        it so that set-up pays nothing for rows that are never updated.
+        """
         version = TupleVersion(key, value, xmin)
         chain = self._chains.get(key)
         if chain is None:
@@ -99,12 +116,15 @@ class HeapTable:
                 insort(self._sorted_keys, key)
         chain.insert(0, version)
         self.version_count += 1
+        if not committed:
+            self._vacuum_candidates[key] = None
         return version
 
     def mark_deleted(self, version, xmax):
         """Stamp ``version`` as superseded/deleted by transaction ``xmax``."""
         version.xmax = xmax
         version.cts_max = None  # the old deleter's hint no longer applies
+        self._vacuum_candidates[version.key] = None
 
     def unmark_deleted(self, version, xmax):
         """Roll back an xmax stamp if it still belongs to ``xmax``."""
@@ -120,6 +140,7 @@ class HeapTable:
             if not chain:
                 del self._chains[version.key]
                 self._index_discard(version.key)
+                self._vacuum_candidates.pop(version.key, None)
 
     # ------------------------------------------------------------------
     # MVCC reads (generators: may prepare-wait via the CLOG)
@@ -317,48 +338,78 @@ class HeapTable:
         versions removed. A long-running snapshot (e.g. a migration snapshot
         scan) holds ``horizon_ts`` back and lets chains grow.
 
-        Dead versions whose hint bits already prove the verdict are dropped
-        without touching the CLOG, and statuses resolved here are stamped
-        back onto the surviving versions — so a long soak's periodic vacuum
-        both reclaims memory eagerly and leaves the chains cheaper to read.
-        Chains with nothing to reclaim are kept in place (no list rebuild).
+        Only the candidate set is visited, and the rule above is applied to
+        every version of every candidate chain. The set's invariant: *a
+        chain holding a version that is reclaimable now, or can become so
+        without another* ``put_version``/``mark_deleted`` *on its key, is in
+        the set*. Those two calls enrol the key; a pass keeps it enrolled
+        while some surviving version has a creator that is not COMMITTED yet
+        (it may abort) or an ``xmax`` whose deleter is not ABORTED (it may
+        commit, or has committed above a held horizon — so a pinned chain is
+        looked at again every pass and goes the pass after the hold drops).
+        Every other chain can only change through those two calls.
+
+        Hint bits are trusted and stamped whatever the ``clog_hints`` flag
+        says: they cache terminal, immutable CLOG verdicts, and readers that
+        run with the flag off never look at them. Chains that lose nothing
+        are kept in place (no list rebuild).
         """
-        clog = self.clog
-        hints = fastpath.clog_hints
+        candidates = self._vacuum_candidates
+        if not candidates:
+            return 0
+        entry_of = self.clog.entry
+        chains = self._chains
+        survivors = {}
         removed = 0
-        for key in list(self._chains.keys()):
-            chain = self._chains[key]
+        for key in candidates:
+            chain = chains[key]
             kept = None  # built lazily: only chains that lose a version
+            watch = False
             for index, version in enumerate(chain):
-                reclaim = False
-                if hints and version.cts_min is ABORTED:
-                    reclaim = True
-                elif clog.status(version.xmin) is TxnStatus.ABORTED:
-                    if hints:
-                        version.cts_min = ABORTED
-                    reclaim = True
-                elif version.xmax is not None:
-                    cts_max = version.cts_max if hints else None
+                cts_min = version.cts_min
+                unsettled = False
+                if cts_min is None:
+                    status = entry_of(version.xmin)[0]
+                    if status is TxnStatus.ABORTED:
+                        cts_min = version.cts_min = ABORTED
+                    else:
+                        unsettled = status is not TxnStatus.COMMITTED
+                reclaim = cts_min is ABORTED
+                if not reclaim and version.xmax is not None:
+                    cts_max = version.cts_max
                     if cts_max is None:
-                        if clog.status(version.xmax) is TxnStatus.COMMITTED:
-                            cts_max = clog.commit_ts(version.xmax)
-                            if hints:
-                                version.cts_max = cts_max
+                        status, commit_ts = entry_of(version.xmax)
+                        if status is TxnStatus.COMMITTED:
+                            cts_max = version.cts_max = commit_ts
+                        elif status is not TxnStatus.ABORTED:
+                            unsettled = True
                     if cts_max is not None and cts_max is not ABORTED:
-                        reclaim = cts_max <= horizon_ts
+                        if cts_max <= horizon_ts:
+                            reclaim = True
+                        else:
+                            unsettled = True
                 if reclaim:
                     removed += 1
                     if kept is None:
                         kept = chain[:index]
-                elif kept is not None:
-                    kept.append(version)
+                else:
+                    if unsettled:
+                        watch = True
+                    if kept is not None:
+                        kept.append(version)
             if kept is not None:
                 if kept:
-                    self._chains[key] = kept
+                    chains[key] = kept
                 else:
-                    del self._chains[key]
+                    del chains[key]
                     self._index_discard(key)
+            if watch:
+                survivors[key] = None
+        # A fresh dict every pass: a drained dict never gives its table back.
+        self._vacuum_candidates = survivors
         self.version_count -= removed
+        COUNTERS.vacuum_chains_visited += len(candidates)
+        COUNTERS.vacuum_versions_reclaimed += removed
         return removed
 
     def is_dead(self, version):
@@ -368,4 +419,5 @@ class HeapTable:
         """Drop all data (used when cleaning up a migrated-away shard)."""
         self._chains.clear()
         self.version_count = 0
+        self._vacuum_candidates = {}
         self._sorted_keys = None

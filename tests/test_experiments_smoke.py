@@ -108,7 +108,10 @@ def test_scale_out_rejects_squall():
         registry.run("scale_out", approach="squall")
 
 
-def test_high_contention_smoke():
+@pytest.mark.parametrize(
+    "approach", ["remus", "lock_and_abort", "wait_and_remaster", "stop_and_copy"]
+)
+def test_high_contention_smoke(approach):
     config = HighContentionConfig(
         shard_tuples=800,
         hot_tuples=40,
@@ -117,10 +120,18 @@ def test_high_contention_smoke():
         run_after=1.0,
         max_sim_time=30.0,
     )
-    result = registry.run("high_contention", approach="remus", config=config)
+    result = registry.run("high_contention", approach=approach, config=config)
     assert result.extra["data_intact"]
     assert result.extra["tput_baseline"] > 0
     assert result.extra["cpu_source"], "CPU series should exist"
+    # The headline fields are filled, not left at their 0.0 defaults next to
+    # a non-zero ``ww_aborts_total``.
+    assert result.avg_throughput_before > 0
+    assert result.avg_latency_before > 0
+    aborts = sum(result.aborts.values())
+    assert aborts >= result.extra["ww_aborts_total"] > 0
+    commits = sum(rate * 0.5 for _t, rate in result.throughput)  # 0.5 s bins
+    assert result.abort_ratio == pytest.approx(aborts / (aborts + commits), rel=0.02)
 
 
 def test_added_node_gets_shard_map_replica():

@@ -139,42 +139,83 @@ def test_profiler_rejects_nesting():
 # ----------------------------------------------------------------------
 # Golden commit timelines: the oracle for rewrites of the hot path
 # ----------------------------------------------------------------------
-#: approach -> (sha256[:16] of the commit timeline + final table, committed
-#: txns, kernel events scheduled) for smoke-sized ``load_balancing`` at seed
-#: 0, recorded on the commit *before* the wakeup-path rewrite (PR 13). A
-#: change that only makes events cheaper keeps all three; one that removes,
-#: adds or reorders a single wakeup moves the event count or the digest.
-#: Re-pin only for a change that means to alter the simulated timeline.
-_GOLDEN_LOAD_BALANCING = {
-    "remus": ("dc93f8b578d77e1b", 9712, 158146),
-    "lock_and_abort": ("7b815a8e04042496", 9688, 157535),
-    "wait_and_remaster": ("75e8812e029332dc", 9675, 157301),
-    "squall": ("b4c4bc97653183fe", 5284, 92183),
+#: (scenario, approach) -> (sha256[:16] of the commit timeline + final table,
+#: committed txns, kernel events scheduled) for the smoke-sized scenario at
+#: seed 0, each recorded on the commit *before* the rewrite it guards:
+#: ``load_balancing`` before the wakeup-path rewrite (PR 13),
+#: ``high_contention`` — the scenario where vacuum runs under a migration's
+#: horizon hold — before vacuum went from a whole-heap sweep to the
+#: candidate set (PR 15). A change that only makes the host's work cheaper
+#: keeps all three; one that removes, adds or reorders a single wakeup, or
+#: reclaims a version a pass earlier or later than a reader walks its
+#: chain, moves the event count or the digest. Re-pin only for a change
+#: that means to alter the simulated timeline.
+_GOLDEN = {
+    ("load_balancing", "remus"): ("dc93f8b578d77e1b", 9712, 158146),
+    ("load_balancing", "lock_and_abort"): ("7b815a8e04042496", 9688, 157535),
+    ("load_balancing", "wait_and_remaster"): ("75e8812e029332dc", 9675, 157301),
+    ("load_balancing", "squall"): ("b4c4bc97653183fe", 5284, 92183),
+    ("high_contention", "remus"): ("1bc13de7aaf1445c", 10781, 210707),
+    ("high_contention", "lock_and_abort"): ("7f1b56ed5c90ac0c", 10780, 210608),
+    ("high_contention", "wait_and_remaster"): ("c7bfc96076bfb9e8", 10783, 210664),
+    ("high_contention", "stop_and_copy"): ("842e09913c9605c3", 6962, 116295),
 }
+_GOLDEN_TABLE = {"load_balancing": "ycsb", "high_contention": "hot"}
 
 
-@pytest.mark.parametrize("approach", sorted(_GOLDEN_LOAD_BALANCING))
-def test_golden_commit_timeline_and_event_count(approach, monkeypatch):
+@pytest.mark.parametrize("scenario,approach", sorted(_GOLDEN))
+def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch):
     import hashlib
+    import importlib
 
-    from repro.experiments import load_balancing
-
+    module = importlib.import_module("repro.experiments." + scenario)
     clusters = []
-    build_cluster = load_balancing.build_cluster
+    build_cluster = module.build_cluster
 
     def capturing_build(*args, **kwargs):
         clusters.append(build_cluster(*args, **kwargs))
         return clusters[-1]
 
-    monkeypatch.setattr(load_balancing, "build_cluster", capturing_build)
-    _run_cell("load_balancing", approach, 0)
+    monkeypatch.setattr(module, "build_cluster", capturing_build)
+    _run_cell(scenario, approach, 0)
     (cluster,) = clusters
     commits = [(r.time, r.label, r.latency) for r in cluster.metrics.commits]
-    dump = sorted(cluster.dump_table("ycsb").items())
+    dump = sorted(cluster.dump_table(_GOLDEN_TABLE[scenario]).items())
     digest = hashlib.sha256(repr((commits, dump)).encode()).hexdigest()[:16]
     # ``_seq`` numbers every schedule()/schedule_at() call of the run, so
-    # events per committed txn (16.28 for remus) is pinned seed-exactly.
-    assert (digest, len(commits), cluster.sim._seq) == _GOLDEN_LOAD_BALANCING[approach]
+    # events per committed txn (16.28 for load_balancing/remus) is pinned
+    # seed-exactly.
+    assert (digest, len(commits), cluster.sim._seq) == _GOLDEN[(scenario, approach)]
+
+
+def test_vacuum_visits_candidates_not_the_heap(monkeypatch):
+    """Seed-exact, noise-free gate on how vacuum finds its garbage.
+
+    Smoke ``high_contention``/remus at seed 0: the versions reclaimed are
+    the whole-heap sweep's total (5422, summed from ``vacuum``'s return
+    values on the commit before the candidate set), while the chains looked
+    at stay under 5 % of what a sweep walks (passes x keys in the heap at
+    each pass) — the garbage lives on 40 hot keys of 800. Reintroducing a
+    full sweep fails the second assert; reclaiming a version too many, too
+    few or on a different pass fails the first or the golden digests above.
+    """
+    from repro.profiling.counters import COUNTERS
+    from repro.storage.heap import HeapTable
+
+    swept = []
+    vacuum = HeapTable.vacuum
+
+    def counting_vacuum(heap, horizon_ts):
+        swept.append(heap.key_count)
+        return vacuum(heap, horizon_ts)
+
+    monkeypatch.setattr(HeapTable, "vacuum", counting_vacuum)
+    visited = COUNTERS.vacuum_chains_visited
+    reclaimed = COUNTERS.vacuum_versions_reclaimed
+    _run_cell("high_contention", "remus", 0)
+    assert len(swept) == 68 and sum(swept) == 14640  # the sweep's workload
+    assert COUNTERS.vacuum_versions_reclaimed - reclaimed == 5422
+    assert COUNTERS.vacuum_chains_visited - visited < 0.05 * sum(swept)
 
 
 # ----------------------------------------------------------------------

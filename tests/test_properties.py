@@ -11,7 +11,8 @@ from repro.cluster.hashing import (
 )
 from repro.metrics.series import bin_series, downtime_windows, moving_average
 from repro.sim import Simulator
-from repro.storage import Clog, HeapTable, Snapshot
+from repro.storage import Clog, HeapTable, Snapshot, TxnStatus
+from repro.storage.tuples import ABORTED
 from repro.txn.timestamps import HybridLogicalClock, decode_hlc, encode_hlc
 from repro.workloads.zipf import ZipfGenerator
 
@@ -122,6 +123,181 @@ def test_visible_version_matches_reference_model(gaps, read_ts):
     visible = [t for t in commit_times if t <= read_ts]
     expected = "v{}".format(max(visible)) if visible else None
     assert value == expected
+
+
+# ----------------------------------------------------------------------
+# Candidate-set vacuum against the whole-heap sweep it replaced
+# ----------------------------------------------------------------------
+def _reference_sweep(heap, horizon_ts, hints):
+    """The vacuum ``HeapTable`` had before the candidate set: walk every
+    chain of the heap and probe the CLOG for every version. Kept here, and
+    only here, as the oracle; ``hints`` is the old ``fastpath.clog_hints``
+    fork (trust and stamp the hint bits, or go to the CLOG for everything).
+    """
+    clog = heap.clog
+    removed = 0
+    for key in list(heap._chains):
+        kept = []
+        for version in heap._chains[key]:
+            reclaim = False
+            if hints and version.cts_min is ABORTED:
+                reclaim = True
+            elif clog.status(version.xmin) is TxnStatus.ABORTED:
+                if hints:
+                    version.cts_min = ABORTED
+                reclaim = True
+            elif version.xmax is not None:
+                cts_max = version.cts_max if hints else None
+                if cts_max is None:
+                    if clog.status(version.xmax) is TxnStatus.COMMITTED:
+                        cts_max = clog.commit_ts(version.xmax)
+                        if hints:
+                            version.cts_max = cts_max
+                if cts_max is not None and cts_max is not ABORTED:
+                    reclaim = cts_max <= horizon_ts
+            if reclaim:
+                removed += 1
+            else:
+                kept.append(version)
+        if kept:
+            heap._chains[key] = kept
+        else:
+            del heap._chains[key]
+            heap._index_discard(key)
+    heap.version_count -= removed
+    return removed
+
+
+def _chains_of(heap):
+    return [
+        (key, [(v.xmin, v.xmax) for v in heap.chain(key)]) for key in heap.keys()
+    ]
+
+
+_PICK = st.integers(min_value=0, max_value=2)
+_TS = st.integers(min_value=1, max_value=8)
+_HORIZON = st.integers(min_value=0, max_value=9)
+_HEAP_OPS = st.one_of(
+    st.tuples(st.just("write"), _PICK, _PICK),
+    st.tuples(st.just("delete"), _PICK, _PICK),
+    st.tuples(st.just("commit"), _PICK, _TS),
+    st.tuples(st.just("commit"), _PICK, _TS),
+    st.tuples(st.just("abort"), _PICK),
+    st.tuples(st.just("prepare"), _PICK),
+    st.tuples(st.just("put"), _PICK, _PICK, st.booleans()),
+    st.tuples(st.just("mark"), _PICK, _PICK, _PICK),
+    st.tuples(st.just("unmark"), _PICK, _PICK),
+    st.tuples(st.just("remove"), _PICK, _PICK),
+    st.tuples(st.just("scan"), _PICK, _TS),
+)
+
+
+class _HeapUnderTest:
+    """One heap + CLOG driven by the drawn operations. Two of these replay
+    the same operations; they differ only in how they vacuum.
+
+    Transactions live in three slots. ``write`` and ``delete`` are what
+    the transaction layer does (stamp the newest version's ``xmax`` and, for
+    a write, prepend the new one) and open a fresh transaction when their
+    slot's last one has finished; ``put``/``mark``/``unmark``/``remove`` are
+    the bare heap calls, also on behalf of finished transactions.
+    """
+
+    KEYS = 2
+
+    def __init__(self, preload):
+        sim = Simulator()
+        self.clog = Clog(sim)
+        self.heap = HeapTable(sim, self.clog)
+        self.heap.sorted_keys()  # switch the incremental key index on
+        self.slots = {}
+        self.next_xid = 1
+        if preload:  # a bulk load: committed rows that are no candidates
+            self.clog.begin(0)
+            self.clog.set_committed(0, 0)
+            for key in range(self.KEYS):
+                self.heap.put_version(key, "v", 0, committed=True)
+
+    def _xid(self, slot, fresh=False):
+        xid = self.slots.get(slot)
+        if xid is None or (fresh and self.clog.is_finished(xid)):
+            xid = self.slots[slot] = self.next_xid
+            self.next_xid += 1
+            self.clog.begin(xid)
+        return xid
+
+    def _version(self, key_pick, version_pick):
+        chain = self.heap.chain(key_pick % self.KEYS)
+        return chain[version_pick % len(chain)] if chain else None
+
+    def apply(self, op):
+        kind, args = op[0], op[1:]
+        heap, clog = self.heap, self.clog
+        if kind in ("write", "delete"):
+            key, xid = args[0] % self.KEYS, self._xid(args[1], fresh=True)
+            if key in heap:
+                heap.mark_deleted(heap.chain(key)[0], xid)
+            if kind == "write":
+                heap.put_version(key, "v", xid)
+        elif kind == "put":
+            xid = self._xid(args[1])
+            # ``committed=True`` is a promise only a committed creator keeps.
+            vouch = args[2] and clog.status(xid) is TxnStatus.COMMITTED
+            heap.put_version(args[0] % self.KEYS, "v", xid, committed=vouch)
+        elif kind == "mark":
+            version = self._version(args[0], args[1])
+            if version is not None:
+                heap.mark_deleted(version, self._xid(args[2]))
+        elif kind == "unmark":
+            version = self._version(*args)
+            if version is not None and version.xmax is not None:
+                heap.unmark_deleted(version, version.xmax)
+        elif kind == "remove":
+            version = self._version(*args)
+            if version is not None:
+                heap.remove_version(version)
+        elif kind == "scan":
+            found = heap.scan_visible_fast(args[0] % self.KEYS, Snapshot(args[1]))
+            return getattr(found, "xmin", found)
+        else:
+            xid = self.slots.get(args[0])
+            if xid is None or clog.is_finished(xid):
+                return None
+            if kind == "commit":
+                clog.set_committed(xid, args[1])
+            elif kind == "abort":
+                clog.set_aborted(xid)
+            elif clog.status(xid) is TxnStatus.IN_PROGRESS:
+                clog.set_prepared(xid)
+        return None
+
+
+@given(
+    st.lists(st.tuples(_HEAP_OPS, st.none() | _HORIZON), min_size=8, max_size=40),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_candidate_vacuum_equals_whole_heap_sweep(steps, preload, reference_hints):
+    """Whatever the history — aborts, re-stamped and rolled-back ``xmax``,
+    physical removals, horizons that hold and then move, hint bits stamped
+    by scans in between — visiting only the candidates reclaims exactly
+    what sweeping every chain does. Most steps vacuum right after their
+    operation, so keys keep leaving the set and must find their way back."""
+    subject, reference = _HeapUnderTest(preload), _HeapUnderTest(preload)
+    for op, horizon in list(steps) + [(("scan", 0, 1), 9)]:
+        assert subject.apply(op) == reference.apply(op)
+        if horizon is None:
+            continue
+        removed = subject.heap.vacuum(horizon)
+        assert removed == _reference_sweep(reference.heap, horizon, reference_hints)
+        assert _chains_of(subject.heap) == _chains_of(reference.heap)
+        assert subject.heap.version_count == reference.heap.version_count
+        assert subject.heap.version_count == sum(
+            len(chain) for _key, chain in _chains_of(subject.heap)
+        )
+        assert subject.heap.sorted_keys() == sorted(subject.heap.keys())
+        assert subject.heap.vacuum(horizon) == 0  # nothing left at this horizon
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.profiling.counters import COUNTERS
 from repro.sim import Simulator
 from repro.storage import (
     Clog,
@@ -335,6 +336,63 @@ def test_vacuum_respects_horizon(sim, heap, clog):
     # A snapshot at ts=10 still needs v1: horizon below 30 keeps it.
     assert heap.vacuum(horizon_ts=10) == 0
     assert heap.chain_length("a") == 2
+
+
+def vacuum_visiting(heap, horizon_ts):
+    """(versions removed, chains visited) of one vacuum pass."""
+    before = COUNTERS.vacuum_chains_visited
+    removed = heap.vacuum(horizon_ts)
+    return removed, COUNTERS.vacuum_chains_visited - before
+
+
+def test_vacuum_chain_held_above_horizon_stays_candidate(sim, heap, clog):
+    committed_insert(heap, clog, xid=1, key="a", value="v1", cts=1)
+    committed_insert(heap, clog, xid=2, key="cold", value="c", cts=1)
+    assert vacuum_visiting(heap, 10) == (0, 2)
+    assert vacuum_visiting(heap, 10) == (0, 0)  # all settled: nothing to visit
+    clog.begin(3)
+    heap.mark_deleted(heap.chain("a")[0], 3)
+    heap.put_version("a", "v2", xmin=3)
+    clog.set_committed(3, 30)
+    # A snapshot at ts=10 pins the horizon below the deletion: the chain
+    # is looked at on every pass (and only it), and nothing goes.
+    assert vacuum_visiting(heap, 10) == (0, 1)
+    assert vacuum_visiting(heap, 29) == (0, 1)
+    # The hold drops: no heap call since, yet the next pass reclaims v1.
+    assert vacuum_visiting(heap, 30) == (1, 1)
+    assert [v.value for v in heap.chain("a")] == ["v2"]
+    assert vacuum_visiting(heap, 30) == (0, 0)
+
+
+def test_vacuum_reclaims_aborted_insert_on_fresh_key(sim, heap, clog):
+    committed_insert(heap, clog, xid=1, key="a", value="v1", cts=1)
+    assert heap.sorted_keys() == ["a"]  # the key index is live from here on
+    clog.begin(2)
+    heap.put_version("b", "junk", xmin=2)
+    assert heap.sorted_keys() == ["a", "b"]
+    assert vacuum_visiting(heap, 10) == (0, 2)  # still in progress: kept, watched
+    clog.set_aborted(2)
+    assert vacuum_visiting(heap, 10) == (1, 1)
+    assert "b" not in heap
+    assert list(heap.keys()) == ["a"]
+    assert heap.sorted_keys() == ["a"]
+    assert heap.version_count == 1
+    assert vacuum_visiting(heap, 10) == (0, 0)
+
+
+def test_vacuum_skips_bulk_installed_rows_until_first_delete(sim, heap, clog):
+    clog.begin(1)
+    clog.set_committed(1, 0)  # the bootstrap transaction
+    for key in range(50):
+        heap.put_version(key, "loaded", xmin=1, committed=True)
+    assert vacuum_visiting(heap, 10) == (0, 0)
+    clog.begin(2)
+    heap.mark_deleted(heap.chain(7)[0], 2)
+    assert vacuum_visiting(heap, 10) == (0, 1)  # deleter in progress
+    clog.set_committed(2, 5)
+    assert vacuum_visiting(heap, 10) == (1, 1)
+    assert 7 not in heap and heap.key_count == 49
+    assert vacuum_visiting(heap, 10) == (0, 0)
 
 
 def test_unmark_deleted_restores_version(sim, heap, clog):
