@@ -263,9 +263,12 @@ class Session:
         node = self.node
         schema = cluster.tables[table]
         shard_id = schema.shard_for_key(key)
-        yield node.cpu.use(self.costs.client_overhead)
-        # Same steps as _route, without its generator frame per statement.
-        yield node.cpu.use(self.costs.cpu_route)
+        # Client overhead, then the _route steps without its generator frame
+        # per statement. The two charges are one chain: the routing charge
+        # queues exactly where this process would have submitted it, without
+        # waking the process in between (not use_run, which would hold the
+        # slot across both and starve a charge queued between them).
+        yield node.cpu.use(self.costs.client_overhead, then=self.costs.cpu_route)
         owner = self._cached_owner(txn, shard_id)
         if owner is None:
             owner = yield from self._read_owner(txn, shard_id)
@@ -289,7 +292,8 @@ class Session:
         # Access hooks run under the shard lock (when one exists): a Squall
         # chunk cannot move between the hook's tracker check and the
         # statement touching the row.
-        yield from cluster.run_access_hooks(txn, shard_id, owner, key, is_write)
+        if cluster._access_hooks:  # only inside a migration window
+            yield from cluster.run_access_hooks(txn, shard_id, owner, key, is_write)
         size = schema.tuple_size
         if op == "read":
             result = yield from target.manager.read(txn, shard_id, key)

@@ -82,16 +82,19 @@ class TableSchema:
         # Tables in the same collocation group share a partitioner shape so
         # that shard i of every table lives on the same node.
         self.collocation_group = collocation_group or name
+        # One ShardId per shard, built once: every statement routes through
+        # shard_for_key, and identities are immutable.
+        self._shard_ids = tuple(ShardId(name, i) for i in range(partitioner.num_shards))
 
     @property
     def num_shards(self):
         return self.partitioner.num_shards
 
     def shard_for_key(self, key):
-        return ShardId(self.name, self.partitioner.shard_index(key))
+        return self._shard_ids[self.partitioner.shard_index(key)]
 
     def shard_ids(self):
-        return [ShardId(self.name, i) for i in range(self.num_shards)]
+        return list(self._shard_ids)
 
     def __repr__(self):
         return "TableSchema({!r}, shards={})".format(self.name, self.num_shards)

@@ -51,10 +51,14 @@ class MoccCoordinator(CommitHook):
     def _expects_validation(self, participant):
         """Will the destination ever ack this transaction?
 
-        A transaction whose PREPARE record was already consumed by the send
+        A transaction whose PREPARE record was already handled by the send
         process *before* the sync barrier was set belongs to TS_unsync
         (§3.4): no validation task exists for it and its changes ship on its
-        commit record; waiting would deadlock the mode change.
+        commit record; waiting would deadlock the mode change. Handled, not
+        merely consumed: the send process moves its cursor past a record and
+        may then wait for a CPU charge before acting on it; a PREPARE caught
+        in that window will still start a validation, and its transaction
+        must wait for the ack.
         """
         if self.propagation is None:
             return True
@@ -63,7 +67,7 @@ class MoccCoordinator(CommitHook):
             return True
         if (
             participant.prepare_lsn is not None
-            and participant.prepare_lsn < self.propagation.reader.next_lsn
+            and participant.prepare_lsn < self.propagation.handled_lsn
         ):
             return False
         return True

@@ -67,6 +67,10 @@ class Propagation:
         self.source_node = cluster.nodes[source]
         self.dest_node = cluster.nodes[dest]
         self.reader = self.source_node.wal.reader(from_lsn)
+        # Every record below this LSN has had its effect (_handle returned).
+        # reader.next_lsn runs ahead of it while the pump is parked in its
+        # CPU charge: "has the PREPARE been seen?" must ask this one.
+        self.handled_lsn = from_lsn
         self.mocc = None  # set by enable_sync(); None => async mode
         self._caches = {}  # source xid -> [change records]
         self._validated = {}  # source xid -> (shadow txn, inflight entry)
@@ -240,6 +244,7 @@ class Propagation:
                     )
                     self._since_cpu_charge = 0
                 self._handle(record)
+                self.handled_lsn = record.lsn + 1
         except Interrupt:
             return
 
@@ -303,6 +308,7 @@ class Propagation:
                 yield cpu.use(charge)
                 self._since_cpu_charge = 0
             self._handle(record)
+            self.handled_lsn = next_lsn + 1
 
     def _handle(self, record):
         kind = record.kind

@@ -11,6 +11,9 @@ A process is a Python generator that yields *waitables*:
 
 - a ``float``/``int`` or :class:`~repro.sim.events.Timeout` — sleep for a delay,
 - an :class:`~repro.sim.events.Event` — wait until it is triggered,
+- the :class:`~repro.sim.events.Charge` handed back by
+  :meth:`CpuResource.use <repro.sim.resources.CpuResource.use>` — wait for
+  that CPU work (yield it at once; one process per charge),
 - another :class:`~repro.sim.process.Process` — join it,
 - :class:`~repro.sim.events.AllOf` — wait for several waitables at once.
 

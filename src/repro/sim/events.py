@@ -52,7 +52,8 @@ class Event:
         """Complete the event, waking every waiter with ``value``.
 
         Each waiter gets its own zero-delay ``sim.schedule`` slot, in
-        registration order (see DESIGN.md §8, "wakeup path").
+        registration order (see DESIGN.md §8, "wakeup path"): the caller
+        may have more to do in this dispatch, so nothing runs inline.
         """
         if self._done:
             raise SimulationError("event {!r} triggered twice".format(self.name))
@@ -76,6 +77,27 @@ class Event:
         self._exception = exception
         return self
 
+    def succeed_tail(self, value: Any = None) -> "Event":
+        """:meth:`succeed` for a caller in *tail position* of its dispatch.
+
+        The caller guarantees that nothing runs after this call returns,
+        all the way up to the event loop (a heap callback's last statement:
+        a message arrival, a finishing process completing its ``done``
+        event). With exactly one waiter and nothing else pending at this
+        instant, that waiter's slot is provably the next dispatch
+        (:meth:`Simulator.take_tail_slot`), so it runs now. Two or more
+        waiters always take the heap: the first, run inline, could finish a
+        process whose joiner would then run before the second.
+        """
+        callbacks = self._callbacks
+        if len(callbacks) != 1 or self._done or not self.sim.take_tail_slot():
+            return self.succeed(value)
+        self._done = True
+        self._value = value
+        self._callbacks = []
+        callbacks[0](self)
+        return self
+
     def succeed_inline(self, value: Any = None) -> "Event":
         """Complete the event, running every waiter callback *synchronously*.
 
@@ -84,7 +106,10 @@ class Event:
         resumed anyway: the waiters run now, in registration order, instead
         of through one zero-delay heap entry each. The WAL group-commit
         close timer uses this so a batch of N joiners costs one kernel
-        event rather than N.
+        event rather than N. Only the last waiter runs in tail position of
+        the dispatch; the others must not claim a tail slot
+        (:meth:`Simulator.take_tail_slot`), or their continuations would
+        run ahead of the waiters still to be resumed here.
         """
         if self._done:
             raise SimulationError("event {!r} triggered twice".format(self.name))
@@ -92,8 +117,16 @@ class Event:
         self._value = value
         self._exception = None
         callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if not callbacks:
+            return self
+        sim = self.sim
+        sim._tail_held += 1
+        try:
+            for callback in callbacks[:-1]:
+                callback(self)
+        finally:
+            sim._tail_held -= 1
+        callbacks[-1](self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], object]) -> None:
@@ -110,6 +143,31 @@ class Event:
     def __repr__(self) -> str:
         state = "done" if self._done else "pending"
         return "Event({!r}, {})".format(self.name, state)
+
+
+class Charge:
+    """The waitable :meth:`CpuResource.use` returns: one CPU charge (or a
+    chain of two), awaited by at most one process.
+
+    ``process`` is ``None`` until a process parks on the charge (and again
+    after :meth:`detach`), the parked :class:`Process` while it waits, and
+    ``False`` once the charge has ended. ``then`` is the duration of a
+    chained second leg still to be served, else ``None``. A charge nobody
+    is parked on when it ends is abandoned: it wakes nobody, schedules
+    nothing and consumes no sequence number, exactly like an
+    :class:`Event` without callbacks.
+    """
+
+    __slots__ = ("process", "then")
+
+    def __init__(self, then: "float | None" = None) -> None:
+        self.process: Any = None
+        self.then = then
+
+    def detach(self) -> None:
+        """The parked process was interrupted: the CPU stays occupied for
+        the rest of the running leg, but nobody is woken."""
+        self.process = None
 
 
 class Timeout:

@@ -10,7 +10,10 @@ written for speed:
 - :meth:`Simulator.run` pops and dispatches inline instead of paying a
   ``step()`` method call (and a second heap access) per event;
 - cancellation clears the entry's callback slot in place and maintains a
-  live counter, making :attr:`pending_events` O(1) instead of an O(n) scan.
+  live counter, making :attr:`pending_events` O(1) instead of an O(n) scan;
+- a zero-delay wakeup that is provably the next dispatch never enters the
+  heap: :meth:`Simulator.take_tail_slot` consumes its sequence number and
+  the caller runs it as the last act of the current dispatch.
 
 ``repro.bench.kernel_bench`` pins the resulting speedup against the frozen
 pre-optimization kernel (:mod:`repro.bench._legacy_kernel`).
@@ -46,8 +49,10 @@ class Simulator:
 
     #: Set by :class:`repro.profiling.Profiler` while active. Checked once
     #: per :meth:`run` call (zero per-event cost when profiling is off) and
-    #: once per :meth:`step`. Class-level so the hook needs no per-instance
-    #: state and survives simulator re-creation inside a profiled block.
+    #: once per :meth:`step`; both hold the tail closed while they dispatch
+    #: through it, so profiled runs keep one heap dispatch per wakeup.
+    #: Class-level so the hook needs no per-instance state and survives
+    #: simulator re-creation inside a profiled block.
     _active_profiler: Any = None
 
     #: True on :class:`repro.sim.partition.PartitionedSimulator`. The
@@ -62,9 +67,14 @@ class Simulator:
         self._heap: list[ScheduledCall] = []
         self._seq = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
+        self._tail_held = 0  # >0 while no wakeup may leave the heap (take_tail_slot)
         self._seeds = SeedSequence(seed)
         # (process, exception) of crashed processes
         self.failed_processes: list[tuple[Process, BaseException]] = []
+        #: An already-succeeded event (value ``None``) for "proceed, but from
+        #: your own wakeup slot" yields such as an uncontended lock grant:
+        #: shared, so the hot path allocates nothing.
+        self.ready = Event(self, "ready").succeed(None)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -101,6 +111,30 @@ class Simulator:
         entry = [time, seq, callback, args]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def take_tail_slot(self) -> bool:
+        """Claim the slot of a zero-delay wakeup that is provably next.
+
+        For a caller in *tail position* of the running dispatch (nothing
+        executes after it returns, all the way up to the event loop) that
+        is about to ``schedule(0.0, continuation)``. Returns True iff that
+        entry would be the very next dispatch — no heap entry, live or
+        cancelled, has ``time <= now``, so nothing can sort ahead of it —
+        and then consumes its sequence number: the caller must call the
+        continuation directly as its last statement instead of scheduling
+        it. Every later entry keeps the sequence number it has today, so
+        the schedule is not "nearly" but exactly the one the heap would
+        have produced (DESIGN.md §8, "The ordering rule"). Returns False —
+        the caller schedules as usual — while the tail is held: under a
+        profiler (it attributes time per heap dispatch) and inside
+        :meth:`Event.succeed_inline`'s non-final callbacks, which are not
+        in tail position.
+        """
+        heap = self._heap
+        if (heap and heap[0][_TIME] <= self.now) or self._tail_held:
+            return False
+        self._seq += 1
+        return True
 
     def schedule_for_node(
         self, node: str, delay: float, callback: Callable[..., object], *args: Any
@@ -146,7 +180,11 @@ class Simulator:
             if profiler is None:
                 callback(*entry[_ARGS])
             else:
-                profiler.dispatch(callback, entry[_ARGS])
+                self._tail_held += 1  # profiled: one heap dispatch per wakeup
+                try:
+                    profiler.dispatch(callback, entry[_ARGS])
+                finally:
+                    self._tail_held -= 1
             return True
         return False
 
@@ -159,7 +197,11 @@ class Simulator:
         ``until``.
         """
         if Simulator._active_profiler is not None:
-            return self._run_profiled(until)
+            self._tail_held += 1  # profiled: one heap dispatch per wakeup
+            try:
+                return self._run_profiled(until)
+            finally:
+                self._tail_held -= 1
         heap = self._heap
         pop = heapq.heappop
         if until is None:

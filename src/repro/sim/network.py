@@ -416,7 +416,7 @@ class Network:
         if not self._links:
             # Fault-free fast path: no link lookups, no drop bookkeeping.
             if src == dst:
-                sim.schedule(0.0, arrived.succeed, None)
+                sim.schedule(0.0, arrived.succeed_tail, None)
                 return arrived
             delay = self._fast_latency + size * self._inv_bandwidth
             if self.config.jitter > 0:
@@ -425,9 +425,9 @@ class Network:
                 # Rehome the arrival on the destination's partition so the
                 # receiver's continuation runs under its own subheap (see
                 # repro.sim.partition).
-                sim.schedule_for_node(dst, delay, arrived.succeed, None)
+                sim.schedule_for_node(dst, delay, arrived.succeed_tail, None)
             else:
-                sim.schedule(delay, arrived.succeed, None)
+                sim.schedule(delay, arrived.succeed_tail, None)
             return arrived
         state = self._link_state(src, dst)
         if state is not None and state.partitioned:
@@ -438,9 +438,9 @@ class Network:
             return arrived
         delay = self.delay_for(src, dst, size)
         if sim.partitioned:
-            sim.schedule_for_node(dst, delay, arrived.succeed, None)
+            sim.schedule_for_node(dst, delay, arrived.succeed_tail, None)
         else:
-            sim.schedule(delay, arrived.succeed, None)
+            sim.schedule(delay, arrived.succeed_tail, None)
         return arrived
 
     # ------------------------------------------------------------------
@@ -451,7 +451,7 @@ class Network:
     ) -> Event:
         sim = self.sim
         if src == dst:
-            sim.schedule(0.0, arrived.succeed, None)
+            sim.schedule(0.0, arrived.succeed_tail, None)
             return arrived
         state = self._link_state(src, dst)
         if state is not None and state.partitioned:
@@ -470,7 +470,7 @@ class Network:
             latency += self._rng.uniform(0.0, self.config.jitter)
         if size <= 0:
             # No bytes to stream: pure latency, no trunk occupancy.
-            sim.schedule(latency, arrived.succeed, None)
+            sim.schedule(latency, arrived.succeed_tail, None)
             return arrived
         flows = self._flows.get(key)
         if flows is None:
@@ -547,9 +547,9 @@ class Network:
         transfer.handle = None
         self._reallocate(flows)  # deletes the trunk entry when idle
         if transfer.latency > 0.0:
-            self.sim.schedule(transfer.latency, transfer.event.succeed, None)
+            self.sim.schedule(transfer.latency, transfer.event.succeed_tail, None)
         else:
-            transfer.event.succeed(None)
+            transfer.event.succeed_tail(None)
 
     def in_flight(self, src: str, dst: str) -> int:
         """The number of transfers sharing the ``src -> dst`` trunk now."""

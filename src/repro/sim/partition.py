@@ -211,6 +211,13 @@ class PartitionedSimulator(Simulator):
         heapq.heappush(self._heaps[self._current], entry)
         return entry
 
+    def take_tail_slot(self) -> bool:
+        """Never: "next in this subheap" is not "next dispatch" — other
+        partitions' entries at the same instant merge in by ``seq`` — and
+        the inherited ``_heap`` is always empty, which the base check would
+        misread as an idle loop. Every wakeup takes its heap slot."""
+        return False
+
     def schedule_for_node(
         self, node: str, delay: float, callback: Callable[..., object], *args: Any
     ) -> ScheduledCall:

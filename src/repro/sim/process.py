@@ -1,7 +1,7 @@
 """Generator-based cooperative processes."""
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import AllOf, AnyOf, At, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, At, Charge, Event, Timeout
 
 
 class _CompositeWait:
@@ -76,9 +76,12 @@ class Process:
     throws :class:`~repro.sim.errors.Interrupt` into the generator at its
     current yield point.
 
-    Every wakeup — an event completing, a timer firing, an interrupt —
-    reaches :meth:`_resume` through its own ``sim.schedule`` slot; nothing
-    resumes a generator inline (DESIGN.md §8, "wakeup path").
+    Every wakeup — an event completing, a CPU charge ending, a timer
+    firing, an interrupt — owns one slot in the kernel's sequence-number
+    space. The slot is taken from the heap unless the wakeup is provably
+    the very next dispatch (:meth:`Simulator.take_tail_slot`), in which case
+    it runs as the last act of the current one (DESIGN.md §8, "The ordering
+    rule").
     """
 
     __slots__ = (
@@ -164,39 +167,58 @@ class Process:
     # Generator driving
     # ------------------------------------------------------------------
     def _resume(self, value, exception):
+        """Run the generator to its next wait. In tail position of the
+        running dispatch: every caller returns straight to the event loop
+        afterwards (``Event.succeed_inline``, which does not, holds the tail
+        closed), which is what lets a finished process or an
+        already-triggered event hand on inline (``take_tail_slot``)."""
         done = self._done_event
         if done._done:
             return
-        self._pending_timer = None
-        self._waiting_on = None
-        try:
-            if exception is None:
-                target = self._generator.send(value)
+        sim = self.sim
+        while True:
+            self._pending_timer = None
+            self._waiting_on = None
+            try:
+                if exception is None:
+                    target = self._generator.send(value)
+                else:
+                    target = self._generator.throw(exception)
+            except StopIteration as stop:
+                done.succeed_tail(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate to joiners
+                # Record the failure on the simulator so that crashes in
+                # detached background processes (nobody joins them) are not
+                # silent.
+                failures = getattr(sim, "failed_processes", None)
+                if failures is not None:
+                    failures.append((self, exc))
+                done.fail(exc)
+                return
+            # Park on what the generator yielded, most frequent kinds first.
+            kind = type(target)
+            if kind is Charge and target.process is None:
+                target.process = self
+                self._waiting_on = target
+            elif kind is Event:
+                if not target._done:
+                    self._waiting_on = target
+                    target._callbacks.append(self._on_event)
+                elif sim.take_tail_slot():
+                    # The wakeup would be the very next dispatch: deliver
+                    # the value now instead of through the heap.
+                    exception = target._exception
+                    value = None if exception is not None else target._value
+                    continue
+                else:
+                    self._waiting_on = target
+                    sim.schedule(0.0, self._on_event, target)
+            elif kind is Timeout:
+                self._pending_timer = sim.schedule(target.delay, self._resume, None, None)
             else:
-                target = self._generator.throw(exception)
-        except StopIteration as stop:
-            done.succeed(stop.value)
+                self._wait_on(target)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate to joiners
-            # Record the failure on the simulator so that crashes in detached
-            # background processes (nobody joins them) are not silent.
-            failures = getattr(self.sim, "failed_processes", None)
-            if failures is not None:
-                failures.append((self, exc))
-            done.fail(exc)
-            return
-        # Park on what the generator yielded, most frequent kinds first.
-        kind = type(target)
-        if kind is Event:
-            self._waiting_on = target
-            if target._done:
-                self.sim.schedule(0.0, self._on_event, target)
-            else:
-                target._callbacks.append(self._on_event)
-        elif kind is Timeout:
-            self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
-        else:
-            self._wait_on(target)
 
     def _on_event(self, event):
         """Wakeup callback of a single-event wait (runs in its own slot)."""
@@ -227,6 +249,9 @@ class Process:
             self._pending_timer = self.sim.schedule_at(target.time, self._resume, None, None)
         elif isinstance(target, Timeout):
             self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
+        elif isinstance(target, Charge) and target.process is False:
+            # Yielded after it ended: ready at once, like a triggered event.
+            self._pending_timer = self.sim.schedule(0.0, self._resume, None, None)
         else:
             self._resume(
                 None,

@@ -3,7 +3,7 @@
 from collections import deque
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Charge, Event
 
 
 class Resource:
@@ -72,11 +72,12 @@ class Resource:
 class CpuResource:
     """Models a node's CPU: ``capacity`` parallel execution slots.
 
-    Work is submitted with :meth:`use`, which returns an event that succeeds
-    once the work has queued for a free slot and then occupied it for
-    ``duration`` virtual seconds. Busy time is accumulated into fixed-width
-    bins so experiments can report a CPU-utilisation time series, as Figure 10
-    of the paper does.
+    Work is submitted with :meth:`use`, which returns a :class:`Charge` that
+    ends once the work has queued for a free slot and then occupied it for
+    ``duration`` virtual seconds; the submitting process yields the charge
+    to wait for that. Busy time is accumulated into fixed-width bins so
+    experiments can report a CPU-utilisation time series, as Figure 10 of
+    the paper does.
     """
 
     def __init__(self, sim, capacity, name="", bin_width=1.0):
@@ -85,32 +86,34 @@ class CpuResource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._event_name = "cpu:" + name
         self.bin_width = bin_width
         self._free = capacity
         self._queue = deque()
         self._busy_bins = {}
         self.total_busy_time = 0.0
 
-    def use(self, duration, tag=None):
-        """Occupy one CPU slot for ``duration``; returns a completion event."""
-        if duration < 0:
+    def use(self, duration, tag=None, then=None):
+        """Occupy one CPU slot for ``duration``; returns the charge to yield.
+
+        With ``then``, the charge is a chain: when the first leg ends its
+        slot is handed on as after any charge, and a second leg of ``then``
+        seconds enters the CPU queue in the very slot in which the woken
+        process would have called ``use(then)`` — so ``yield use(a, then=b)``
+        is ``yield use(a); yield use(b)`` in completion instants, busy bins
+        and FIFO position (a charge queued meanwhile is served between the
+        legs), without waking the process in between. A chain nobody is
+        parked on when its first leg ends drops the second.
+        """
+        if duration < 0 or (then is not None and then < 0):
             raise SimulationError("negative CPU duration")
-        sim = self.sim
-        done = Event(sim, self._event_name)
-        if self._free > 0:
-            # A slot is free only while nothing is queued: grant it now.
-            self._free -= 1
-            self._account(sim.now, duration)
-            sim.schedule(duration, self._complete, done)
-        else:
-            self._queue.append((duration, done))
-        return done
+        charge = Charge(then)
+        self._start(duration, charge)
+        return charge
 
     def use_run(self, unit, count, tag=None):
         """Occupy one slot for ``count`` back-to-back charges of ``unit``.
 
-        Returns a completion event, or ``None`` when no slot is immediately
+        Returns the charge to yield, or ``None`` when no slot is immediately
         free — the caller must then fall back to sequential :meth:`use`
         calls, which queue exactly as the unbatched charges would have.
         The completion instant and the busy-bin accounting are computed
@@ -123,26 +126,62 @@ class CpuResource:
             raise SimulationError("negative CPU duration")
         if self._free <= 0:
             return None
-        done = Event(self.sim, self._event_name)
+        charge = Charge()
         self._free -= 1
         cursor = self.sim.now
         for _ in range(count):
             self._account(cursor, unit)
             cursor += unit
-        self.sim.schedule_at(cursor, self._complete, done)
-        return done
+        self.sim.schedule_at(cursor, self._complete, charge)
+        return charge
 
-    def _complete(self, done):
-        """A charge ended: wake its waiter, then hand the slot straight to
-        the oldest queued charge (or free it when none is waiting)."""
-        done.succeed(None)
-        if self._queue:
-            duration, queued_done = self._queue.popleft()
+    def _start(self, duration, charge):
+        """Grant ``charge`` a slot for ``duration`` now, or queue it."""
+        if self._free > 0:
+            # A slot is free only while nothing is queued (or _complete is
+            # handing it to the head of the queue): grant it now.
+            self._free -= 1
             sim = self.sim
             self._account(sim.now, duration)
-            sim.schedule(duration, self._complete, queued_done)
+            sim.schedule(duration, self._complete, charge)
         else:
-            self._free += 1
+            self._queue.append((duration, charge))
+
+    def _complete(self, charge):
+        """A leg ended: take the slot of the waiter's wakeup, hand the CPU
+        slot straight to the oldest queued charge (or free it when none is
+        waiting), then — when the wakeup is provably the next dispatch —
+        run it as the last act of this one.
+
+        The wakeup's sequence number is claimed *before* the hand-off (as
+        ``succeed`` before the hand-off always did) and the continuation
+        runs *after* it: a waiter resumed earlier would find this slot
+        still busy and queue where the heap order grants.
+        """
+        sim = self.sim
+        process = charge.process
+        then = charge.then
+        inline = False
+        if process is None:
+            charge.process = False  # abandoned: nobody to wake, no second leg
+        elif then is None:
+            charge.process = False
+            inline = sim.take_tail_slot()
+            if not inline:
+                sim.schedule(0.0, process._resume, None, None)
+        else:
+            charge.then = None
+            inline = sim.take_tail_slot()
+            if not inline:
+                sim.schedule(0.0, self._start, then, charge)
+        self._free += 1
+        if self._queue:  # the oldest queued charge takes the slot at once
+            self._start(*self._queue.popleft())
+        if inline:
+            if then is None:
+                process._resume(None, None)
+            else:
+                self._start(then, charge)
 
     def _account(self, start, duration):
         """Spread ``duration`` of one slot's busy time across time bins."""

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Generator
 from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
-from repro.sim.events import Event
 from repro.sim.ordered import OrderedSet
 from repro.storage.clog import TxnStatus
 from repro.storage.snapshot import Snapshot
@@ -275,15 +274,13 @@ class NodeTxnManager:
     def _acquire_row_lock(self, txn, participant, shard_id, key):
         table = self.row_locks(shard_id)
         if fastpath.lock_fastpath and table.try_acquire(key, participant.xid):
-            # Uncontended (or reentrant) grab. Yield a pre-triggered bare
+            # Uncontended (or reentrant) grab. Yield the pre-triggered
             # event: the resumption lands at the exact (time, seq) slot the
             # slow path's named event would have produced, so interleaving
             # with concurrent processes is unchanged — only the event-name
             # formatting and queue bookkeeping are skipped.
             COUNTERS.lock_fast_acquires += 1
-            event = Event(self.sim)
-            event.succeed(None)
-            yield event
+            yield self.sim.ready
             participant.row_locks.add((shard_id, key))
             return
         COUNTERS.lock_slow_acquires += 1
@@ -392,9 +389,7 @@ class NodeTxnManager:
             shard_id, participant.xid, mode
         ):
             COUNTERS.lock_fast_acquires += 1
-            event = Event(self.sim)
-            event.succeed(None)
-            yield event
+            yield self.sim.ready
             participant.shard_locks.add(shard_id)
             return
         COUNTERS.lock_slow_acquires += 1

@@ -207,3 +207,16 @@ def test_cross_az_backup_traffic_deepens_the_dip():
     assert with_backup.avg_throughput_before < plain.avg_throughput_before
     assert with_backup.extra["copy_duration"] > plain.extra["copy_duration"]
     assert with_backup.extra["data_intact"]
+
+
+@pytest.mark.parametrize("scenario,seed", [("load_balancing", 3), ("scale_out", 13)])
+def test_remus_finishes_on_the_seeds_the_mocc_wedge_hung(scenario, seed):
+    """Default-size cells, the first seed of each scenario that ended with
+    "did not finish by t=120.0s" while ``MoccCoordinator`` read the send
+    process's cursor instead of its handled LSN (10 of 40 ``load_balancing``
+    seeds, 1 of 20 ``scale_out``; the unit regression is in
+    ``test_propagation_unit``)."""
+    result = registry.run(scenario, approach="remus", seed=seed)
+    assert result.migration_window[1] is not None
+    assert result.extra["migration_aborts"] == 0
+    assert result.extra.get("data_intact", True)  # scale_out does not dump its tables

@@ -163,9 +163,8 @@ _GOLDEN = {
 _GOLDEN_TABLE = {"load_balancing": "ycsb", "high_contention": "hot"}
 
 
-@pytest.mark.parametrize("scenario,approach", sorted(_GOLDEN))
-def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch):
-    import hashlib
+def _run_cell_capturing_cluster(scenario, approach, monkeypatch):
+    """Run the smoke cell at seed 0 and hand back the cluster it built."""
     import importlib
 
     module = importlib.import_module("repro.experiments." + scenario)
@@ -179,12 +178,20 @@ def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch)
     monkeypatch.setattr(module, "build_cluster", capturing_build)
     _run_cell(scenario, approach, 0)
     (cluster,) = clusters
+    return cluster
+
+
+@pytest.mark.parametrize("scenario,approach", sorted(_GOLDEN))
+def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch):
+    import hashlib
+
+    cluster = _run_cell_capturing_cluster(scenario, approach, monkeypatch)
     commits = [(r.time, r.label, r.latency) for r in cluster.metrics.commits]
     dump = sorted(cluster.dump_table(_GOLDEN_TABLE[scenario]).items())
     digest = hashlib.sha256(repr((commits, dump)).encode()).hexdigest()[:16]
-    # ``_seq`` numbers every schedule()/schedule_at() call of the run, so
-    # events per committed txn (16.28 for load_balancing/remus) is pinned
-    # seed-exactly.
+    # ``_seq`` numbers every wakeup slot of the run — a schedule()/
+    # schedule_at() call or a tail dispatch — so slots per committed txn
+    # (16.28 for load_balancing/remus) is pinned seed-exactly.
     assert (digest, len(commits), cluster.sim._seq) == _GOLDEN[(scenario, approach)]
 
 
@@ -436,3 +443,28 @@ def test_parallel_drain_serial_fallback_when_pool_unavailable(monkeypatch):
         merged = run_parallel_storm(_PARALLEL_SPEC, workers=2)
     assert merged["pool_used"] is False
     assert timeline_digest(merged["identity"]) == _PARALLEL_DIGESTS[0]
+
+
+def test_tail_dispatch_keeps_nearly_half_the_wakeups_off_the_heap(monkeypatch):
+    """Seed-exact, noise-free gate on heap traffic (DESIGN.md §8, "The
+    ordering rule"). Smoke ``load_balancing``/remus at seed 0 numbers 158 146
+    slots (``sim._seq``, pinned in ``_GOLDEN``); on the commit before tail
+    dispatch every one of them was a ``schedule``/``schedule_at`` call (this
+    wrapper counted 158 146 there). A wakeup that is provably the next
+    dispatch now consumes its number without touching the heap. Losing a
+    tail site moves the count up; inlining where the rule forbids it moves
+    the digests in ``_GOLDEN``."""
+    from repro.sim.kernel import Simulator
+
+    calls = []
+    for name in ("schedule", "schedule_at"):
+
+        def counting(sim, *args, _original=getattr(Simulator, name)):
+            calls.append(1)
+            return _original(sim, *args)
+
+        monkeypatch.setattr(Simulator, name, counting)
+    cluster = _run_cell_capturing_cluster("load_balancing", "remus", monkeypatch)
+    assert cluster.sim._seq == _GOLDEN[("load_balancing", "remus")][2]
+    assert len(calls) == 82480
+    assert len(calls) / cluster.sim._seq <= 0.6

@@ -236,3 +236,69 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
     assert failures[0][0].name == "shadow-validate"
     cluster.sim.failed_processes.clear()
     prop.stop(kill_tasks=True)
+
+
+def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
+    """Regression (the MOCC wedge: 10 of 40 ``load_balancing`` seeds). The
+    send process moves its cursor past a record, *then* may wait for its
+    per-batch CPU charge, *then* handles the record. A source transaction
+    whose PREPARE is caught in that window used to read the cursor, take
+    itself for TS_unsync and commit unvalidated; the validation started a
+    moment later left its shadow PREPARED for ever. Parked here on purpose:
+    one charge per record, long enough to straddle the WAL flush."""
+    from repro.config import CostModel
+    from repro.migration.mocc import MoccCoordinator
+    from repro.txn.transaction import TxnState
+
+    config = ClusterConfig(
+        num_nodes=2, pump_batch_records=1, costs=CostModel(cpu_propagate=0.01)
+    )
+    cluster = Cluster(config)
+    cluster.create_table("t", num_shards=2, tuple_size=100)
+    cluster.bulk_load("t", [(k, {"v": k}) for k in range(40)])
+    shard = cluster.shards_on_node("node-1", table="t")[0]
+    source = cluster.nodes["node-1"]
+    stats = MigrationStats()
+    prop = Propagation(
+        cluster, [shard], "node-1", "node-2", 0, from_lsn=source.wal.tail_lsn, stats=stats
+    )
+    mocc = MoccCoordinator(cluster, [shard], stats, propagation=prop)
+    mocc.active = True
+    prop.enable_sync(mocc)
+    source.manager.add_commit_hook(mocc)
+    prop.start()
+
+    seen = {}
+    expects_validation = mocc._expects_validation
+
+    def probe(participant):
+        # Consumed (the cursor is past it) but not handled (handling a
+        # PREPARE moves the transaction's cached changes into a validation).
+        seen["straddled"] = (
+            participant.prepare_lsn < prop.reader.next_lsn and participant.xid in prop._caches
+        )
+        seen["expects"] = expects_validation(participant)
+        return seen["expects"]
+
+    mocc._expects_validation = probe
+    schema = cluster.tables["t"]
+    key = next(k for k in range(1000, 2000) if schema.shard_for_key(k) == shard)
+    session = cluster.session("node-1")
+
+    def writer():
+        txn = yield from session.begin(label="straddled")
+        yield from session.insert(txn, "t", key, {"v": "new"})
+        yield 0.05  # the pump has handled the INSERT and idles at the tail
+        yield from session.commit(txn)
+        seen["committed_at"] = cluster.sim.now
+
+    cluster.sim.run_until_complete(cluster.spawn(writer()), limit=5.0)
+    cluster.run(until=cluster.sim.now + 1.0)
+    assert seen["straddled"], "the charge did not straddle the PREPARE"
+    assert seen["expects"] and stats.sync_waits == 1  # the source waited for the ack
+    assert seen["committed_at"] > 0.05 + 0.01  # ... which cannot precede the charge
+    assert [shadow.state for shadow in prop._shadows] == [TxnState.COMMITTED]
+    assert cluster.nodes["node-2"].heap_for(shard).latest_committed_or_locked(key).value == {
+        "v": "new"
+    }
+    prop.stop()

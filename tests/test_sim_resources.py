@@ -1,17 +1,22 @@
 """Unit tests for CPU and generic resources, and the network model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     CpuResource,
+    Interrupt,
     LinkProfile,
     Network,
     NetworkConfig,
     Resource,
     SimulationError,
     Simulator,
+    Timeout,
     Topology,
 )
+from tests.test_sim_kernel import Counting, NeverInline
 
 
 def flat_network(sim, config=None):
@@ -234,3 +239,169 @@ def test_cpu_bins_and_completion_instants_match_the_reference_loop(capacity):
     assert cpu._busy_bins == bins
     assert cpu.total_busy_time == sum(durations[1:], durations[0])
     assert cpu._free == capacity and not cpu._queue
+
+
+# ----------------------------------------------------------------------
+# Charges and tail dispatch (DESIGN.md §8, "The ordering rule")
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("sim_cls", [Counting, NeverInline])
+def test_two_completions_at_one_instant_both_free_their_slots_first(sim_cls):
+    """DESIGN.md §8's example. X and Y end at the same instant on a 2-slot
+    CPU with Z queued: both completions run (Z takes X's slot, Y's is
+    freed) before either waiter does, so X's waiter is granted Y's slot on
+    the spot. Resumed inside ``_complete(X)`` it would have queued."""
+    sim = sim_cls()
+    cpu = CpuResource(sim, capacity=2)
+    log = []
+
+    def work(tag, first, second):
+        yield cpu.use(first)
+        log.append((tag, sim.now, cpu._free, len(cpu._queue)))
+        yield cpu.use(second)
+        log.append((tag, sim.now))
+
+    sim.spawn(work("X", 1.0, 0.5))
+    sim.spawn(work("Y", 1.0, 0.5))
+    sim.spawn(work("Z", 2.0, 0.0))
+    sim.run()
+    assert log == [
+        ("X", 1.0, 1, 0),  # Y's slot is free, Z already runs in X's
+        ("Y", 1.0, 0, 0),  # X's second charge took it
+        ("X", 1.5),
+        ("Y", 2.0),
+        ("Z", 3.0, 2, 0),
+        ("Z", 3.0),
+    ]
+    # Neither completion at t=1 is the last entry of its instant.
+    assert sim.pushes == (11 if sim_cls is Counting else 15) and sim._seq == 15
+
+
+@pytest.mark.parametrize("sim_cls", [Counting, NeverInline])
+@pytest.mark.parametrize("at,busy_until", [(0.5, 1.0), (1.5, 2.0)], ids=["leg1", "leg2"])
+def test_interrupt_while_parked_on_a_chain_keeps_the_cpu_and_wakes_nobody(
+    sim_cls, at, busy_until
+):
+    """An abandoned charge still occupies its slot to the end of the
+    running leg, schedules no wakeup and consumes no sequence number; the
+    second leg of a chain abandoned on its first is never served."""
+    sim = sim_cls()
+    cpu = CpuResource(sim, capacity=1)
+    log = []
+
+    def victim():
+        try:
+            yield cpu.use(1.0, then=1.0)
+            log.append(("victim done", sim.now))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def competitor():
+        yield Timeout(at)
+        yield cpu.use(0.25)
+        log.append(("competitor", sim.now))
+
+    proc = sim.spawn(victim())
+    sim.spawn(competitor())
+    sim.schedule(at, proc.interrupt)
+    before = None
+
+    def mark():
+        nonlocal before
+        before = sim._seq
+
+    sim.schedule(at + 0.25, mark)  # after the interrupt landed
+    sim.run()
+    assert log == [("interrupted", at), ("competitor", busy_until + 0.25)]
+    assert cpu.total_busy_time == busy_until + 0.25
+    assert cpu._free == 1 and not cpu._queue
+    # From the mark on: the abandoned leg's completion handing the slot to
+    # the competitor (one schedule call), the competitor's wakeup, nothing
+    # for the victim.
+    assert sim._seq - before == 2
+
+
+def _run_jobs(sim_cls, capacity, jobs, interrupts, chained):
+    sim = sim_cls()
+    cpu = CpuResource(sim, capacity=capacity, bin_width=0.5)
+    finished = []
+
+    def job(index, delay, first, second):
+        yield Timeout(delay)
+        if chained and second is not None:
+            yield cpu.use(first, then=second)
+        else:
+            yield cpu.use(first)
+            if second is not None:
+                yield cpu.use(second)
+        finished.append((index, sim.now))
+
+    def interrupter(first_nap, second_nap, index):
+        # Two naps: the second timer is numbered mid-run, so the interrupt
+        # can land behind a completion of the same instant as well as ahead.
+        yield Timeout(first_nap)
+        yield Timeout(second_nap)
+        procs[index % len(procs)].interrupt()
+
+    procs = [sim.spawn(job(index, *spec), name=str(index)) for index, spec in enumerate(jobs)]
+    for spec in interrupts:
+        sim.spawn(interrupter(*spec))
+    sim.run()
+    killed = [proc.name for proc, _exc in sim.failed_processes if proc in procs]
+    return finished, killed, cpu._busy_bins, cpu.total_busy_time, sim._seq, sim.now
+
+
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.lists(st.tuples(_TIMES, _TIMES, st.one_of(st.none(), _TIMES)), min_size=1, max_size=6),
+    st.lists(st.tuples(_TIMES, _TIMES, st.integers(0, 5)), max_size=3),
+)
+def test_a_chain_is_two_sequential_charges(capacity, jobs, interrupts):
+    """``use(a, then=b)`` against ``use(a)`` then ``use(b)``, with
+    competitors queued between the legs and interrupts landing on, before
+    and between completions: same completion instants, killed processes,
+    busy bins, sequence numbers — with tail dispatch and without."""
+    sequential = _run_jobs(NeverInline, capacity, jobs, interrupts, chained=False)
+    assert _run_jobs(NeverInline, capacity, jobs, interrupts, chained=True) == sequential
+    assert _run_jobs(Counting, capacity, jobs, interrupts, chained=True) == sequential
+
+
+def test_a_chain_lets_a_competitor_queued_between_its_legs_run_first():
+    """Capacity 1, the competitor arrives during leg 1: it is served between
+    the legs (``use_run`` would hold the slot across both)."""
+    jobs = [(0.0, 1.0, 1.0), (0.5, 0.25, None)]
+    finished, _killed, bins, busy, _seq, _now = _run_jobs(Counting, 1, jobs, [], chained=True)
+    assert finished == [(1, 1.25), (0, 2.25)]
+    assert busy == 2.25 and bins == {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.25}
+    assert _run_jobs(Counting, 1, jobs, [], chained=False)[:4] == (finished, [], bins, busy)
+
+
+def test_a_charge_yielded_after_it_ended_is_ready_and_has_one_waiter_only():
+    sim = Simulator()
+    cpu = CpuResource(sim, capacity=1)
+    log = []
+    charge = cpu.use(1.0)
+
+    def late():
+        yield Timeout(2.0)
+        yield charge
+        log.append(("late", sim.now))
+
+    def first(shared):
+        yield shared
+        log.append(("first", sim.now))
+
+    def second(shared):
+        yield shared
+
+    sim.spawn(late())
+    shared = cpu.use(0.5)
+    sim.spawn(first(shared))
+    intruder = sim.spawn(second(shared))
+    sim.run()
+    assert log == [("first", 1.5), ("late", 2.0)]
+    with pytest.raises(SimulationError, match="non-waitable"):
+        intruder.result()
