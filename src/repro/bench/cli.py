@@ -6,22 +6,20 @@
 ``--migration`` adds the migration data-path storms
 (``BENCH_migration.json``) and ``--cluster`` the storm-scale cluster
 benchmark (``BENCH_cluster.json``: 100-node / 1M-client storms driving
-the vectorized workload engine and the partitioned event loop, with a
+the vectorized workload engine against per-client pacing, with a
 migration in flight). With ``--baseline`` / ``--baseline-txn`` /
 ``--baseline-migration`` / ``--baseline-cluster`` it gates each storm's
 events/sec against a committed baseline file — the CI smoke job fails a
 PR that regresses a hot loop by more than ``--max-regression``. The
 cluster gate additionally enforces the batch-vs-per-client speedup floor
-(:data:`repro.bench.cluster_bench.MIN_BATCH_SPEEDUP`) and the
-parallel-drain gate: the merged multi-worker timeline digest must match
-the single-loop reference (identity smoke), and worker-count scaling must
-clear :data:`repro.bench.cluster_bench.MIN_PARALLEL_SCALING` on payloads
-that fanned out on a multi-core host. Every storm line prints the
-wall-clock repeat percentiles (p50/p95/p99) next to the best-of headline.
+(:data:`repro.bench.cluster_bench.MIN_BATCH_SPEEDUP`). Every storm line
+prints the wall-clock repeat percentiles (p50/p95/p99) next to the best-of
+headline.
 
 ``repro sweep`` is the standalone fan-out: seeds x (scenario, approach)
 cells across a worker pool, with ``--verify-serial`` proving byte-identical
-results versus a serial rerun.
+results versus a serial rerun. A cell that raises does not stop the sweep:
+every other cell still runs, and both commands list each failure and exit 1.
 """
 
 from __future__ import annotations
@@ -30,11 +28,7 @@ import json
 import os
 import sys
 
-from repro.bench.cluster_bench import (
-    MIN_BATCH_SPEEDUP,
-    check_parallel_gate,
-    run_cluster_bench,
-)
+from repro.bench.cluster_bench import MIN_BATCH_SPEEDUP, run_cluster_bench
 from repro.bench.kernel_bench import check_against_baseline, run_kernel_bench
 from repro.bench.migration_bench import run_migration_bench
 from repro.bench.network_bench import run_network_bench, run_pump_share_sweep
@@ -104,16 +98,15 @@ def add_bench_arguments(parser):
         "--cluster",
         action="store_true",
         help="also run the storm-scale cluster benchmark: vectorized "
-        "workload engine + partitioned event loop with a migration in "
-        "flight (BENCH_cluster.json)",
+        "workload engine vs per-client pacing with a migration in flight "
+        "(BENCH_cluster.json)",
     )
     parser.add_argument(
         "--baseline-cluster",
         default=None,
         help="committed BENCH_cluster.json to gate cluster storms against"
         " (implies --cluster; also enforces the batch-vs-per-client "
-        "speedup floor, the parallel-drain identity smoke, and the "
-        "parallel scaling floor)",
+        "speedup floor)",
     )
     parser.add_argument(
         "--max-regression",
@@ -226,28 +219,10 @@ def run_bench_command(args):
                 )
             )
         print(
-            "cluster batch vs per-client: {:.2f}x (floor {:.1f}x), "
-            "partitioned {:.2f}x".format(
-                cluster["speedup_batch_vs_per_client"],
-                MIN_BATCH_SPEEDUP,
-                cluster["speedup_partitioned_vs_per_client"],
+            "cluster batch vs per-client: {:.2f}x (floor {:.1f}x)".format(
+                cluster["speedup_batch_vs_per_client"], MIN_BATCH_SPEEDUP
             )
         )
-        parallel = cluster.get("parallel")
-        if parallel:
-            print(
-                "cluster parallel drain: identity {}  digest {}  best "
-                "{:.2f}x vs 1 worker (floor {:.2f}x, {} host cpu{}, "
-                "pool {})".format(
-                    "ok" if parallel["identity_ok"] else "MISMATCH",
-                    parallel["timeline_digest"],
-                    parallel["speedup_best_vs_w1"],
-                    parallel["min_scaling"],
-                    parallel["host_cpus"],
-                    "" if parallel["host_cpus"] == 1 else "s",
-                    "used" if parallel["pool_used"] else "unavailable",
-                )
-            )
         print("wrote {}".format(cluster_path))
 
     status = 0
@@ -282,15 +257,6 @@ def run_bench_command(args):
             file=sys.stderr,
         )
         status = 1
-    if cluster is not None and args.baseline_cluster:
-        # Parallel-drain gate: identity smoke on this run, scaling floor on
-        # whichever payload (this run or the committed baseline) fanned out
-        # on a multi-core host.
-        with open(args.baseline_cluster) as handle:
-            cluster_baseline = json.load(handle)
-        for failure in check_parallel_gate(cluster, baseline=cluster_baseline):
-            print("REGRESSION {}".format(failure), file=sys.stderr)
-            status = 1
     if network is not None and not network["pump_share_sweep"]["monotonic"]:
         print(
             "REGRESSION cross_az foreground dip is no longer monotonic in "
@@ -323,6 +289,8 @@ def run_bench_command(args):
                 )
             )
         print("wrote {}".format(sweep_path))
+        if _print_failures(sweep):
+            status = 1
     return status
 
 
@@ -392,7 +360,22 @@ def run_sweep_command(args):
     if args.out:
         _write_json(args.out, payload)
         print("wrote {}".format(args.out))
-    return 0
+    return 1 if _print_failures(payload) else 0
+
+
+def _print_failures(payload):
+    """Print every failed sweep cell to stderr; returns how many failed."""
+    failures = payload["failures"]
+    for failure in failures:
+        error = failure["error"]
+        print(
+            "FAILED {}/{} seed {}: {}: {}".format(
+                failure["scenario"], failure["approach"], failure["seed"],
+                error["type"], error["message"],
+            ),
+            file=sys.stderr,
+        )
+    return len(failures)
 
 
 def _write_json(path, payload):

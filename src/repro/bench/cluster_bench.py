@@ -3,8 +3,9 @@
 The ROADMAP's storm target — 100+ nodes, 1M+ simulated clients, a live
 migration in flight — is unreachable with one generator process per client:
 the per-client driver pays O(population) processes for O(arrivals) work.
-This bench measures the two mechanisms that close the gap, end to end on a
-real cluster (sessions, MVCC, 2PC, the Remus migration — nothing mocked):
+This bench measures the batch arrival engine that closes the gap against
+that legacy shape, end to end on a real cluster (sessions, MVCC, 2PC, the
+Remus migration — nothing mocked):
 
 - ``per_client_storm`` — the legacy driving shape
   (:class:`~repro.workloads.batch.PopulationWorkload` with
@@ -17,25 +18,14 @@ real cluster (sessions, MVCC, 2PC, the Remus migration — nothing mocked):
   at the **full** population. The acceptance floor
   (:data:`MIN_BATCH_SPEEDUP`) pins batch events/sec at >= 5x the
   per-client reference.
-- ``partitioned_storm`` — the batch engine on the partitioned event loop
-  (:class:`~repro.sim.partition.PartitionedSimulator`, one partition per
-  AZ), reported separately: same spec, windowed conservative drain.
-- ``parallel_reference_storm`` / ``parallel_storm_wN`` — the parallel
-  drain cells (``fastpath.parallel_drain``): a *partition-closed* variant
-  of the storm (key-routed coordinators, no migration) run once on the
-  single loop as the identity reference, then on
-  :class:`~repro.sim.parallel.ParallelSimulator` workers at 1/2/4 worker
-  counts. Every parallel cell's merged sorted timeline must hash to the
-  reference's digest (``identity_ok``), and the ``parallel`` block records
-  worker-count scaling plus the floor :func:`check_parallel_gate`
-  enforces on multi-core hosts.
 
+Both storms run on the one :class:`~repro.sim.kernel.Simulator` event loop.
 "Events" here are **completed transactions** (committed + aborted), the
 storm's unit of useful work; raw kernel event counts ride along as
 ``kernel_events``. Simulated commit-latency percentiles (p50/p95/p99) come
 from the cluster metrics, and wall-clock repeat percentiles from
-:func:`repro.bench.stats.wall_stats` — both storm-scale trend lines the
-ISSUE asks ``BENCH_cluster.json`` to carry.
+:func:`repro.bench.stats.wall_stats` — both storm-scale trend lines
+``BENCH_cluster.json`` carries.
 
 The storm includes a flash-crowd ramp, hot-key drift, and a Remus
 migration of ``migrate_shards`` shards off ``node-1`` while arrivals are
@@ -45,25 +35,15 @@ in flight. Arrivals capped by ``storm_batch_cap`` are counted
 
 from __future__ import annotations
 
-import hashlib
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
 
 from repro import fastpath
-from repro.bench.stats import (
-    distribution,
-    per_window_rates,
-    wall_stats,
-    worker_utilization,
-)
-from repro.bench.sweep import canonical_json
+from repro.bench.stats import distribution, wall_stats
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, TierProfiles
 from repro.migration import MigrationPlan, RemusMigration, run_plan
-from repro.sim.parallel import ParallelSimulator, deal_partitions, run_partition_jobs
-from repro.sim.partition import PartitionedSimulator
 from repro.sim.topology import Topology
 from repro.workloads.batch import TABLE, PopulationConfig, PopulationWorkload
 
@@ -75,15 +55,6 @@ PER_CLIENT_DIVISOR = 20
 #: Acceptance floor: batch events/sec over the per-client reference.
 MIN_BATCH_SPEEDUP = 5.0
 
-#: Worker counts measured by the parallel-drain cells.
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-
-#: Scaling floor: best multi-worker events/sec over the one-worker cell.
-#: Enforced by :func:`check_parallel_gate` only for runs that actually
-#: fanned out on a multi-core host — a single-core runner measures pure
-#: process overhead, not scaling.
-MIN_PARALLEL_SCALING = 1.15
-
 
 @dataclass(frozen=True)
 class StormSpec:
@@ -91,7 +62,7 @@ class StormSpec:
 
     name: str
     num_nodes: int
-    num_groups: int  # AZs; partitions under the partitioned loop
+    num_groups: int  # AZs, one rack each
     population: int
     rate_per_client: float  # txns per second per client
     duration: float  # virtual seconds of arrivals
@@ -106,7 +77,6 @@ class StormSpec:
     migrate_shards: int  # shards moved off node-1 mid-storm (0 = none)
     migrate_at: float
     seed: int = 0
-    route_by_key: bool = False  # key-owner coordinators (partition-closed)
 
 
 #: The committed storm: 100 nodes in 10 AZs, 1M clients, migration at t=2.
@@ -153,7 +123,7 @@ SMOKE_SPEC = StormSpec(
 
 def storm_topology(spec: StormSpec) -> Topology:
     """One region, ``num_groups`` AZs of one rack each, nodes dealt
-    contiguously — uncontended, as the partitioned loop requires."""
+    contiguously, uncontended."""
     node_ids = ["node-{}".format(i + 1) for i in range(spec.num_nodes)]
     base, extra = divmod(len(node_ids), spec.num_groups)
     azs = {}
@@ -170,19 +140,17 @@ def storm_topology(spec: StormSpec) -> Topology:
     )
 
 
-def _build_cluster(spec: StormSpec, partitioned: bool, sim=None) -> Cluster:
-    topology = storm_topology(spec)
-    config = ClusterConfig(
-        num_nodes=spec.num_nodes,
-        topology=topology,
-        storm_population=spec.population,
-        storm_arrival_tick=spec.tick,
-        storm_batch_cap=spec.batch_cap,
-        seed=spec.seed,
+def _build_cluster(spec: StormSpec) -> Cluster:
+    return Cluster(
+        ClusterConfig(
+            num_nodes=spec.num_nodes,
+            topology=storm_topology(spec),
+            storm_population=spec.population,
+            storm_arrival_tick=spec.tick,
+            storm_batch_cap=spec.batch_cap,
+            seed=spec.seed,
+        )
     )
-    if sim is None and partitioned:
-        sim = PartitionedSimulator.for_topology(topology, seed=spec.seed)
-    return Cluster(config, sim=sim)
 
 
 def _population_config(spec: StormSpec) -> PopulationConfig:
@@ -194,46 +162,7 @@ def _population_config(spec: StormSpec) -> PopulationConfig:
         zipf_theta=spec.zipf_theta,
         drift_keys_per_sec=spec.drift_keys_per_sec,
         ramps=spec.ramps,
-        route_by_key=spec.route_by_key,
     )
-
-
-def _sorted_timelines(cluster) -> tuple[list, list]:
-    """The storm's sorted commit/abort timelines — the identity unit.
-
-    Transaction ids and kernel sequence numbers never appear: they depend
-    on which partitions a worker drains. What is compared is what the
-    paper's figures are made of — when transactions finished, with what
-    latency, and how the table ended up.
-    """
-    commits = sorted(
-        (record.time, record.label, record.latency, record.weight)
-        for record in cluster.metrics.commits
-    )
-    aborts = sorted(
-        (record.time, record.label, record.kind)
-        for record in cluster.metrics.aborts
-    )
-    return commits, aborts
-
-
-def _identity_payload(cluster, workload) -> dict:
-    commits, aborts = _sorted_timelines(cluster)
-    return {
-        "commits": commits,
-        "aborts": aborts,
-        "committed": workload.committed,
-        "aborted": workload.aborted,
-        "dispatched": workload.dispatched,
-        "capped_arrivals": workload.capped_arrivals,
-        "dump": sorted(cluster.dump_table(TABLE).items()),
-    }
-
-
-def timeline_digest(identity: dict) -> str:
-    """Short sha256 of the canonical identity payload (the pinned unit in
-    ``tests/test_fastpath_equivalence.py``)."""
-    return hashlib.sha256(canonical_json(identity).encode()).hexdigest()[:16]
 
 
 def _migration_driver(cluster, spec, finished):
@@ -244,21 +173,15 @@ def _migration_driver(cluster, spec, finished):
     finished.append(cluster.sim.now)
 
 
-def run_storm(spec: StormSpec, mode: str, collect_identity: bool = False) -> dict:
+def run_storm(spec: StormSpec, mode: str) -> dict:
     """Run one storm; returns its raw measurement (single repeat).
 
-    ``mode``: ``per_client`` (batch_workload off), ``batch`` (on), or
-    ``partitioned`` (on, over a :class:`PartitionedSimulator`).
-    ``collect_identity`` adds the sorted-timeline identity payload the
-    parallel cells are compared against.
+    ``mode``: ``per_client`` (batch_workload off) or ``batch`` (on).
     """
-    if mode not in ("per_client", "batch", "partitioned"):
+    if mode not in ("per_client", "batch"):
         raise ValueError("unknown storm mode {!r}".format(mode))
-    partitioned = mode == "partitioned"
-    with fastpath.overridden(
-        batch_workload=mode != "per_client", partitioned_loop=partitioned
-    ):
-        cluster = _build_cluster(spec, partitioned)
+    with fastpath.overridden(batch_workload=mode == "batch"):
+        cluster = _build_cluster(spec)
         workload = PopulationWorkload(cluster, _population_config(spec))
         workload.create()
         migration_done = []
@@ -274,7 +197,7 @@ def run_storm(spec: StormSpec, mode: str, collect_identity: bool = False) -> dic
         workload.stop()
         latencies = [record.latency for record in cluster.metrics.commits]
         events = workload.committed + workload.aborted
-        result = {
+        return {
             "events": events,
             "seconds": round(seconds, 6),
             "committed": workload.committed,
@@ -288,19 +211,14 @@ def run_storm(spec: StormSpec, mode: str, collect_identity: bool = False) -> dic
                 round(migration_done[0], 6) if migration_done else None
             ),
         }
-        if collect_identity:
-            result["identity"] = _identity_payload(cluster, workload)
-        return result
 
 
-def _measure_storm(
-    spec: StormSpec, mode: str, repeats: int, collect_identity: bool = False
-) -> dict:
+def _measure_storm(spec: StormSpec, mode: str, repeats: int) -> dict:
     """Best-of-``repeats`` with the p50/p95/p99 wall distribution."""
     samples = []
     best = None
     for _ in range(repeats):
-        result = run_storm(spec, mode, collect_identity=collect_identity)
+        result = run_storm(spec, mode)
         samples.append(result["seconds"])
         if best is None or result["seconds"] < best["seconds"]:
             best = result
@@ -308,206 +226,10 @@ def _measure_storm(
     best["events_per_sec"] = round(best["events"] / best["seconds"], 1)
     best["wall"] = wall_stats(samples)
     return best
-
-
-# ----------------------------------------------------------------------
-# Parallel drain cells (fastpath.parallel_drain)
-# ----------------------------------------------------------------------
-def _parallel_worker(job: dict) -> dict:
-    """Pool entry point: one worker's replica of the storm.
-
-    Top-level and dict-in/dict-out on purpose (the ``repro sweep``
-    shuttle contract). Rebuilds the whole cluster deterministically from
-    the spec, drains only the owned partitions, and reports this worker's
-    slice of the timeline plus its replicated control-plane totals.
-    """
-    spec = StormSpec(**job["spec"])
-    owned = [int(pid) for pid in job["owned"]]
-    with fastpath.overridden(
-        batch_workload=True, partitioned_loop=True, parallel_drain=True
-    ):
-        topology = storm_topology(spec)
-        sim = ParallelSimulator.for_topology(topology, seed=spec.seed, owned=owned)
-        cluster = _build_cluster(spec, partitioned=True, sim=sim)
-        workload = PopulationWorkload(cluster, _population_config(spec))
-        workload.create()
-        started = time.perf_counter()
-        workload.start(until=spec.duration)
-        cluster.run(until=spec.duration)
-        busy = time.perf_counter() - started
-        workload.stop()
-        owned_set = set(owned)
-        shards = [
-            shard_id
-            for shard_id in cluster.tables[TABLE].shard_ids()
-            if sim.node_partition(cluster.shard_owner(shard_id)) in owned_set
-        ]
-        commits, aborts = _sorted_timelines(cluster)
-        return {
-            "owned": owned,
-            "busy_seconds": round(busy, 6),
-            "commits": commits,
-            "aborts": aborts,
-            "committed": workload.committed,
-            "aborted": workload.aborted,
-            "dispatched": workload.dispatched,
-            "capped_arrivals": workload.capped_arrivals,
-            "population": workload.population,
-            "events_drained": sim.events_drained,
-            "windows": sim.drain.windows,
-            "barrier_msgs": sim.drain.barrier_msgs,
-            "barrier_exchanges": sim.drain.barrier_exchanges,
-            "reflected_msgs": sim.drain.reflected_msgs,
-            "dump": sorted(cluster.dump_table(TABLE, shards=shards).items()),
-        }
-
-
-def _merge_parallel_reports(reports: list) -> dict:
-    """Merge per-worker reports into the single-loop identity payload.
-
-    Raises when the shared-nothing invariants are violated: overlapping
-    ownership, or a replicated control plane that diverged (every worker
-    runs the same dispatcher, so ``dispatched``/``capped_arrivals`` must
-    be bit-equal across workers).
-    """
-    owned_all = sorted(pid for report in reports for pid in report["owned"])
-    if len(set(owned_all)) != len(owned_all):
-        raise AssertionError(
-            "parallel workers own overlapping partitions: {}".format(owned_all)
-        )
-    first = reports[0]
-    for report in reports[1:]:
-        if (
-            report["dispatched"] != first["dispatched"]
-            or report["capped_arrivals"] != first["capped_arrivals"]
-        ):
-            raise AssertionError(
-                "replicated control plane diverged across workers: "
-                "dispatched {} vs {}, capped {} vs {}".format(
-                    report["dispatched"],
-                    first["dispatched"],
-                    report["capped_arrivals"],
-                    first["capped_arrivals"],
-                )
-            )
-    commits = sorted(tuple(c) for report in reports for c in report["commits"])
-    aborts = sorted(tuple(a) for report in reports for a in report["aborts"])
-    dump: dict = {}
-    for report in reports:
-        for key, value in report["dump"]:
-            dump[key] = value
-    return {
-        "commits": commits,
-        "aborts": aborts,
-        "committed": sum(report["committed"] for report in reports),
-        "aborted": sum(report["aborted"] for report in reports),
-        "dispatched": first["dispatched"],
-        "capped_arrivals": first["capped_arrivals"],
-        "dump": sorted(dump.items()),
-    }
-
-
-def run_parallel_storm(spec: StormSpec, workers: int) -> dict:
-    """Run the storm under the parallel window drain; single repeat.
-
-    With ``fastpath.parallel_drain`` off (the default) or one worker, the
-    whole storm runs as a single in-process job owning every partition —
-    exactly the serial windowed drain — so the flag's default cannot change
-    any result, only deny the fan-out.
-    """
-    num_partitions = spec.num_groups
-    serial_job = {"spec": asdict(spec), "owned": list(range(1, num_partitions + 1))}
-    if workers <= 1 or not fastpath.parallel_drain:
-        jobs = [serial_job]
-    else:
-        jobs = [
-            {"spec": asdict(spec), "owned": owned}
-            for owned in deal_partitions(num_partitions, workers)
-        ]
-    reports, pool_used, seconds = run_partition_jobs(
-        jobs, _parallel_worker, serial_job
-    )
-    identity = _merge_parallel_reports(reports)
-    events = identity["committed"] + identity["aborted"]
-    busy = [report["busy_seconds"] for report in reports]
-    events_drained = sum(report["events_drained"] for report in reports)
-    latencies = [commit[2] for commit in identity["commits"]]
-    return {
-        "events": events,
-        "seconds": round(seconds, 6),
-        "committed": identity["committed"],
-        "aborted": identity["aborted"],
-        "dispatched": identity["dispatched"],
-        "capped_arrivals": identity["capped_arrivals"],
-        "population": reports[0]["population"],
-        "workers": len(jobs),
-        "pool_used": pool_used,
-        "windows": reports[0]["windows"],
-        "barrier_msgs": sum(report["barrier_msgs"] for report in reports),
-        "barrier_exchanges": sum(report["barrier_exchanges"] for report in reports),
-        "reflected_msgs": sum(report["reflected_msgs"] for report in reports),
-        "events_drained": events_drained,
-        "window_rate": per_window_rates(
-            events_drained, reports[0]["windows"], seconds
-        ),
-        "utilization": worker_utilization(busy, seconds),
-        "latency": distribution(latencies) if latencies else None,
-        "identity": identity,
-    }
-
-
-def _measure_parallel_storm(spec: StormSpec, workers: int, repeats: int) -> dict:
-    samples = []
-    best = None
-    for _ in range(repeats):
-        result = run_parallel_storm(spec, workers)
-        samples.append(result["seconds"])
-        if best is None or result["seconds"] < best["seconds"]:
-            best = result
-    best = dict(best)
-    best["events_per_sec"] = round(best["events"] / best["seconds"], 1)
-    best["wall"] = wall_stats(samples)
-    return best
-
-
-def check_parallel_gate(payload: dict, baseline: dict | None = None) -> list:
-    """CI gate over the parallel-drain cells; returns failure strings.
-
-    Identity is absolute: the merged parallel timeline must hash to the
-    single-loop reference in *this* run, at any scale, pool or fallback.
-    The scaling floor applies to a payload only when its own run fanned
-    out on a pool with enough host cores to mean anything — checked for
-    the current payload and for the committed full-scale ``baseline``.
-    """
-    failures = []
-    block = payload.get("parallel")
-    if block is None:
-        return failures
-    if not block["identity_ok"]:
-        failures.append(
-            "cluster parallel drain timeline diverged from the single loop "
-            "(reference digest {})".format(block["timeline_digest"])
-        )
-    for label, candidate in (("", block), (" (baseline)", (baseline or {}).get("parallel"))):
-        if not candidate:
-            continue
-        if not candidate.get("pool_used") or candidate.get("host_cpus", 1) < 2:
-            continue
-        if candidate["speedup_best_vs_w1"] < candidate["min_scaling"]:
-            failures.append(
-                "cluster parallel drain scales only {:.2f}x over one worker"
-                "{} (floor {:.2f}x at {} cpus)".format(
-                    candidate["speedup_best_vs_w1"],
-                    label,
-                    candidate["min_scaling"],
-                    candidate.get("host_cpus", 1),
-                )
-            )
-    return failures
 
 
 def run_cluster_bench(smoke: bool = False, repeats: int = 3) -> dict:
-    """Run every storm mode; returns the ``BENCH_cluster.json`` payload."""
+    """Run both storm modes; returns the ``BENCH_cluster.json`` payload."""
     spec = SMOKE_SPEC if smoke else FULL_SPEC
     reference = replace(
         spec,
@@ -517,44 +239,9 @@ def run_cluster_bench(smoke: bool = False, repeats: int = 3) -> dict:
     storms = {
         "per_client_storm": _measure_storm(reference, "per_client", repeats),
         "batch_storm": _measure_storm(spec, "batch", repeats),
-        "partitioned_storm": _measure_storm(spec, "partitioned", repeats),
     }
-
-    # Parallel drain: the partition-closed storm variant (key-routed
-    # coordinators, no migration — see repro.sim.parallel), first on the
-    # single loop as the identity reference, then per worker count.
-    parallel_spec = replace(
-        spec, name=spec.name + "_parallel", migrate_shards=0, route_by_key=True
-    )
-    parallel_reference = _measure_storm(
-        parallel_spec, "batch", repeats, collect_identity=True
-    )
-    reference_digest = timeline_digest(parallel_reference.pop("identity"))
-    parallel_reference["timeline_digest"] = reference_digest
-    storms["parallel_reference_storm"] = parallel_reference
-
-    identity_ok = True
-    pool_used = False
-    by_workers = {}
-    with fastpath.overridden(parallel_drain=True):
-        for workers in PARALLEL_WORKER_COUNTS:
-            cell = _measure_parallel_storm(parallel_spec, workers, repeats)
-            digest = timeline_digest(cell.pop("identity"))
-            cell["timeline_digest"] = digest
-            cell["identity_ok"] = (
-                digest == reference_digest and cell["reflected_msgs"] == 0
-            )
-            identity_ok = identity_ok and cell["identity_ok"]
-            pool_used = pool_used or cell["pool_used"]
-            by_workers[workers] = cell["events_per_sec"]
-            storms["parallel_storm_w{}".format(workers)] = cell
-
-    multi = [by_workers[w] for w in by_workers if w > 1]
-    speedup_best = round(max(multi) / by_workers[1], 3) if multi else 1.0
-
     per_client = storms["per_client_storm"]["events_per_sec"]
     batch = storms["batch_storm"]["events_per_sec"]
-    partitioned = storms["partitioned_storm"]["events_per_sec"]
     return {
         "bench": "cluster",
         "mode": "smoke" if smoke else "full",
@@ -564,17 +251,4 @@ def run_cluster_bench(smoke: bool = False, repeats: int = 3) -> dict:
         "min_batch_speedup": MIN_BATCH_SPEEDUP,
         "storms": storms,
         "speedup_batch_vs_per_client": round(batch / per_client, 3),
-        "speedup_partitioned_vs_per_client": round(partitioned / per_client, 3),
-        "parallel": {
-            "identity_ok": identity_ok,
-            "timeline_digest": reference_digest,
-            "worker_counts": list(PARALLEL_WORKER_COUNTS),
-            "events_per_sec_by_workers": {
-                str(w): rate for w, rate in sorted(by_workers.items())
-            },
-            "speedup_best_vs_w1": speedup_best,
-            "min_scaling": MIN_PARALLEL_SCALING,
-            "host_cpus": os.cpu_count() or 1,
-            "pool_used": pool_used,
-        },
     }

@@ -31,42 +31,6 @@ def distribution(values, digits=6):
     }
 
 
-def per_window_rates(events_drained, windows, seconds, digits=3):
-    """Window-granularity throughput for the partitioned/parallel drain.
-
-    ``events_drained`` kernel events executed, ``windows`` conservative
-    windows run, ``seconds`` host wall clock. Separates "how much work a
-    window carries" (events/window) from "how fast windows turn over"
-    (windows/sec) — a scaling loss shows up in the second number when
-    barrier overhead dominates, in the first when partitions are starved.
-    """
-    if not windows or not seconds:
-        return None
-    return {
-        "windows": windows,
-        "events_per_window": round(events_drained / windows, digits),
-        "windows_per_sec": round(windows / seconds, 1),
-    }
-
-
-def worker_utilization(busy_seconds, wall_seconds, digits=4):
-    """Per-worker busy fractions of one parallel exchange.
-
-    ``busy_seconds`` is each worker's build+run wall clock; ``wall_seconds``
-    the parent's wall around the whole shuttle (pool start, runs,
-    transport, merge). The gap between ``mean_busy_fraction`` and 1.0 is
-    where barrier/transport time goes.
-    """
-    if not busy_seconds or not wall_seconds:
-        return None
-    fractions = [round(min(1.0, b / wall_seconds), digits) for b in busy_seconds]
-    return {
-        "per_worker_busy_sec": [round(b, 6) for b in busy_seconds],
-        "busy_fraction": fractions,
-        "mean_busy_fraction": round(sum(fractions) / len(fractions), digits),
-    }
-
-
 def wall_stats(samples, digits=6):
     """Wall-clock repeat summary: best + p50/p95/p99 + the sample count.
 

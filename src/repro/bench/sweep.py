@@ -15,6 +15,10 @@ When the platform cannot start a :class:`multiprocessing.Pool` (sandboxed
 CI runners, missing ``/dev/shm`` semaphores), ``run_jobs`` falls back to
 in-process serial execution — results are byte-identical either way, so
 the fallback only changes wall-clock, never output.
+
+A cell that raises is an outcome, not an abort: its error is recorded, the
+other cells still run and are aggregated, and the failures are listed
+separately in the payload.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+import traceback
 
 from repro.bench.stats import percentile
 from repro.experiments import registry
@@ -80,23 +85,35 @@ def _run_cell(job):
     """Worker entry point: run one (scenario, approach, seed) cell.
 
     Top-level (picklable) on purpose; receives a plain dict and returns a
-    plain dict so the Pool transport stays trivially serializable.
+    plain dict so the Pool transport stays trivially serializable. A cell
+    that raises comes back with ``"error": {"type", "message", "traceback"}``
+    in place of its ``"payload"``, so one failing seed never takes the sweep
+    down (a deadline stall's message names the sim time it gave up at).
     """
+    cell = {"scenario": job["scenario"], "approach": job["approach"], "seed": job["seed"]}
     started = time.perf_counter()
-    result = registry.run(
-        job["scenario"],
-        approach=job["approach"],
-        seed=job["seed"],
-        **job.get("overrides", {}),
-    )
-    runtime = time.perf_counter() - started
-    return {
-        "scenario": job["scenario"],
-        "approach": job["approach"],
-        "seed": job["seed"],
-        "runtime": runtime,
-        "payload": result.to_dict(),
-    }
+    try:
+        result = registry.run(
+            job["scenario"],
+            approach=job["approach"],
+            seed=job["seed"],
+            **job.get("overrides", {}),
+        )
+    except Exception as exc:
+        cell["error"] = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        }
+    else:
+        cell["payload"] = result.to_dict()
+    cell["runtime"] = time.perf_counter() - started
+    return cell
+
+
+def _outcome(cell):
+    """What a cell produced — its payload or its error — for identity checks."""
+    return canonical_json(cell.get("payload", cell.get("error")))
 
 
 # Kept as a module name for existing callers/tests; one implementation in
@@ -160,8 +177,11 @@ def run_sweep(
     """Sweep seeds x cells; returns the ``BENCH_experiments.json`` payload.
 
     With ``verify_serial``, every cell is rerun serially in-process and the
-    canonical JSON payloads must match the pool's byte for byte — the proof
-    that the parallel fan-out cannot change any result.
+    canonical JSON payloads (or errors) must match the pool's byte for byte
+    — the proof that the parallel fan-out cannot change any result.
+
+    Only healthy cells are aggregated; every failed one is listed under
+    ``failures`` with its seed and error, in job order.
     """
     jobs = make_jobs(cells, seeds, overrides_by_scenario)
     results = run_jobs(jobs, jobs_in_parallel=jobs_in_parallel)
@@ -172,7 +192,7 @@ def run_sweep(
         mismatches = [
             "{}/{} seed {}".format(p["scenario"], p["approach"], p["seed"])
             for p, s in zip(results, serial)
-            if canonical_json(p["payload"]) != canonical_json(s["payload"])
+            if _outcome(p) != _outcome(s)
         ]
         if mismatches:
             raise AssertionError(
@@ -180,8 +200,15 @@ def run_sweep(
             )
         serial_identical = True
 
+    failures = [
+        {key: item[key] for key in ("scenario", "approach", "seed", "error")}
+        for item in results
+        if "error" in item
+    ]
     by_cell = {}
     for item in results:
+        if "error" in item:
+            continue
         key = "{}/{}".format(item["scenario"], item["approach"])
         by_cell.setdefault(key, []).append(item)
 
@@ -210,6 +237,7 @@ def run_sweep(
         "jobs": jobs_in_parallel,
         "serial_identical": serial_identical,
         "cells": cells_payload,
+        "failures": failures,
     }
 
 

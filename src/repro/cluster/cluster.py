@@ -28,9 +28,9 @@ CONTROL_PLANE = "control-plane"
 class Cluster:
     """A shared-nothing distributed database over simulated elastic nodes."""
 
-    def __init__(self, config=None, sim=None):
+    def __init__(self, config=None):
         self.config = config or ClusterConfig()
-        self.sim = sim or Simulator(seed=self.config.seed)
+        self.sim = Simulator(seed=self.config.seed)
         topology = self.config.topology
         if topology is None:
             # Degenerate one-rack topology from the flat network numbers:
@@ -172,15 +172,8 @@ class Cluster:
         return Session(self, node_id)
 
     def start_vacuum_daemons(self):
-        sim = self.sim
-        for node_id, node in self.nodes.items():
-            if sim.partitioned:
-                # Home each vacuum daemon on its node's partition so its
-                # heap scans stay inside that partition's event window.
-                with sim.partition_scope(sim.node_partition(node_id)):
-                    node.start_vacuum()
-            else:
-                node.start_vacuum()
+        for node in self.nodes.values():
+            node.start_vacuum()
 
     # ------------------------------------------------------------------
     # Catalog
@@ -425,19 +418,11 @@ class Cluster:
     # ------------------------------------------------------------------
     # Verification helpers (tests / consistency checking)
     # ------------------------------------------------------------------
-    def dump_table(self, table, shards=None):
-        """Latest-committed view of a table as {key: value} (test helper).
-
-        ``shards`` restricts the dump to those shard ids — a parallel-drain
-        worker dumps only the shards whose owner it simulated, so the union
-        across workers reassembles the full table exactly once.
-        """
+    def dump_table(self, table):
+        """Latest-committed view of a table as {key: value} (test helper)."""
         schema = self.tables[table]
         result = {}
-        wanted = None if shards is None else set(shards)
         for shard_id in schema.shard_ids():
-            if wanted is not None and shard_id not in wanted:
-                continue
             owner = self.shard_owners[shard_id]
             node = self.nodes[owner]
             heap = node.heap_for(shard_id)

@@ -34,15 +34,8 @@ from repro.sim.topology import LinkProfile, Topology
 #   yields, and live outside these paths.
 # ----------------------------------------------------------------------
 _LINT_SELF = ("*/analysis/*",)
-# - The parallel drain's worker shuttle (``repro.sim.parallel``) times the
-#   multiprocessing pool exchange with host wall clock (the denominator of
-#   worker-utilization fractions) — that one module is exempt from SIM001;
-#   its job/report dicts ride the pool transport, not the simulated
-#   network, so the raw-send rule is explicitly kept away from it too.
 _WALL_CLOCK_OK = (
     "*/sim/kernel.py",
-    "*/sim/partition.py",
-    "*/sim/parallel.py",
     "*/bench/kernel_bench.py",
     "*/bench/txn_bench.py",
     "*/bench/migration_bench.py",
@@ -65,7 +58,7 @@ LINT_RULE_SCOPES: dict[str, dict[str, tuple[str, ...]]] = {
     "SIM001": {"exclude": _WALL_CLOCK_OK + _LINT_SELF},
     "SIM002": {"exclude": ("*/sim/rng.py",) + _LINT_SELF},
     "SIM003": {"exclude": _LINT_SELF},
-    "SIM004": {"include": _PROTOCOL_PATHS, "exclude": ("*/sim/parallel.py",)},
+    "SIM004": {"include": _PROTOCOL_PATHS},
     "SIM005": {"exclude": _LINT_SELF},
     "SIM006": {"exclude": _LINT_SELF},
     "SIM101": {"include": _PROTOCOL_PATHS},

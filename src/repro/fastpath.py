@@ -54,22 +54,9 @@ Flags
     from the same RNG draws and are globally unique). Defaults **off**: it
     swaps the driving machinery rather than a hot path inside it, so the
     storm harness and ``repro bench --cluster`` opt in explicitly.
-``partitioned_loop``
-    Partitioned event loop (``repro.sim.partition``): the kernel heap is
-    sharded by node group and drained in conservative lookahead windows
-    bounded by the minimum inter-partition network latency. Defaults
-    **off** for the same reason as ``batch_workload`` — the storm harness
-    opts in; the equivalence suite pins its digest against the single-loop
-    run.
-``parallel_drain``
-    Multi-core window drain (``repro.sim.parallel``): the partitioned
-    loop's per-AZ subheaps execute on real worker processes, one replica
-    of the cluster per worker draining only the partitions it owns, with
-    cross-partition messages exchanged at window barriers. The merged
-    sorted timeline is byte-identical to the single loop (pinned digests
-    in the equivalence suite). Defaults **off**: ``repro bench --cluster``
-    opts in; when a pool cannot start, the harness falls back to the
-    serial windowed drain exactly like ``repro sweep`` does.
+
+No flag selects the event loop: every run drives the one
+:class:`~repro.sim.kernel.Simulator`.
 """
 
 from __future__ import annotations
@@ -84,8 +71,6 @@ migration_scan: bool = True
 migration_pump: bool = True
 migration_replay: bool = True
 batch_workload: bool = False
-partitioned_loop: bool = False
-parallel_drain: bool = False
 
 _FLAG_NAMES = (
     "clog_hints",
@@ -96,8 +81,6 @@ _FLAG_NAMES = (
     "migration_pump",
     "migration_replay",
     "batch_workload",
-    "partitioned_loop",
-    "parallel_drain",
 )
 
 

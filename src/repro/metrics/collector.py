@@ -54,11 +54,8 @@ class MetricsCollector:
         self.marks.append((self.sim.now, name))
 
     def marks_named(self, name):
-        # Sorted by time, not append order: under the partitioned event
-        # loop, same-window marks from different partitions append in
-        # partition-drain order, and every derived artefact should depend
-        # on *when* a mark happened, never on which subheap recorded it.
-        return sorted(t for t, n in self.marks if n == name)
+        # Virtual time never runs backwards, so append order is time order.
+        return [t for t, n in self.marks if n == name]
 
     def first_mark(self, name):
         times = self.marks_named(name)

@@ -39,10 +39,6 @@ class FastPathCounters:
         "repl_ship_batches",
         "failover_elections",
         "stale_epoch_rejects",
-        "drain_windows",
-        "drain_instants",
-        "drain_barrier_msgs",
-        "drain_reflected_msgs",
         "vacuum_chains_visited",
         "vacuum_versions_reclaimed",
     )
@@ -93,17 +89,6 @@ class FastPathCounters:
             out["failover_elections"] = self.failover_elections
         if self.stale_epoch_rejects:
             out["stale_epoch_rejects"] = self.stale_epoch_rejects
-        if self.drain_windows:
-            out["drain_windows"] = self.drain_windows
-            out["drain_barrier_msgs_per_window"] = round(
-                self.drain_barrier_msgs / self.drain_windows, 4
-            )
-        if self.drain_instants:
-            out["drain_instants"] = self.drain_instants
-        if self.drain_reflected_msgs:
-            # Nonzero means a worker sent to a partition owned elsewhere —
-            # outside the partition-closed envelope, so surface it loudly.
-            out["drain_reflected_msgs"] = self.drain_reflected_msgs
         if self.vacuum_chains_visited:
             # Chains vacuum looked at (its candidate set, not the heap) and
             # what that bought: a full sweep would show up here as a visit

@@ -18,13 +18,14 @@ A process is a Python generator that yields *waitables*:
 - :class:`~repro.sim.events.AllOf` — wait for several waitables at once.
 
 All state transitions happen between yields, so protocol state machines are
-exact and runs are fully deterministic for a given seed.
+exact and runs are fully deterministic for a given seed. The
+:class:`~repro.sim.kernel.Simulator` is the one event loop: every scenario,
+benchmark and storm drives it, and nothing subclasses it.
 """
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, At, Event, Timeout
 from repro.sim.kernel import Simulator
-from repro.sim.partition import PartitionedSimulator, partition_lookahead, partitions_from_topology
 from repro.sim.network import BACKUP_CLASS, MIGRATION_CLASS, Network, NetworkConfig
 from repro.sim.process import Process
 from repro.sim.resources import CpuResource, Resource
@@ -50,7 +51,6 @@ __all__ = [
     "MIGRATION_CLASS",
     "Network",
     "NetworkConfig",
-    "PartitionedSimulator",
     "Topology",
     "Process",
     "Resource",
@@ -63,8 +63,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "make_topology",
-    "partition_lookahead",
-    "partitions_from_topology",
     "reliable_roundtrip",
     "reliable_send",
 ]

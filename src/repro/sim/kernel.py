@@ -55,13 +55,6 @@ class Simulator:
     #: simulator re-creation inside a profiled block.
     _active_profiler: Any = None
 
-    #: True on :class:`repro.sim.partition.PartitionedSimulator`. The
-    #: network consults this one class-attribute bool per send to decide
-    #: whether arrival events must be rehomed to the destination node's
-    #: partition; on the plain simulator the check costs a single attribute
-    #: load and nothing else.
-    partitioned: bool = False
-
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self._heap: list[ScheduledCall] = []
@@ -135,14 +128,6 @@ class Simulator:
             return False
         self._seq += 1
         return True
-
-    def schedule_for_node(
-        self, node: str, delay: float, callback: Callable[..., object], *args: Any
-    ) -> ScheduledCall:
-        """Schedule on behalf of ``node``. On the plain simulator there is
-        only one heap, so this is exactly :meth:`schedule`; the partitioned
-        subclass homes the entry on ``node``'s partition instead."""
-        return self.schedule(delay, callback, *args)
 
     def cancel(self, entry: ScheduledCall) -> None:
         """Cancel a scheduled call. Cancelling twice is a harmless no-op."""

@@ -49,12 +49,11 @@ tallied in ``messages_dropped``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.events import AllOf, Event
-from repro.sim.topology import LinkKey, LinkProfile, Topology
+from repro.sim.topology import LinkKey, Topology
 
 if TYPE_CHECKING:
     from repro.sim.kernel import ScheduledCall, Simulator
@@ -68,21 +67,15 @@ MIGRATION_CLASS = "migration"
 #: scenario). Uncapped by default: it competes at fair share.
 BACKUP_CLASS = "backup"
 
-#: Module-level once-guard for the flat-constructor deprecation warning.
-_flat_config_warned = False
-
 
 @dataclass(slots=True)
 class NetworkConfig:
     """Flat single-tier network cost model.
 
-    .. deprecated::
-        Constructing ``Network(sim, NetworkConfig(...))`` directly maps the
-        flat kwargs onto a one-rack :class:`Topology` and warns once; new
-        code should build ``Network.from_topology(sim, topology)``. The
-        dataclass itself remains the canonical home of the single-tier
-        numbers (``ClusterConfig.network``) and of ``jitter``, which is a
-        network-wide knob rather than a per-tier one.
+    The canonical home of the single-tier numbers
+    (``ClusterConfig.network``) and of ``jitter``, which is a network-wide
+    knob rather than a per-tier one. A network itself is always built from
+    a :class:`Topology` (``Network.from_topology(sim, topology)``).
 
     Attributes:
         base_latency: one-way propagation + stack delay in seconds.
@@ -146,24 +139,9 @@ class Network:
         sim: "Simulator",
         config: NetworkConfig | None = None,
         *,
-        topology: Topology | None = None,
+        topology: Topology,
     ) -> None:
-        if topology is None:
-            global _flat_config_warned
-            if not _flat_config_warned:
-                _flat_config_warned = True
-                warnings.warn(
-                    "Network(sim, NetworkConfig(...)) is deprecated; build "
-                    "Network.from_topology(sim, Topology.single(...)) — the "
-                    "flat kwargs map onto a one-rack topology",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = config or NetworkConfig()
-            topology = Topology.single(
-                LinkProfile(config.base_latency, config.bandwidth)
-            )
-        elif config is None:
+        if config is None:
             rack = topology.profiles["rack"]
             config = NetworkConfig(base_latency=rack.latency, bandwidth=rack.bandwidth)
         self.sim = sim
@@ -421,13 +399,7 @@ class Network:
             delay = self._fast_latency + size * self._inv_bandwidth
             if self.config.jitter > 0:
                 delay += self._rng.uniform(0.0, self.config.jitter)
-            if sim.partitioned:
-                # Rehome the arrival on the destination's partition so the
-                # receiver's continuation runs under its own subheap (see
-                # repro.sim.partition).
-                sim.schedule_for_node(dst, delay, arrived.succeed_tail, None)
-            else:
-                sim.schedule(delay, arrived.succeed_tail, None)
+            sim.schedule(delay, arrived.succeed_tail, None)
             return arrived
         state = self._link_state(src, dst)
         if state is not None and state.partitioned:
@@ -436,11 +408,7 @@ class Network:
         if state is not None and state.loss > 0.0 and self._rng.random() < state.loss:
             self.messages_dropped += 1
             return arrived
-        delay = self.delay_for(src, dst, size)
-        if sim.partitioned:
-            sim.schedule_for_node(dst, delay, arrived.succeed_tail, None)
-        else:
-            sim.schedule(delay, arrived.succeed_tail, None)
+        sim.schedule(self.delay_for(src, dst, size), arrived.succeed_tail, None)
         return arrived
 
     # ------------------------------------------------------------------

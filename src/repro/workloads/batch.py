@@ -66,13 +66,6 @@ class PopulationConfig:
     arrival rate over virtual time (empty = constant rate).
     ``drift_keys_per_sec`` rotates the Zipf rank → key mapping over time, so
     the hot keyset slides through the keyspace (hot-key drift).
-
-    ``route_by_key`` picks each transaction's coordinator as its key's
-    shard owner instead of round-robin by client id. Every storm
-    transaction is then single-node (the coordinator owns the one shard it
-    touches), so the workload is *partition-closed*: no cross-AZ network
-    traffic, which is the envelope the parallel window drain
-    (``repro.sim.parallel``) needs for byte-identical merged timelines.
     """
 
     population: int | None = None
@@ -86,7 +79,6 @@ class PopulationConfig:
     zipf_theta: float = 0.99
     drift_keys_per_sec: float = 0.0
     ramps: tuple = ()
-    route_by_key: bool = False
     label: str = "storm"
     max_retries: int = 3
     start_at: float = 0.0
@@ -330,17 +322,9 @@ class PopulationWorkload:
     # ------------------------------------------------------------------
     def _spawn_runner(self, time, client, key, is_read, value):
         self.dispatched += 1
-        if self.config.route_by_key:
-            node = self.cluster.shard_owner(self.schema.shard_for_key(key))
-        else:
-            node = self._node_ids[client % len(self._node_ids)]
-        session = self._sessions[node]
+        session = self._sessions[self._node_ids[client % len(self._node_ids)]]
         runner = self._run_one(session, time, key, is_read, value)
-        sim = self.cluster.sim
-        if sim.partitioned:
-            sim.spawn_on_node(node, runner, name="storm-txn")
-        else:
-            sim.spawn(runner, name="storm-txn")
+        self.cluster.sim.spawn(runner, name="storm-txn")
 
     def _run_one(self, session, arrival_time, key, is_read, value):
         label = self.config.label

@@ -145,7 +145,9 @@ def test_profiler_rejects_nesting():
 #: ``load_balancing`` before the wakeup-path rewrite (PR 13),
 #: ``high_contention`` — the scenario where vacuum runs under a migration's
 #: horizon hold — before vacuum went from a whole-heap sweep to the
-#: candidate set (PR 15). A change that only makes the host's work cheaper
+#: candidate set (PR 15), and every approach of ``hybrid_a``, ``hybrid_b``,
+#: ``scale_out`` and ``cross_az`` before the partitioned and parallel event
+#: loops were deleted. A change that only makes the host's work cheaper
 #: keeps all three; one that removes, adds or reorders a single wakeup, or
 #: reclaims a version a pass earlier or later than a reader walks its
 #: chain, moves the event count or the digest. Re-pin only for a change
@@ -159,15 +161,39 @@ _GOLDEN = {
     ("high_contention", "lock_and_abort"): ("7f1b56ed5c90ac0c", 10780, 210608),
     ("high_contention", "wait_and_remaster"): ("c7bfc96076bfb9e8", 10783, 210664),
     ("high_contention", "stop_and_copy"): ("842e09913c9605c3", 6962, 116295),
+    ("hybrid_a", "remus"): ("fb548d526947a8a1", 2131, 53934),
+    ("hybrid_a", "lock_and_abort"): ("7d4e7f71755da023", 2131, 53901),
+    ("hybrid_a", "wait_and_remaster"): ("9ea1455cd1c0bff1", 2130, 53873),
+    ("hybrid_a", "squall"): ("9c8458bd42702c32", 1161, 38184),
+    ("hybrid_b", "remus"): ("bf9a17aa1eabce30", 2130, 37927),
+    ("hybrid_b", "lock_and_abort"): ("bf9a17aa1eabce30", 2130, 37928),
+    ("hybrid_b", "wait_and_remaster"): ("74621ff93fad76f8", 2129, 37901),
+    ("hybrid_b", "squall"): ("eb53800da8a4fbfa", 1581, 29735),
+    ("scale_out", "remus"): ("4834189ecd2145b8", 798, 136040),
+    ("scale_out", "lock_and_abort"): ("8350248a863b9eff", 793, 135007),
+    ("scale_out", "wait_and_remaster"): ("26db21be65a61248", 778, 131521),
+    ("cross_az", "remus"): ("86260267dad51b24", 4671, 73409),
+    ("cross_az", "lock_and_abort"): ("f563efe622f20292", 4668, 73298),
+    ("cross_az", "wait_and_remaster"): ("ee42dd23350e2da8", 4638, 72144),
+    ("cross_az", "squall"): ("33d99ebf4c4ad572", 4119, 63747),
 }
-_GOLDEN_TABLE = {"load_balancing": "ycsb", "high_contention": "hot"}
+#: The table whose final contents join each scenario's digest (TPC-C's
+#: ``district`` is written by both new-order and payment).
+_GOLDEN_TABLE = {
+    "load_balancing": "ycsb",
+    "high_contention": "hot",
+    "hybrid_a": "ycsb",
+    "hybrid_b": "ycsb",
+    "scale_out": "district",
+    "cross_az": "ycsb",
+}
 
 
 def _run_cell_capturing_cluster(scenario, approach, monkeypatch):
     """Run the smoke cell at seed 0 and hand back the cluster it built."""
     import importlib
 
-    module = importlib.import_module("repro.experiments." + scenario)
+    module = importlib.import_module(registry.get(scenario).runner.__module__)
     clusters = []
     build_cluster = module.build_cluster
 
@@ -226,24 +252,20 @@ def test_vacuum_visits_candidates_not_the_heap(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Storm engine equivalence: batch workload + partitioned event loop
+# Storm engine equivalence: batch workload vs per-client pacers
 # ----------------------------------------------------------------------
 def _storm_payload(mode, seed):
     """One small population storm on a 6-node multi-AZ cluster.
 
-    ``mode``: ``per_client`` / ``batch`` / ``partitioned`` — the same three
-    driving shapes ``repro bench --cluster`` measures, at equivalence scale.
+    ``mode``: ``per_client`` / ``batch`` — the two driving shapes
+    ``repro bench --cluster`` measures, at equivalence scale.
     """
     from repro.cluster.cluster import Cluster
     from repro.config import ClusterConfig, TierProfiles
-    from repro.sim.partition import PartitionedSimulator
     from repro.sim.topology import make_topology
     from repro.workloads.batch import TABLE, PopulationConfig, PopulationWorkload
 
-    partitioned = mode == "partitioned"
-    with fastpath.overridden(
-        batch_workload=mode != "per_client", partitioned_loop=partitioned
-    ):
+    with fastpath.overridden(batch_workload=mode == "batch"):
         node_ids = ["node-{}".format(i + 1) for i in range(6)]
         topology = make_topology(
             "multi_az", node_ids, TierProfiles().as_profiles(), contended=False
@@ -256,10 +278,7 @@ def _storm_payload(mode, seed):
             storm_batch_cap=64,
             seed=seed,
         )
-        sim = None
-        if partitioned:
-            sim = PartitionedSimulator.for_topology(topology, seed=seed)
-        cluster = Cluster(config, sim=sim)
+        cluster = Cluster(config)
         workload = PopulationWorkload(
             cluster,
             PopulationConfig(
@@ -294,12 +313,7 @@ def _storm_payload(mode, seed):
 
 
 def _sorted_timeline(payload):
-    """Time-sorted record form: the partitioned loop's identity guarantee.
-
-    Within a lookahead window, partitions append metrics in drain order,
-    not global time order — the record *sets* (and every derived metric)
-    are identical, so identity is pinned over the time-sorted timeline.
-    """
+    """Time-sorted record form of a storm payload (the pinned unit below)."""
     return dict(
         payload,
         commits=sorted(payload["commits"]),
@@ -323,11 +337,10 @@ def test_batch_workload_timeline_identical_to_per_client(seed):
     )
 
 
-#: Pinned sorted-timeline digests of the partitioned run (== the single-loop
-#: run's, asserted below). If a PR changes these *intentionally* (e.g. a cost
-#: model change shifts every commit time), re-pin after verifying the
-#: partitioned and single-loop digests still match each other.
-_PARTITIONED_DIGESTS = {
+#: Sorted-timeline digests of the batch storm per seed, recorded before the
+#: partitioned and parallel event loops were deleted. Re-pin only for a
+#: change meant to alter the simulated timeline.
+_STORM_DIGESTS = {
     0: "266b766d64029906",
     1: "14f3531e278a8a11",
     2: "2656c8de5d6578b6",
@@ -335,114 +348,11 @@ _PARTITIONED_DIGESTS = {
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_partitioned_loop_timeline_identical_sorted(seed):
-    single = _sorted_timeline(_storm_payload("batch", seed))
-    windowed = _sorted_timeline(_storm_payload("partitioned", seed))
-    assert canonical_json(single) == canonical_json(windowed), (
-        "partitioned loop changed the sorted commit timeline at seed {}".format(seed)
+def test_storm_timeline_digest_pinned(seed):
+    digest = _timeline_digest(_sorted_timeline(_storm_payload("batch", seed)))
+    assert digest == _STORM_DIGESTS[seed], (
+        "pinned storm digest drifted at seed {}: {}".format(seed, digest)
     )
-    digest = _timeline_digest(windowed)
-    assert digest == _PARTITIONED_DIGESTS[seed], (
-        "pinned storm digest drifted at seed {}: {} (re-pin only after "
-        "verifying partitioned == single-loop)".format(seed, digest)
-    )
-
-
-# ----------------------------------------------------------------------
-# Parallel window drain (fastpath.parallel_drain / repro.sim.parallel)
-# ----------------------------------------------------------------------
-from dataclasses import replace  # noqa: E402
-
-from repro.bench.cluster_bench import (  # noqa: E402
-    StormSpec,
-    run_parallel_storm,
-    run_storm,
-    timeline_digest,
-)
-
-#: The partition-closed storm the parallel drain must replay byte-for-byte:
-#: key-routed coordinators (single-node transactions), no migration, three
-#: AZ partitions so a two-worker fan-out gives one worker a multi-partition
-#: ownership set ({1, 3} vs {2}).
-_PARALLEL_SPEC = StormSpec(
-    name="storm_equiv_parallel",
-    num_nodes=6,
-    num_groups=3,
-    population=240,
-    rate_per_client=0.1,
-    duration=5.0,
-    tick=0.05,
-    batch_cap=64,
-    num_tuples=240,
-    num_shards=12,
-    read_ratio=0.5,
-    zipf_theta=0.99,
-    drift_keys_per_sec=10.0,
-    ramps=((0.0, 1.0), (3.0, 1.0), (4.0, 2.5)),
-    migrate_shards=0,
-    migrate_at=0.0,
-    seed=0,
-    route_by_key=True,
-)
-
-#: Pinned digests of the merged parallel identity payload (== the
-#: single-loop batch run's, asserted below). Re-pin only after verifying
-#: the parallel and single-loop payloads still match each other.
-_PARALLEL_DIGESTS = {
-    0: "8ac5df2b81279b7d",
-    1: "c524bb4fcbf52406",
-    2: "f3f599ee084bbb6c",
-}
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parallel_drain_timeline_identical_to_single_loop(seed):
-    """Multi-worker window drain == single loop, payload- and digest-wise."""
-    spec = replace(_PARALLEL_SPEC, seed=seed)
-    reference = run_storm(spec, "batch", collect_identity=True)["identity"]
-    assert reference["dispatched"] > 50  # the storm actually stormed
-    with fastpath.overridden(parallel_drain=True):
-        merged = run_parallel_storm(spec, workers=2)
-    identity = merged["identity"]
-    assert canonical_json(identity) == canonical_json(reference), (
-        "parallel drain changed the merged timeline at seed {}".format(seed)
-    )
-    # The envelope held: no worker sent into a partition owned elsewhere.
-    assert merged["reflected_msgs"] == 0
-    digest = timeline_digest(identity)
-    assert digest == _PARALLEL_DIGESTS[seed], (
-        "pinned parallel storm digest drifted at seed {}: {} (re-pin only "
-        "after verifying parallel == single-loop)".format(seed, digest)
-    )
-
-
-def test_parallel_drain_defaults_off():
-    """With the flag at its default, no pool is used — the storm runs as
-    one in-process job owning every partition (the serial windowed drain)
-    and still reproduces the pinned timeline."""
-    assert fastpath.parallel_drain is False
-    merged = run_parallel_storm(_PARALLEL_SPEC, workers=4)
-    assert merged["pool_used"] is False
-    assert merged["workers"] == 1
-    assert timeline_digest(merged["identity"]) == _PARALLEL_DIGESTS[0]
-
-
-def test_parallel_drain_serial_fallback_when_pool_unavailable(monkeypatch):
-    """When the pool cannot start (sandboxed runners), the shuttle degrades
-    to the serial windowed drain with byte-identical output — the same
-    contract as the seed-sweep fallback."""
-    import repro.sim.parallel as parallel_mod
-
-    class _NoPool:
-        @staticmethod
-        def Pool(*args, **kwargs):
-            raise OSError("semaphores unavailable")
-
-    monkeypatch.setattr(parallel_mod, "multiprocessing", _NoPool)
-    with fastpath.overridden(parallel_drain=True):
-        merged = run_parallel_storm(_PARALLEL_SPEC, workers=2)
-    assert merged["pool_used"] is False
-    assert timeline_digest(merged["identity"]) == _PARALLEL_DIGESTS[0]
 
 
 def test_tail_dispatch_keeps_nearly_half_the_wakeups_off_the_heap(monkeypatch):

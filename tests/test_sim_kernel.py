@@ -11,7 +11,6 @@ from repro.sim import (
     Interrupt,
     LinkProfile,
     Network,
-    PartitionedSimulator,
     SimulationError,
     Simulator,
     Timeout,
@@ -447,8 +446,8 @@ def test_remove_callback_matches_a_bound_method_by_equality():
 # one. The oracle is the same kernel with the answer forced to "no" — one
 # heap dispatch per wakeup, which is what every kernel before it did.
 # ----------------------------------------------------------------------
-class _CountPushes:
-    """Mixin: counts the simulator's heap pushes."""
+class Counting(Simulator):
+    """The real kernel, counting its heap pushes."""
 
     pushes = 0
 
@@ -461,19 +460,11 @@ class _CountPushes:
         return super().schedule_at(time, callback, *args)
 
 
-class Counting(_CountPushes, Simulator):
-    """The real kernel."""
-
-
 class NeverInline(Counting):
     """The reference: no wakeup is ever taken out of the heap."""
 
     def take_tail_slot(self):
         return False
-
-
-class CountingPartitioned(_CountPushes, PartitionedSimulator):
-    pass
 
 
 def run_program(sim_cls, program, stops=()):
@@ -612,11 +603,6 @@ def test_a_fixed_program_takes_ten_of_thirty_wakeups_out_of_the_heap():
     reference, reference_pushes = run_program(NeverInline, _ALL_SITES)
     assert observed == reference
     assert (pushes, reference_pushes, observed[1]) == (20, 30, 30)
-    partitioned, partitioned_pushes = run_program(CountingPartitioned, _ALL_SITES)
-    # The partitioned loop's subheaps merge by seq: it never takes a tail
-    # slot (its inherited ``_heap`` is empty, which must not read as idle).
-    assert partitioned_pushes == partitioned[1] == reference_pushes
-    assert partitioned[0] == reference[0]
 
 
 def test_two_joiners_take_the_heap_so_the_first_ones_joiner_runs_last():

@@ -1,34 +1,17 @@
-"""Units for the storm-scale machinery: arrival schedules + partitioned loop.
+"""Units for the storm-scale arrival machinery behind ``repro bench --cluster``.
 
-Two subsystems power ``repro bench --cluster``:
-
-- :class:`repro.workloads.batch.ArrivalSchedule` — the vectorized
-  population arrival generator. The properties that make the batch and
-  per-client execution modes byte-identical are pinned here directly:
-  deterministic draw order, globally unique strictly increasing arrival
-  instants, counted (never silent) batch-cap overflow, ramp interpolation
-  and hot-key drift as a pure rank rotation.
-- :class:`repro.sim.partition.PartitionedSimulator` — the kernel heap
-  sharded by node group. Pinned: merged global ``(time, seq)`` order in the
-  degenerate (zero-lookahead) case, windowed drain order, ``run(until)``
-  boundary semantics, arrival rehoming via ``schedule_for_node``, and the
-  topology preconditions (``for_topology`` rejects contended topologies and
-  zero inter-partition latency).
+:class:`repro.workloads.batch.ArrivalSchedule` is the vectorized population
+arrival generator. The properties that make the batch and per-client
+execution modes byte-identical are pinned here directly: deterministic draw
+order, globally unique strictly increasing arrival instants, counted (never
+silent) batch-cap overflow, ramp interpolation and hot-key drift as a pure
+rank rotation.
 """
 
 import pytest
 
-from repro.sim.errors import SimulationError
 from repro.sim.events import At
 from repro.sim.kernel import Simulator
-from repro.sim.partition import (
-    CONTROL_PARTITION,
-    PartitionedSimulator,
-    partition_lookahead,
-    partitions_from_topology,
-)
-from repro.sim.topology import make_topology
-from repro.config import TierProfiles
 from repro.workloads.batch import ArrivalSchedule, PopulationConfig
 from repro.workloads.zipf import ZipfGenerator
 
@@ -160,309 +143,3 @@ def test_at_wakes_process_at_exact_absolute_instant():
     sim.spawn(proc(), name="at")
     sim.run()
     assert log == [0.5, 0.75]
-
-
-# ----------------------------------------------------------------------
-# PartitionedSimulator
-# ----------------------------------------------------------------------
-def _multi_az(num_nodes=6, contended=False, profiles=None):
-    node_ids = ["node-{}".format(i + 1) for i in range(num_nodes)]
-    return make_topology(
-        "multi_az",
-        node_ids,
-        profiles or TierProfiles().as_profiles(),
-        contended=contended,
-    )
-
-
-def test_partitions_one_per_az_with_positive_lookahead():
-    topology = _multi_az()
-    assignment = partitions_from_topology(topology)
-    assert assignment == {
-        "node-1": 1, "node-2": 1, "node-3": 1,
-        "node-4": 2, "node-5": 2, "node-6": 2,
-    }
-    assert partition_lookahead(topology, assignment) == pytest.approx(
-        TierProfiles().region_latency
-    )
-
-
-def test_for_topology_rejects_contended():
-    with pytest.raises(SimulationError):
-        PartitionedSimulator.for_topology(_multi_az(contended=True))
-
-
-def test_for_topology_rejects_zero_lookahead():
-    profiles = TierProfiles(region_latency=0.0).as_profiles()
-    with pytest.raises(SimulationError):
-        PartitionedSimulator.for_topology(_multi_az(profiles=profiles))
-
-
-def test_zero_lookahead_constructor_matches_global_order():
-    """With lookahead 0 every window degenerates to a merged single-instant
-    drain, so the dispatch order must equal the plain simulator's."""
-
-    def drive(sim, scopes):
-        order = []
-        for index, (delay, pid) in enumerate(scopes):
-            if pid is None or not hasattr(sim, "partition_scope"):
-                sim.schedule(delay, order.append, index)
-            else:
-                with sim.partition_scope(pid):
-                    sim.schedule(delay, order.append, index)
-        sim.run()
-        return order
-
-    scopes = [(0.003, 1), (0.001, 2), (0.002, None), (0.001, 1), (0.0, 2)]
-    plain = drive(Simulator(seed=0), [(d, None) for d, _ in scopes])
-    sharded = drive(
-        PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.0), scopes
-    )
-    assert sharded == plain == [4, 1, 3, 2, 0]
-
-
-def test_windowed_drain_runs_partitions_in_order():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    order = []
-    with sim.partition_scope(1):
-        sim.schedule(0.001, order.append, "p1-early")
-        sim.schedule(0.0015, order.append, "p1-late")
-    with sim.partition_scope(2):
-        sim.schedule(0.0012, order.append, "p2-mid")
-    sim.run()
-    # One window [0.001, 0.011): partition 1 drains fully before partition 2
-    # — the documented conservative relaxation of global time order.
-    assert order == ["p1-early", "p1-late", "p2-mid"]
-    assert sim.now == pytest.approx(0.0015)
-
-
-def test_run_until_boundary_event_executes_and_clock_pins():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    fired = []
-    with sim.partition_scope(1):
-        sim.schedule(1.0, fired.append, "at-boundary")
-        sim.schedule(1.5, fired.append, "beyond")
-    sim.run(until=1.0)
-    assert fired == ["at-boundary"]
-    assert sim.now == 1.0
-    sim.run()
-    assert fired == ["at-boundary", "beyond"]
-
-
-def test_schedule_for_node_rehomes_to_destination_partition():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    sim.assign_node("node-a", 1)
-    sim.assign_node("node-b", 2)
-    seen = []
-    with sim.partition_scope(1):
-        sim.schedule_for_node("node-b", 0.02, lambda: seen.append(sim._current))
-    assert [len(heap) for heap in sim._heaps] == [0, 0, 1]
-    sim.run()
-    # The callback executed under the destination's partition, so its own
-    # follow-up events would land there too.
-    assert seen == [2]
-    assert sim.node_partition("node-c") == CONTROL_PARTITION
-
-
-def test_spawn_on_node_homes_the_process():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    sim.assign_node("node-a", 2)
-    current = []
-
-    def proc():
-        yield 0.001
-        current.append(sim._current)
-
-    sim.spawn_on_node("node-a", proc(), name="homed")
-    sim.run()
-    assert current == [2]
-
-
-def test_pending_events_and_cancel_across_subheaps():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    with sim.partition_scope(1):
-        keep = sim.schedule(0.1, lambda: None)
-        drop = sim.schedule(0.2, lambda: None)
-    with sim.partition_scope(2):
-        sim.schedule(0.3, lambda: None)
-    assert sim.pending_events == 3
-    sim.cancel(drop)
-    assert sim.pending_events == 2
-    sim.run()
-    assert sim.pending_events == 0
-    assert keep[2] is None or True  # run consumed it; no dangling state
-
-
-def test_step_executes_globally_next_event():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    order = []
-    with sim.partition_scope(2):
-        sim.schedule(0.001, order.append, "first")
-    with sim.partition_scope(1):
-        sim.schedule(0.002, order.append, "second")
-    assert sim.step() and order == ["first"]
-    assert sim.step() and order == ["first", "second"]
-    assert not sim.step()
-
-
-# ----------------------------------------------------------------------
-# PartitionedSimulator edges (regression hardening)
-# ----------------------------------------------------------------------
-def test_cancel_of_event_in_non_local_subheap_mid_run():
-    """A callback in one partition cancels an entry sitting in *another*
-    partition's subheap; the lazy pop must skip it and keep the cancelled
-    accounting exact."""
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    fired = []
-    with sim.partition_scope(2):
-        victim = sim.schedule(0.005, fired.append, "victim")
-    with sim.partition_scope(1):
-        sim.schedule(0.001, lambda: sim.cancel(victim))
-    sim.run()
-    assert fired == []
-    assert sim.pending_events == 0
-
-
-def test_pending_events_consistent_mid_window_across_subheaps():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=1.0)
-    seen = []
-    with sim.partition_scope(1):
-        sim.schedule(0.1, lambda: seen.append(sim.pending_events))
-    with sim.partition_scope(2):
-        sim.schedule(0.2, lambda: None)
-        sim.schedule(5.0, lambda: None)
-    sim.run(until=0.5)
-    # While the partition-1 callback ran, partition 2 still held both of
-    # its events — pending_events must count across subheaps, not just the
-    # draining one.
-    assert seen == [2]
-    # The 5.0 event lies beyond until and survives the run.
-    assert sim.pending_events == 1
-    sim.run()
-    assert sim.pending_events == 0
-
-
-def test_step_at_window_boundary_follows_global_seq_order():
-    """step() must execute same-instant events at an exact window boundary
-    (t0 + lookahead) in global (time, seq) order, even when the windowed
-    drain would visit their partitions in id order."""
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    order = []
-    with sim.partition_scope(1):
-        sim.schedule(0.0, order.append, "opens-window")
-    with sim.partition_scope(2):
-        sim.schedule(0.01, order.append, "boundary-p2")  # scheduled first
-    with sim.partition_scope(1):
-        sim.schedule(0.01, order.append, "boundary-p1")
-    while sim.step():
-        pass
-    assert order == ["opens-window", "boundary-p2", "boundary-p1"]
-    assert sim.now == pytest.approx(0.01)
-
-
-def test_events_drained_counts_executions_not_cancellations():
-    sim = PartitionedSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    with sim.partition_scope(1):
-        sim.schedule(0.001, lambda: None)
-        dropped = sim.schedule(0.002, lambda: None)
-    sim.cancel(dropped)
-    sim.run()
-    assert sim.events_drained == 1
-
-
-# ----------------------------------------------------------------------
-# ParallelSimulator: ownership, barrier outboxes, reflection
-# ----------------------------------------------------------------------
-from repro.sim.parallel import ParallelSimulator, deal_partitions
-
-
-def test_parallel_simulator_parks_non_owned_partitions():
-    sim = ParallelSimulator(seed=0, num_partitions=2, lookahead=0.01, owned=[1])
-    fired = []
-    with sim.partition_scope(1):
-        sim.schedule(0.001, fired.append, "mine")
-    with sim.partition_scope(2):
-        sim.schedule(0.002, fired.append, "foreign")
-    sim.run(until=1.0)
-    # The foreign event belongs to another worker's drain: parked, never
-    # executed here, still visible in the pending count.
-    assert fired == ["mine"]
-    assert sim.now == 1.0
-    assert sim.pending_events == 1
-
-
-def test_parallel_outbox_exchanges_at_window_barrier():
-    sim = ParallelSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    sim.assign_node("node-a", 1)
-    sim.assign_node("node-b", 2)
-    seen = []
-
-    def send():
-        sim.schedule_for_node(
-            "node-b", 0.02, lambda: seen.append((round(sim.now, 6), sim._current))
-        )
-        # Buffered, not yet in the destination subheap: the exchange
-        # happens at the window barrier.
-        assert len(sim._heaps[2]) == 0
-        assert len(sim._outboxes[2]) == 1
-
-    with sim.partition_scope(1):
-        sim.schedule(0.001, send)
-    sim.run()
-    assert seen == [(0.021, 2)]  # delivered under the destination partition
-    assert sim.drain.barrier_msgs == 1
-    assert sim.drain.barrier_exchanges == 1
-    assert sim.drain.reflected_msgs == 0
-    assert sim.drain.windows >= 2
-
-
-def test_parallel_reflects_sends_to_partitions_owned_elsewhere():
-    sim = ParallelSimulator(seed=0, num_partitions=2, lookahead=0.01, owned=[1])
-    sim.assign_node("node-a", 1)
-    sim.assign_node("node-b", 2)
-    seen = []
-
-    def send():
-        sim.schedule_for_node(
-            "node-b", 0.02, lambda: seen.append((round(sim.now, 6), sim._current))
-        )
-
-    with sim.partition_scope(1):
-        sim.schedule(0.001, send)
-    sim.run()
-    # Same instant, but executed under the *sender's* partition — and the
-    # envelope violation is counted so harnesses can assert it never fires.
-    assert seen == [(0.021, 1)]
-    assert sim.drain.reflected_msgs == 1
-    assert sim.drain.barrier_msgs == 0
-
-
-def test_parallel_cancel_of_outbox_entry():
-    sim = ParallelSimulator(seed=0, num_partitions=2, lookahead=0.01)
-    sim.assign_node("node-b", 2)
-    fired = []
-
-    def send():
-        entry = sim.schedule_for_node("node-b", 0.02, fired.append, "x")
-        sim.cancel(entry)
-
-    with sim.partition_scope(1):
-        sim.schedule(0.001, send)
-    sim.run()
-    assert fired == []
-    assert sim.pending_events == 0
-
-
-def test_parallel_own_validates_partition_ids():
-    with pytest.raises(SimulationError):
-        ParallelSimulator(seed=0, num_partitions=2, owned=[3])
-    with pytest.raises(SimulationError):
-        ParallelSimulator(seed=0, num_partitions=2, owned=[])
-
-
-def test_deal_partitions_round_robin_and_bounds():
-    assert deal_partitions(10, 4) == [[1, 5, 9], [2, 6, 10], [3, 7], [4, 8]]
-    assert deal_partitions(3, 8) == [[1], [2], [3]]
-    assert deal_partitions(4, 1) == [[1, 2, 3, 4]]
-    with pytest.raises(ValueError):
-        deal_partitions(0, 2)

@@ -4,8 +4,6 @@ Covers the redesigned network surface end to end:
 
 - :class:`~repro.sim.topology.Topology` units — placement, governing-tier
   routing, presets, the single-rack degenerate case;
-- the deprecation shim for flat ``Network(sim, config)`` construction
-  (warns exactly once per process);
 - analytic fairness regressions — equal transfers split the trunk and
   finish simultaneously; a staggered joiner re-divides deterministically;
 - the pump-share class cap (an always-on throttle, also when the capped
@@ -27,7 +25,6 @@ from repro.sim.network import (
     BACKUP_CLASS,
     MIGRATION_CLASS,
     Network,
-    NetworkConfig,
 )
 from repro.sim.topology import LinkProfile, PRESETS, Topology, make_topology
 
@@ -117,24 +114,8 @@ def test_topology_to_dict_is_json_shaped():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shim
+# Construction
 # ----------------------------------------------------------------------
-def test_flat_network_constructor_warns_once():
-    import repro.sim.network as network_module
-
-    sim = Simulator(seed=0)
-    original = network_module._flat_config_warned
-    network_module._flat_config_warned = False
-    try:
-        with pytest.warns(DeprecationWarning, match="from_topology"):
-            Network(sim, NetworkConfig())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second construction: silent
-            Network(sim, NetworkConfig())
-    finally:
-        network_module._flat_config_warned = original
-
-
 def test_from_topology_does_not_warn():
     sim = Simulator(seed=0)
     with warnings.catch_warnings():
