@@ -1,20 +1,16 @@
 """``repro bench`` and ``repro sweep``: the benchmark harness entry points.
 
-``repro bench`` runs the kernel and transaction-layer microbenchmarks
-(and, unless skipped, a seed sweep over the experiment cells) and writes
-``BENCH_kernel.json``, ``BENCH_txn.json`` and ``BENCH_experiments.json``;
-``--migration`` adds the migration data-path storms
-(``BENCH_migration.json``) and ``--cluster`` the storm-scale cluster
-benchmark (``BENCH_cluster.json``: 100-node / 1M-client storms driving
-the vectorized workload engine against per-client pacing, with a
-migration in flight). With ``--baseline`` / ``--baseline-txn`` /
-``--baseline-migration`` / ``--baseline-cluster`` it gates each storm's
-events/sec against a committed baseline file — the CI smoke job fails a
-PR that regresses a hot loop by more than ``--max-regression``. The
-cluster gate additionally enforces the batch-vs-per-client speedup floor
+``repro bench`` runs, unless skipped, a seed sweep over the experiment
+cells (``BENCH_experiments.json``); ``--network`` adds the contended-network
+storms and the ``cross_az`` pump-share sweep (``BENCH_network.json``) and
+fails if the foreground dip is no longer monotonic in the share;
+``--cluster`` adds the storm-scale cluster benchmark (``BENCH_cluster.json``:
+100-node / 1M-client storms driving the vectorized workload engine against
+per-client pacing, with a migration in flight) and fails if the batch
+storm falls below the per-client floor
 (:data:`repro.bench.cluster_bench.MIN_BATCH_SPEEDUP`). Every storm line
 prints the wall-clock repeat percentiles (p50/p95/p99) next to the best-of
-headline.
+headline. End-to-end speed is gated by ``e2ebench/``, not here.
 
 ``repro sweep`` is the standalone fan-out: seeds x (scenario, approach)
 cells across a worker pool, with ``--verify-serial`` proving byte-identical
@@ -29,11 +25,8 @@ import os
 import sys
 
 from repro.bench.cluster_bench import MIN_BATCH_SPEEDUP, run_cluster_bench
-from repro.bench.kernel_bench import check_against_baseline, run_kernel_bench
-from repro.bench.migration_bench import run_migration_bench
 from repro.bench.network_bench import run_network_bench, run_pump_share_sweep
 from repro.bench.sweep import SMOKE_OVERRIDES, default_cells, run_sweep
-from repro.bench.txn_bench import run_txn_bench
 from repro.experiments import registry
 
 
@@ -46,7 +39,7 @@ def add_bench_arguments(parser):
     parser.add_argument(
         "--out-dir",
         default=".",
-        help="directory for BENCH_kernel.json / BENCH_experiments.json",
+        help="directory for the BENCH_*.json files",
     )
     parser.add_argument(
         "--jobs",
@@ -58,66 +51,26 @@ def add_bench_arguments(parser):
         "--seeds", type=int, default=3, help="seeds per experiment cell"
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N kernel timing repeats"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="committed BENCH_kernel.json to gate events/sec against",
-    )
-    parser.add_argument(
-        "--baseline-txn",
-        default=None,
-        help="committed BENCH_txn.json to gate txn storm events/sec against",
-    )
-    parser.add_argument(
-        "--migration",
-        action="store_true",
-        help="also run the migration data-path storms (BENCH_migration.json)",
-    )
-    parser.add_argument(
-        "--baseline-migration",
-        default=None,
-        help="committed BENCH_migration.json to gate migration storms against"
-        " (implies --migration)",
+        "--repeats", type=int, default=3, help="best-of-N storm timing repeats"
     )
     parser.add_argument(
         "--network",
         action="store_true",
         help="also run the contended-network storms and the cross_az "
-        "pump-share sweep (BENCH_network.json)",
-    )
-    parser.add_argument(
-        "--baseline-network",
-        default=None,
-        help="committed BENCH_network.json to gate network storms against"
-        " (implies --network; also fails if the pump-share dip sweep is "
-        "no longer monotonic)",
+        "pump-share sweep (BENCH_network.json); fails if the dip is no "
+        "longer monotonic in pump_share",
     )
     parser.add_argument(
         "--cluster",
         action="store_true",
         help="also run the storm-scale cluster benchmark: vectorized "
         "workload engine vs per-client pacing with a migration in flight "
-        "(BENCH_cluster.json)",
-    )
-    parser.add_argument(
-        "--baseline-cluster",
-        default=None,
-        help="committed BENCH_cluster.json to gate cluster storms against"
-        " (implies --cluster; also enforces the batch-vs-per-client "
-        "speedup floor)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional events/sec drop vs --baseline (default 0.30)",
+        "(BENCH_cluster.json); fails below the batch-vs-per-client floor",
     )
     parser.add_argument(
         "--skip-experiments",
         action="store_true",
-        help="kernel microbenchmark only; do not run the experiment sweep",
+        help="do not run the experiment sweep",
     )
 
 
@@ -132,54 +85,8 @@ def _wall_columns(storm):
 
 
 def run_bench_command(args):
-    kernel = run_kernel_bench(smoke=args.smoke, repeats=args.repeats)
-    kernel_path = os.path.join(args.out_dir, "BENCH_kernel.json")
-    _write_json(kernel_path, kernel)
-    storm = kernel["storms"]["callback_storm"]
-    print(
-        "kernel: {:,.0f} events/s (legacy {:,.0f}) -> {:.2f}x speedup{}".format(
-            storm["events_per_sec"],
-            storm["legacy"]["events_per_sec"],
-            kernel["speedup_vs_legacy"],
-            _wall_columns(storm),
-        )
-    )
-    print("wrote {}".format(kernel_path))
-
-    txn = run_txn_bench(smoke=args.smoke, repeats=args.repeats)
-    txn_path = os.path.join(args.out_dir, "BENCH_txn.json")
-    _write_json(txn_path, txn)
-    for name, storm in sorted(txn["storms"].items()):
-        print(
-            "txn {:<22} {:,.0f} events/s (legacy {:,.0f}) -> {:.2f}x{}".format(
-                name,
-                storm["events_per_sec"],
-                storm["legacy"]["events_per_sec"],
-                storm["speedup"],
-                _wall_columns(storm),
-            )
-        )
-    print("wrote {}".format(txn_path))
-
-    migration = None
-    if args.migration or args.baseline_migration:
-        migration = run_migration_bench(smoke=args.smoke, repeats=args.repeats)
-        migration_path = os.path.join(args.out_dir, "BENCH_migration.json")
-        _write_json(migration_path, migration)
-        for name, storm in sorted(migration["storms"].items()):
-            print(
-                "migration {:<24} {:,.0f} events/s (legacy {:,.0f}) -> {:.2f}x{}".format(
-                    name,
-                    storm["events_per_sec"],
-                    storm["legacy"]["events_per_sec"],
-                    storm["speedup"],
-                    _wall_columns(storm),
-                )
-            )
-        print("wrote {}".format(migration_path))
-
-    network = None
-    if args.network or args.baseline_network:
+    status = 0
+    if args.network:
         network = run_network_bench(smoke=args.smoke, repeats=args.repeats)
         network["pump_share_sweep"] = run_pump_share_sweep(smoke=args.smoke)
         network_path = os.path.join(args.out_dir, "BENCH_network.json")
@@ -201,9 +108,15 @@ def run_bench_command(args):
             "network dip monotonic in pump_share: {}".format(sweep["monotonic"])
         )
         print("wrote {}".format(network_path))
+        if not sweep["monotonic"]:
+            print(
+                "REGRESSION cross_az foreground dip is no longer monotonic in "
+                "pump_share: {}".format([row["fg_dip"] for row in sweep["shares"]]),
+                file=sys.stderr,
+            )
+            status = 1
 
-    cluster = None
-    if args.cluster or args.baseline_cluster:
+    if args.cluster:
         cluster = run_cluster_bench(smoke=args.smoke, repeats=args.repeats)
         cluster_path = os.path.join(args.out_dir, "BENCH_cluster.json")
         _write_json(cluster_path, cluster)
@@ -224,48 +137,15 @@ def run_bench_command(args):
             )
         )
         print("wrote {}".format(cluster_path))
-
-    status = 0
-    # The kernel, txn, migration, network and cluster payloads share one
-    # shape (storms -> events_per_sec), so a single gate function covers all.
-    for payload, baseline_path in (
-        (kernel, args.baseline),
-        (txn, args.baseline_txn),
-        (migration, args.baseline_migration),
-        (network, args.baseline_network),
-        (cluster, args.baseline_cluster),
-    ):
-        if not baseline_path:
-            continue
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-        failures = check_against_baseline(payload, baseline, args.max_regression)
-        for failure in failures:
-            print("REGRESSION {}".format(failure), file=sys.stderr)
-        if failures:
+        if cluster["speedup_batch_vs_per_client"] < MIN_BATCH_SPEEDUP:
+            print(
+                "REGRESSION cluster batch storm is only {:.2f}x the per-client "
+                "reference (floor {:.1f}x)".format(
+                    cluster["speedup_batch_vs_per_client"], MIN_BATCH_SPEEDUP
+                ),
+                file=sys.stderr,
+            )
             status = 1
-    if (
-        cluster is not None
-        and args.baseline_cluster
-        and cluster["speedup_batch_vs_per_client"] < MIN_BATCH_SPEEDUP
-    ):
-        print(
-            "REGRESSION cluster batch storm is only {:.2f}x the per-client "
-            "reference (floor {:.1f}x)".format(
-                cluster["speedup_batch_vs_per_client"], MIN_BATCH_SPEEDUP
-            ),
-            file=sys.stderr,
-        )
-        status = 1
-    if network is not None and not network["pump_share_sweep"]["monotonic"]:
-        print(
-            "REGRESSION cross_az foreground dip is no longer monotonic in "
-            "pump_share: {}".format(
-                [row["fg_dip"] for row in network["pump_share_sweep"]["shares"]]
-            ),
-            file=sys.stderr,
-        )
-        status = 1
 
     if not args.skip_experiments:
         cells = default_cells(smoke=args.smoke)

@@ -78,7 +78,7 @@ def _run_chaos(args):
         config.extra_faults = max(0, args.num_faults - 3)
     result = run_chaos(config)
     _print_chaos_result(result)
-    return 0
+    return _report_violations(result.violations)
 
 
 def _print_chaos_result(result):
@@ -133,7 +133,15 @@ def _run_failover(args):
         return 0
     result = run_failover(config)
     _print_failover_result(result)
-    return 0
+    return _report_violations(result.violations)
+
+
+def _report_violations(violations):
+    """Print each ``(time, description)`` invariant violation to stderr;
+    the exit code is 1 if there were any, else 0."""
+    for t, description in violations:
+        print("VIOLATION t={:.3f}s: {}".format(t, description), file=sys.stderr)
+    return 1 if violations else 0
 
 
 def _print_failover_result(result):
@@ -282,7 +290,7 @@ def main(argv=None):
 
     bench = sub.add_parser(
         "bench",
-        help="kernel microbenchmark + experiment sweep; writes BENCH_*.json",
+        help="experiment sweep + network/cluster storms; writes BENCH_*.json",
     )
     add_bench_arguments(bench)
 

@@ -36,9 +36,7 @@ from repro.sim.topology import LinkProfile, Topology
 _LINT_SELF = ("*/analysis/*",)
 _WALL_CLOCK_OK = (
     "*/sim/kernel.py",
-    "*/bench/kernel_bench.py",
-    "*/bench/txn_bench.py",
-    "*/bench/migration_bench.py",
+    "*/bench/network_bench.py",
     "*/bench/cluster_bench.py",
     "*/bench/sweep.py",
     "*/profiling/*",

@@ -26,7 +26,6 @@ order", §3.6).
 
 from bisect import bisect_left, bisect_right, insort
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
@@ -80,10 +79,9 @@ class Propagation:
         self._slots = Resource(
             self.sim, capacity=cluster.config.replay_parallelism, name="replay"
         )
-        # Watermark waiters as (target_lsn, insertion_seq, event). The fast
-        # path keeps the list sorted by (lsn, seq) and resolves a ready
-        # prefix with one bisect; the legacy path appends and sweeps. Both
-        # fire ready waiters in insertion order.
+        # Watermark waiters as (target_lsn, insertion_seq, event), kept
+        # sorted so a ready prefix is cut with one bisect; ready waiters
+        # fire in insertion order.
         self._applied_waiters = []
         self._waiter_seq = 0
         # Insertion-ordered: a crash teardown interrupts these in spawn
@@ -195,33 +193,22 @@ class Propagation:
             event.succeed(None)
             return event
         self._waiter_seq += 1
-        if fastpath.migration_replay:
-            insort(self._applied_waiters, (lsn, self._waiter_seq, event))
-        else:
-            self._applied_waiters.append((lsn, self._waiter_seq, event))
+        insort(self._applied_waiters, (lsn, self._waiter_seq, event))
         return event
 
     def _check_applied_waiters(self):
         waiters = self._applied_waiters
         if not waiters:
             return
-        if fastpath.migration_replay:
-            # Sorted by (lsn, seq): one bisect cuts the ready prefix.
-            watermark = self.applied_watermark()
-            if waiters[0][0] > watermark:
-                return
-            cut = bisect_right(waiters, (watermark, self._waiter_seq + 1))
-            ready = waiters[:cut]
-            del waiters[:cut]
-            # Fire in insertion order — the order the legacy sweep fires in.
-            ready.sort(key=lambda entry: entry[1])
-            for entry in ready:
-                entry[2].succeed(None)
-            return
+        # Sorted by (lsn, seq): one bisect cuts the ready prefix.
         watermark = self.applied_watermark()
-        ready = [entry for entry in waiters if watermark >= entry[0]]
+        if waiters[0][0] > watermark:
+            return
+        cut = bisect_right(waiters, (watermark, self._waiter_seq + 1))
+        ready = waiters[:cut]
+        del waiters[:cut]
+        ready.sort(key=lambda entry: entry[1])  # fire in insertion order
         for entry in ready:
-            waiters.remove(entry)
             entry[2].succeed(None)
 
     # ------------------------------------------------------------------
@@ -229,36 +216,22 @@ class Propagation:
     # ------------------------------------------------------------------
     def _pump(self):
         try:
-            if fastpath.migration_pump:
-                yield from self._pump_routed()
-                return
-            while True:
-                record = yield from self.reader.next_record()
-                self.records_seen += 1
-                self._since_cpu_charge += 1
-                if self._since_cpu_charge >= self._pump_batch:
-                    # The send process consumes source CPU while scanning the
-                    # WAL (the ~6% source overhead in Figure 10).
-                    yield self.source_node.cpu.use(
-                        self.costs.cpu_propagate * self._since_cpu_charge
-                    )
-                    self._since_cpu_charge = 0
-                self._handle(record)
-                self.handled_lsn = record.lsn + 1
+            yield from self._pump_routed()
         except Interrupt:
             return
 
     def _pump_routed(self):
-        """Shard-routed send loop: identical effects, fewer record visits.
+        """Shard-routed send loop.
 
-        Consumes only records the unrouted loop would act on — change
-        records touching the migrating shard set, plus every control
-        record — via the WAL's per-shard routing index. Skipped records
-        still advance the reader cursor, the ``records_seen`` count and
-        the CPU-charge accounting, so every charge lands at the exact
-        count boundary (and therefore the exact instant) the unrouted
-        loop pays it, interleaved with the same ``_handle`` effects in
-        the same LSN order.
+        Consumes only the records propagation acts on — change records
+        touching the migrating shard set, plus every control record — via
+        the WAL's per-shard routing index. Skipped records still advance
+        the reader cursor, the ``records_seen`` count and the CPU-charge
+        accounting, so the send process pays ``cpu_propagate`` for every
+        WAL record it passes (the ~6% source overhead in Figure 10), one
+        charge per ``pump_batch_records`` records, at the instant the
+        batch boundary is crossed, interleaved with the ``_handle``
+        effects in LSN order.
         """
         wal = self.source_node.wal
         reader = self.reader
@@ -414,36 +387,12 @@ class Propagation:
         self.stats.shadow_txns += 1
         return shadow
 
-    def _replay_records(self, shadow, records):
-        """Generator: re-execute the changes through the dest manager."""
-        manager = self.dest_node.manager
-        for record in records:
-            if record.kind is WalRecordKind.INSERT:
-                yield from manager.insert(
-                    shadow, record.shard_id, record.key, record.value, size=record.size
-                )
-            elif record.kind is WalRecordKind.UPDATE:
-                yield from manager.update(
-                    shadow, record.shard_id, record.key, record.value, size=record.size
-                )
-            elif record.kind is WalRecordKind.DELETE:
-                yield from manager.delete(
-                    shadow, record.shard_id, record.key, size=record.size
-                )
-            elif record.kind is WalRecordKind.LOCK:
-                yield from manager.lock_row(
-                    shadow, record.shard_id, record.key, size=record.size
-                )
-            self.stats.records_applied += 1
-
     def _coalesce_changes(self, records):
         """Resolve the per-record kind dispatch once, at scheduling time.
 
         Returns the transaction's change vector: (bound manager method,
         positional args, size) per record, in record order — the replay
-        slot then applies it without re-branching on the record kind. Same
-        manager generators, same order, same arguments as
-        :meth:`_replay_records`.
+        slot then applies it without re-branching on the record kind.
         """
         manager = self.dest_node.manager
         ops = []
@@ -472,13 +421,13 @@ class Propagation:
     # ------------------------------------------------------------------
     def _start_async_apply(self, records, commit_ts):
         entry, predecessors, done = self._register_task(records)
-        ops = self._coalesce_changes(records) if fastpath.migration_replay else None
+        ops = self._coalesce_changes(records)
         self._spawn_task(
             self._async_apply(records, commit_ts, entry, predecessors, done, ops),
             name="async-apply",
         )
 
-    def _async_apply(self, records, commit_ts, entry, predecessors, done, ops=None):
+    def _async_apply(self, records, commit_ts, entry, predecessors, done, ops):
         shadow = None
         slot_request = None
         holding_slot = False
@@ -491,10 +440,7 @@ class Propagation:
             holding_slot = True
             yield from self._transfer_cost(records)
             shadow = self._make_shadow(records[0].start_ts)
-            if ops is not None:
-                yield from self._replay_ops(shadow, ops)
-            else:
-                yield from self._replay_records(shadow, records)
+            yield from self._replay_ops(shadow, ops)
             yield from self.dest_node.manager.local_commit(shadow, commit_ts)
             shadow.commit_ts = commit_ts
             shadow.state = TxnState.COMMITTED
@@ -539,13 +485,13 @@ class Propagation:
         records = self._caches.pop(xid)
         self.unreplayed_records += len(records)
         entry, predecessors, done = self._register_task(records)
-        ops = self._coalesce_changes(records) if fastpath.migration_replay else None
+        ops = self._coalesce_changes(records)
         self._spawn_task(
             self._validate(xid, start_ts, records, entry, predecessors, done, ops),
             name="shadow-validate",
         )
 
-    def _validate(self, xid, start_ts, records, entry, predecessors, done, ops=None):
+    def _validate(self, xid, start_ts, records, entry, predecessors, done, ops):
         shadow = None
         slot_request = None
         holding_slot = False
@@ -560,10 +506,7 @@ class Propagation:
             holding_slot = True
             shadow = self._make_shadow(start_ts)
             yield from self._transfer_cost(records)
-            if ops is not None:
-                yield from self._replay_ops(shadow, ops)
-            else:
-                yield from self._replay_records(shadow, records)
+            yield from self._replay_ops(shadow, ops)
             yield from self.dest_node.manager.local_prepare(shadow)
             validated = True
             ack = True

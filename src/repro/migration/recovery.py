@@ -17,7 +17,6 @@ the paper describes:
    data is still missing, then the source copy is dropped.
 """
 
-from repro import fastpath
 from repro.storage.clog import TxnStatus
 from repro.txn.errors import MigrationAbort
 from repro.txn.transaction import TxnState
@@ -145,13 +144,9 @@ def recover_migration(cluster, migration, residual_shadows=None):
         source_heap = source_node.heap_for(shard_id)
         dest_heap = dest_node.heap_for(shard_id)
         missing = []
-        if fastpath.migration_scan:
-            # Crash-recovery retries repeat this scan; the maintained index
-            # makes each retry O(n) instead of a fresh O(n log n) sort.
-            repair_keys = list(source_heap.sorted_keys())
-        else:
-            repair_keys = sorted(source_heap.keys())
-        for key in repair_keys:
+        # Crash-recovery retries repeat this scan; the maintained index
+        # makes each retry O(n) instead of a fresh O(n log n) sort.
+        for key in list(source_heap.sorted_keys()):
             version, _n = yield from source_heap.visible_version(key, snapshot)
             if version is None:
                 continue

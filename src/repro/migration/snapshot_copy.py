@@ -8,30 +8,33 @@ destination transaction that starts after the snapshot. The scan pins the
 vacuum horizon at the snapshot timestamp — under heavy updates to few keys
 this is what lets version chains grow (the paper's Figure 10 effect).
 
-Fast path (``fastpath.migration_scan``)
----------------------------------------
-The indexed scan walks the heap's incrementally maintained sorted key index
-(no per-copy, per-retry O(n log n) sort), decides visibility inline through
-terminal CLOG verdicts (:meth:`~repro.storage.heap.HeapTable.
-scan_visible_fast`) and charges the per-tuple scan CPU in runs instead of
-one event per tuple. The simulated timeline is byte-identical to the
-per-tuple path:
+Batched scan
+------------
+Every scanned tuple costs ``snapshot_scan_per_tuple`` of source CPU, paid
+before its visibility check. When that charge is longer than a WAL flush
+(the paper-scale cost models), each tuple pays it as its own CPU event and
+is checked through the blocking :meth:`~repro.storage.heap.HeapTable.
+visible_version`. When it is shorter, the scan walks the heap's
+incrementally maintained sorted key index (no per-copy, per-retry
+O(n log n) sort), decides visibility inline through terminal CLOG verdicts
+(:meth:`~repro.storage.heap.HeapTable.scan_visible_fast`) and charges the
+CPU in runs, one event per run, with the simulated timeline of one event
+per tuple:
 
 - a charge run is capped so its stale-check window stays within one WAL
   flush. A writer that touches a chain *after* a run starts cannot reach
-  PREPARED — the only state that makes the per-tuple path block — inside
-  that window, because ``local_prepare`` flushes the prepare record
+  PREPARED — the only state that makes a check block — inside that
+  window, because ``local_prepare`` flushes the prepare record
   (>= ``wal_flush``) before the CLOG shows PREPARED. Every inline verdict
-  therefore equals the verdict the per-tuple path reaches at its own,
+  therefore equals the verdict a per-tuple check reaches at its own,
   slightly later instant;
 - a non-terminal writer (IN_PROGRESS or PREPARED) flushes the deferred
   charges first and re-checks through the blocking path at exactly the
-  per-tuple instant, so prepare-waits start on the legacy schedule;
+  per-tuple instant, so prepare-waits start on the per-tuple schedule;
 - deferred charges are always flushed before a batch ships, so every RPC
-  and destination install lands at the legacy instant.
+  and destination install lands at the per-tuple instant.
 """
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
@@ -58,14 +61,14 @@ def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
     # at the same timestamp instead of allocating per scan.
     snapshot = source_node.manager.read_snapshot(snapshot_ts)
     scan_cost = costs.snapshot_scan_per_tuple
-    # Charge-run cap for the fast path: the run's stale-check window must
-    # stay within one WAL flush (see module docstring). Degenerate cost
-    # models (free scans or instant flushes) take the per-tuple path.
+    # Charge-run cap for the batched scan: the run's stale-check window must
+    # stay within one WAL flush (see module docstring). A per-tuple charge
+    # longer than a flush (or a free scan) leaves no room for a run.
     charge_run = int(costs.wal_flush / scan_cost) if scan_cost > 0 else 0
 
     copied = 0
     batch = []
-    if fastpath.migration_scan and charge_run >= 1:
+    if charge_run >= 1:
         cpu = source_node.cpu
         pending = 0  # scanned tuples whose CPU charge is deferred
         for key in list(heap.sorted_keys()):
@@ -120,8 +123,7 @@ def _flush_scan_charges(cpu, scan_cost, pending):
     """Generator: pay ``pending`` deferred per-tuple charges.
 
     One coalesced slot occupation when a slot is free; otherwise the
-    sequential per-tuple charges, which enter the CPU queue exactly as the
-    legacy path's would.
+    sequential per-tuple charges, which enter the CPU queue one by one.
     """
     done = cpu.use_run(scan_cost, pending)
     if done is None:

@@ -19,7 +19,6 @@ Consequences reproduced from the paper:
   time (the post-batch fluctuation in Figures 6c/7c).
 """
 
-from repro import fastpath
 from repro.cluster.hashing import consistent_hash
 from repro.migration.base import BaseMigration
 from repro.sim.events import AllOf
@@ -186,11 +185,7 @@ class SquallMigration(BaseMigration):
             # loop below, so the index's live list is safe to walk here. Key
             # order does not reach the timeline (one summed-size send, no
             # yield per key) — the equivalence suite pins that.
-            if fastpath.migration_scan:
-                keys = heap.sorted_keys()
-            else:
-                keys = list(heap.keys())
-            for key in keys:
+            for key in heap.sorted_keys():
                 if tracker.chunk_of(key) != chunk:
                     continue
                 version = heap.latest_committed_or_locked(key)

@@ -15,8 +15,9 @@ written for speed:
   heap: :meth:`Simulator.take_tail_slot` consumes its sequence number and
   the caller runs it as the last act of the current dispatch.
 
-``repro.bench.kernel_bench`` pins the resulting speedup against the frozen
-pre-optimization kernel (:mod:`repro.bench._legacy_kernel`).
+Speed is measured inside real scenarios by ``e2ebench/`` (kernel events
+per commit and per host-second); ``tests/test_fastpath_equivalence.py``
+pins the timelines and slot counts (``_seq``) every change must keep.
 """
 
 from __future__ import annotations

@@ -17,13 +17,13 @@ Hot-path note: :meth:`HeapTable.visible_version` decides visibility through
 the non-blocking hint-bit checks (``creation_visible_fast``) and only falls
 back to the blocking generator when a writer is PREPARED, so the common
 read pays no sub-generator frames and, once hints are stamped, no CLOG
-lookups at all. The verdicts — and therefore every simulated timeline — are
-identical to the slow path by construction.
+lookups at all. Hints cache terminal CLOG verdicts, so every answer is the
+one a CLOG-only reader would give; ``tests/test_properties.py`` keeps that
+reader as the oracle.
 """
 
 from bisect import bisect_left, insort
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.storage.clog import TxnStatus
 from repro.storage.snapshot import (
@@ -163,21 +163,6 @@ class HeapTable:
         clog = self.clog
         traversed = 0
         try:
-            if not fastpath.clog_hints:
-                for version in list(self.chain(key)):
-                    traversed += 1
-                    created = creation_visible_fast(version, snapshot, clog)
-                    if created is UNDECIDED:
-                        created = yield from creation_visible(version, snapshot, clog)
-                    if not created:
-                        continue
-                    deleted = deletion_visible_fast(version, snapshot, clog)
-                    if deleted is UNDECIDED:
-                        deleted = yield from deletion_visible(version, snapshot, clog)
-                    if deleted:
-                        return None, traversed
-                    return version, traversed
-                return None, traversed
             start_ts = snapshot.start_ts
             for version in list(self.chain(key)):
                 traversed += 1
@@ -224,25 +209,20 @@ class HeapTable:
         This is the version an updater contends on after acquiring the row
         lock: it is either committed, prepared or belongs to the lock holder.
         """
-        if fastpath.clog_hints:
-            clog = self.clog
-            for version in self.chain(key):
-                hint = version.cts_min
-                if hint is not None:
-                    if hint is ABORTED:
-                        continue
-                    return version
-                status = clog.status(version.xmin)
-                if status is TxnStatus.ABORTED:
-                    version.cts_min = ABORTED
-                    continue
-                if status is TxnStatus.COMMITTED:
-                    version.cts_min = clog.commit_ts(version.xmin)
-                return version
-            return None
+        clog = self.clog
         for version in self.chain(key):
-            if self.clog.status(version.xmin) is not TxnStatus.ABORTED:
+            hint = version.cts_min
+            if hint is not None:
+                if hint is ABORTED:
+                    continue
                 return version
+            status = clog.status(version.xmin)
+            if status is TxnStatus.ABORTED:
+                version.cts_min = ABORTED
+                continue
+            if status is TxnStatus.COMMITTED:
+                version.cts_min = clog.commit_ts(version.xmin)
+            return version
         return None
 
     # ------------------------------------------------------------------
@@ -258,50 +238,43 @@ class HeapTable:
         the instant the per-tuple path would, and only terminal CLOG
         verdicts (committed with a fixed timestamp, or aborted) are stable
         across that window. An in-progress writer could be PREPARED — and
-        force a prepare-wait — by the time the legacy check would have run,
+        force a prepare-wait — by the time a per-tuple check would have run,
         so the caller must flush its deferred CPU charges and re-check
-        through :meth:`visible_version` at the legacy instant.
+        through :meth:`visible_version` at the per-tuple instant.
         """
         if snapshot.xid is not None:
             return UNDECIDED
         clog = self.clog
-        stamp = fastpath.clog_hints
         start_ts = snapshot.start_ts
         traversed = 0
         outcome = None
         for version in self._chains.get(key, ()):
             traversed += 1
-            hint = version.cts_min if stamp else None
+            hint = version.cts_min
             if hint is None:
                 status = clog.status(version.xmin)
                 if status is TxnStatus.ABORTED:
-                    if stamp:
-                        version.cts_min = ABORTED
+                    version.cts_min = ABORTED
                     continue
                 if status is not TxnStatus.COMMITTED:
                     return UNDECIDED
-                hint = clog.commit_ts(version.xmin)
-                if stamp:
-                    version.cts_min = hint
+                hint = version.cts_min = clog.commit_ts(version.xmin)
             if hint is ABORTED or hint > start_ts:
                 continue
             # Creation visible: the row survives iff its deletion is not.
             if version.xmax is None:
                 outcome = version
                 break
-            dhint = version.cts_max if stamp else None
+            dhint = version.cts_max
             if dhint is None:
                 status = clog.status(version.xmax)
                 if status is TxnStatus.ABORTED:
-                    if stamp:
-                        version.cts_max = ABORTED
+                    version.cts_max = ABORTED
                     outcome = version
                     break
                 if status is not TxnStatus.COMMITTED:
                     return UNDECIDED
-                dhint = clog.commit_ts(version.xmax)
-                if stamp:
-                    version.cts_max = dhint
+                dhint = version.cts_max = clog.commit_ts(version.xmax)
             if dhint is ABORTED or dhint > start_ts:
                 outcome = version
             break
@@ -317,11 +290,7 @@ class HeapTable:
         transactionally consistent.
         """
         pairs = []
-        if fastpath.migration_scan:
-            keys = list(self.sorted_keys())
-        else:
-            keys = sorted(self._chains.keys())
-        for key in keys:
+        for key in list(self.sorted_keys()):
             version, _traversed = yield from self.visible_version(key, snapshot)
             if version is not None:
                 pairs.append((key, version.value))
@@ -349,10 +318,9 @@ class HeapTable:
         looked at again every pass and goes the pass after the hold drops).
         Every other chain can only change through those two calls.
 
-        Hint bits are trusted and stamped whatever the ``clog_hints`` flag
-        says: they cache terminal, immutable CLOG verdicts, and readers that
-        run with the flag off never look at them. Chains that lose nothing
-        are kept in place (no list rebuild).
+        Hint bits are trusted and stamped, as every reader does: they cache
+        terminal, immutable CLOG verdicts. Chains that lose nothing are kept
+        in place (no list rebuild).
         """
         candidates = self._vacuum_candidates
         if not candidates:

@@ -26,7 +26,6 @@ operations per version on the common path. The verdicts are identical by
 construction: hints are immutable CLOG facts (``repro.storage.tuples``).
 """
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.storage.clog import TxnStatus
 from repro.storage.tuples import ABORTED
@@ -91,27 +90,23 @@ def creation_visible_fast(version, snapshot, clog):
     if snapshot.xid is not None and version.xmin == snapshot.xid:
         return True
     COUNTERS.visibility_probes += 1
-    if fastpath.clog_hints:
-        hint = version.cts_min
-        if hint is not None:
-            if hint is ABORTED:
-                return False
-            return hint <= snapshot.start_ts
+    hint = version.cts_min
+    if hint is not None:
+        if hint is ABORTED:
+            return False
+        return hint <= snapshot.start_ts
     status = clog.status(version.xmin)
     COUNTERS.clog_slow_lookups += 1
     if status is TxnStatus.ABORTED:
-        if fastpath.clog_hints:
-            version.cts_min = ABORTED
-            COUNTERS.hint_stamps += 1
+        version.cts_min = ABORTED
+        COUNTERS.hint_stamps += 1
         return False
     if status is TxnStatus.IN_PROGRESS:
         return False
     if status is TxnStatus.PREPARED:
         return UNDECIDED
-    commit_ts = clog.commit_ts(version.xmin)
-    if fastpath.clog_hints:
-        version.cts_min = commit_ts
-        COUNTERS.hint_stamps += 1
+    commit_ts = version.cts_min = clog.commit_ts(version.xmin)
+    COUNTERS.hint_stamps += 1
     return commit_ts <= snapshot.start_ts
 
 
@@ -125,27 +120,23 @@ def deletion_visible_fast(version, snapshot, clog):
     if snapshot.xid is not None and version.xmax == snapshot.xid:
         return True
     COUNTERS.visibility_probes += 1
-    if fastpath.clog_hints:
-        hint = version.cts_max
-        if hint is not None:
-            if hint is ABORTED:
-                return False
-            return hint <= snapshot.start_ts
+    hint = version.cts_max
+    if hint is not None:
+        if hint is ABORTED:
+            return False
+        return hint <= snapshot.start_ts
     status = clog.status(version.xmax)
     COUNTERS.clog_slow_lookups += 1
     if status is TxnStatus.ABORTED:
-        if fastpath.clog_hints:
-            version.cts_max = ABORTED
-            COUNTERS.hint_stamps += 1
+        version.cts_max = ABORTED
+        COUNTERS.hint_stamps += 1
         return False
     if status is TxnStatus.IN_PROGRESS:
         return False
     if status is TxnStatus.PREPARED:
         return UNDECIDED
-    commit_ts = clog.commit_ts(version.xmax)
-    if fastpath.clog_hints:
-        version.cts_max = commit_ts
-        COUNTERS.hint_stamps += 1
+    commit_ts = version.cts_max = clog.commit_ts(version.xmax)
+    COUNTERS.hint_stamps += 1
     return commit_ts <= snapshot.start_ts
 
 
@@ -180,13 +171,11 @@ def deletion_visible(version, snapshot, clog):
 def version_is_dead(version, clog):
     """Non-blocking: True if this version was superseded by a *committed* txn
     or created by an aborted one (used by MOCC validation and vacuum)."""
-    if fastpath.clog_hints:
-        if version.cts_min is ABORTED:
-            return True
-        if version.xmax is not None and version.cts_max is not None:
-            return version.cts_max is not ABORTED
+    if version.cts_min is ABORTED:
+        return True
+    if version.xmax is not None and version.cts_max is not None:
+        return version.cts_max is not ABORTED
     if clog.status(version.xmin) is TxnStatus.ABORTED:
-        if fastpath.clog_hints:
-            version.cts_min = ABORTED
+        version.cts_min = ABORTED
         return True
     return version.xmax is not None and clog.status(version.xmax) is TxnStatus.COMMITTED

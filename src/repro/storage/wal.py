@@ -79,8 +79,8 @@ class FlushCoalescer:
 
     A single pending slot suffices: a flush targeting a different
     completion time simply starts a new group (the old close timer holds
-    its own event reference), and a missed coalesce degrades to the exact
-    legacy behavior, never to a wrong one.
+    its own event reference), and a missed coalesce degrades to a plain
+    per-flush timer, never to a wrong one.
     """
 
     __slots__ = ("sim", "_pending_at", "_event")
@@ -129,7 +129,7 @@ class Wal:
         self._records = []
         self._appended = None  # event armed while a reader waits at the tail
         self.flush_group = FlushCoalescer(sim)
-        # Per-shard routing index for the migration pump fast path: built
+        # Per-shard routing index for the migration pump: built
         # lazily on the first ``routing_index()`` call (nodes that never
         # source a migration pay nothing) and maintained by ``append`` from
         # then on. ``_route_change`` maps shard_id -> [lsn, ...] of change

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.ordered import OrderedSet
@@ -129,19 +128,17 @@ class NodeTxnManager:
         begins or resolves on this node. Snapshots are immutable, so
         sharing is invisible to MVCC semantics.
         """
-        if fastpath.snapshot_cache:
-            cached = self._read_snapshot_cache
-            if (
-                cached is not None
-                and cached[0] == self.active_epoch
-                and cached[1] == start_ts
-            ):
-                COUNTERS.shared_snapshot_hits += 1
-                return cached[2]
-            COUNTERS.shared_snapshot_misses += 1
+        cached = self._read_snapshot_cache
+        if (
+            cached is not None
+            and cached[0] == self.active_epoch
+            and cached[1] == start_ts
+        ):
+            COUNTERS.shared_snapshot_hits += 1
+            return cached[2]
+        COUNTERS.shared_snapshot_misses += 1
         snapshot = Snapshot(start_ts, active_xids=self.active_xid_set())
-        if fastpath.snapshot_cache:
-            self._read_snapshot_cache = (self.active_epoch, start_ts, snapshot)
+        self._read_snapshot_cache = (self.active_epoch, start_ts, snapshot)
         return snapshot
 
     def row_locks(self, shard_id) -> RowLockTable:
@@ -273,12 +270,12 @@ class NodeTxnManager:
 
     def _acquire_row_lock(self, txn, participant, shard_id, key):
         table = self.row_locks(shard_id)
-        if fastpath.lock_fastpath and table.try_acquire(key, participant.xid):
+        if table.try_acquire(key, participant.xid):
             # Uncontended (or reentrant) grab. Yield the pre-triggered
             # event: the resumption lands at the exact (time, seq) slot the
-            # slow path's named event would have produced, so interleaving
-            # with concurrent processes is unchanged — only the event-name
-            # formatting and queue bookkeeping are skipped.
+            # queued path's named event would have produced, so interleaving
+            # with concurrent processes is the same either way — only the
+            # event-name formatting and queue bookkeeping are skipped.
             COUNTERS.lock_fast_acquires += 1
             yield self.sim.ready
             participant.row_locks.add((shard_id, key))
@@ -385,9 +382,7 @@ class NodeTxnManager:
         participant = self.ensure_participant(txn)
         if shard_id in participant.shard_locks and mode == SharedExclusiveLockTable.SHARED:
             return
-        if fastpath.lock_fastpath and self.shard_locks.try_acquire(
-            shard_id, participant.xid, mode
-        ):
+        if self.shard_locks.try_acquire(shard_id, participant.xid, mode):
             COUNTERS.lock_fast_acquires += 1
             yield self.sim.ready
             participant.shard_locks.add(shard_id)
@@ -423,10 +418,10 @@ class NodeTxnManager:
         the stall loop stays with the simple per-flush path."""
         delay = self.costs.wal_flush + self.extra_flush_latency
         COUNTERS.wal_flushes += 1
-        if fastpath.group_commit and self.sim.now >= self.flush_stall_until:
+        if self.sim.now >= self.flush_stall_until:
             waitable = self.wal.flush_group.join(delay)
             if waitable is None:
-                yield delay  # group leader pays the (legacy-identical) timer
+                yield delay  # the group leader pays the timer
             else:
                 yield waitable
         else:

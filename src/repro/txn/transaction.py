@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 
-from repro import fastpath
 from repro.profiling.counters import COUNTERS
 from repro.sim.ordered import OrderedSet
 from repro.storage.snapshot import Snapshot
@@ -93,17 +92,14 @@ class Transaction:
         :meth:`add_participant` invalidates the entry because it changes
         the ``xid`` the snapshot must carry for own-write visibility.
         """
-        if fastpath.snapshot_cache:
-            snapshot = self._snapshots.get(node_id)
-            if snapshot is not None:
-                COUNTERS.snapshot_cache_hits += 1
-                return snapshot
-            COUNTERS.snapshot_cache_misses += 1
+        snapshot = self._snapshots.get(node_id)
+        if snapshot is not None:
+            COUNTERS.snapshot_cache_hits += 1
+            return snapshot
+        COUNTERS.snapshot_cache_misses += 1
         participant = self.participants.get(node_id)
         xid = participant.xid if participant else None
-        snapshot = Snapshot(self.start_ts, xid=xid)
-        if fastpath.snapshot_cache:
-            self._snapshots[node_id] = snapshot
+        snapshot = self._snapshots[node_id] = Snapshot(self.start_ts, xid=xid)
         return snapshot
 
     def plain_snapshot(self) -> Snapshot:
@@ -111,15 +107,12 @@ class Transaction:
 
         Never invalidated: it depends only on the immutable start_ts.
         """
-        if fastpath.snapshot_cache:
-            snapshot = self._snapshots.get(None)
-            if snapshot is not None:
-                COUNTERS.snapshot_cache_hits += 1
-                return snapshot
-            COUNTERS.snapshot_cache_misses += 1
-        snapshot = Snapshot(self.start_ts)
-        if fastpath.snapshot_cache:
-            self._snapshots[None] = snapshot
+        snapshot = self._snapshots.get(None)
+        if snapshot is not None:
+            COUNTERS.snapshot_cache_hits += 1
+            return snapshot
+        COUNTERS.snapshot_cache_misses += 1
+        snapshot = self._snapshots[None] = Snapshot(self.start_ts)
         return snapshot
 
     def participant(self, node_id: str) -> Participant | None:

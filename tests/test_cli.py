@@ -57,3 +57,21 @@ def test_experiment_rejects_out_of_range_pump_share(capsys):
     assert main(["experiment", "cross_az", "--pump-share", "1.5"]) == 2
     assert "--pump-share" in capsys.readouterr().err
     assert main(["experiment", "cross_az", "--pump-share", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["chaos", "failover"])
+def test_soak_command_exits_one_on_an_invariant_violation(command, monkeypatch, capsys):
+    import importlib
+    from types import SimpleNamespace
+
+    module = importlib.import_module("repro.experiments." + command)
+    result_class = {"chaos": "ChaosResult", "failover": "FailoverResult"}[command]
+    stats = SimpleNamespace(crash_recoveries=0, migration_retries=0, batches_skipped=0)
+    result = getattr(module, result_class)(
+        seed=0, violations=[(1.25, "lost update on counters:7")], plan_stats=stats
+    )
+    monkeypatch.setattr(module, "run_" + command, lambda config: result)
+    assert main([command, "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "invariant violations: 1" in captured.out
+    assert "VIOLATION t=1.250s: lost update on counters:7" in captured.err

@@ -1,20 +1,25 @@
 """The fast paths must be invisible in simulated time.
 
-Every optimization behind ``repro.fastpath`` — hint bits, snapshot caching,
-group-commit WAL batching, the uncontended-lock fast path — claims to be
-*semantics-preserving*: it may change how much wall-clock the host burns,
-never what happens in the simulation. These tests hold it to that claim at
-two levels:
+Hint bits, shared snapshots, group-commit WAL batching, the uncontended-lock
+fast path and the migration scan/pump/replay batching used to sit behind
+``repro.fastpath`` flags, each with a slow twin. They are now the only path;
+what they must preserve is pinned here as digests recorded on the commit
+before the twins were deleted, where the fast and the all-flags-off runs
+were checked to agree:
 
-- whole experiments: each (scenario, approach, seed) cell is run with the
-  fast paths on and with every flag off, and the canonical-JSON result
-  payloads must be byte-identical;
-- a raw cluster run: the per-commit (time, label, latency) timeline and the
-  final table dump must match tuple-for-tuple.
+- whole experiments: each (scenario, approach, seed) cell's canonical-JSON
+  result payload;
+- a raw cluster run: the per-commit (time, label, latency) timeline, the
+  final table dump and the tuples copied;
+- golden commit timelines with the kernel's slot count (``sim._seq``) for
+  every registry cell plus the failover and chaos soaks.
 
 The profiler makes the same promise (it observes dispatches, it never
 schedules), so it gets the same treatment.
 """
+
+import hashlib
+import importlib
 
 import pytest
 
@@ -32,6 +37,27 @@ _CELLS = [
 ]
 _SEEDS = [0, 1, 2]
 
+#: sha256[:16] of ``canonical_json(result.to_dict())`` per cell and seed,
+#: recorded with the fast paths on and with every flag off (identical).
+_CELL_DIGESTS = {
+    ("load_balancing", "squall"): (
+        "9094a2f637bdb445", "58ab2e42ca0a0d80", "085e4f5ff5dd65cf",
+    ),
+    ("high_contention", "lock_and_abort"): (
+        "0ec93a49f1a42b19", "84496618da192c4c", "f1ee7e8036ab43c2",
+    ),
+    ("scale_out", "wait_and_remaster"): (
+        "c8336661f48ae937", "ff23201acfb9e8a0", "82ea1dc93a217ed9",
+    ),
+    ("hybrid_a", "remus"): (
+        "d4f8fe2841877dbb", "62220faa206cb136", "b7db4419e2eb7f6a",
+    ),
+}
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 def _run_cell(scenario, approach, seed):
     overrides = SMOKE_OVERRIDES.get(scenario, {})
@@ -43,79 +69,36 @@ def _run_cell(scenario, approach, seed):
 @pytest.mark.parametrize("scenario,approach", _CELLS)
 def test_experiment_timeline_identical_with_fastpath_off(scenario, approach):
     for seed in _SEEDS:
-        fast = _run_cell(scenario, approach, seed)
-        with fastpath.all_disabled():
-            slow = _run_cell(scenario, approach, seed)
-        assert canonical_json(fast.to_dict()) == canonical_json(slow.to_dict()), (
-            "fast path changed the {}/{} timeline at seed {}".format(
-                scenario, approach, seed
+        result = _run_cell(scenario, approach, seed)
+        digest = _sha16(canonical_json(result.to_dict()))
+        assert digest == _CELL_DIGESTS[(scenario, approach)][seed], (
+            "the {}/{} timeline drifted at seed {}: {}".format(
+                scenario, approach, seed, digest
             )
         )
         # The payload must survive serialization exactly (sweep workers and
         # BENCH_experiments.json depend on this round-trip).
-        restored = ExperimentResult.from_dict(fast.to_dict())
-        assert restored.to_dict() == fast.to_dict()
-
-
-#: Only the migration data-path flags on — attributes any divergence to the
-#: indexed scan / routed pump / batched replay specifically, with the txn
-#: fast paths held at their legacy behavior.
-_MIGRATION_ONLY = {
-    "clog_hints": False,
-    "snapshot_cache": False,
-    "group_commit": False,
-    "lock_fastpath": False,
-    "migration_scan": True,
-    "migration_pump": True,
-    "migration_replay": True,
-}
-
-
-@pytest.mark.parametrize("scenario,approach", _CELLS)
-def test_migration_fastpath_alone_is_invisible(scenario, approach):
-    for seed in _SEEDS:
-        with fastpath.overridden(**_MIGRATION_ONLY):
-            fast = _run_cell(scenario, approach, seed)
-        with fastpath.all_disabled():
-            slow = _run_cell(scenario, approach, seed)
-        assert canonical_json(fast.to_dict()) == canonical_json(slow.to_dict()), (
-            "migration fast path changed the {}/{} timeline at seed {}".format(
-                scenario, approach, seed
-            )
-        )
-
-
-def test_commit_timeline_identical_with_migration_fastpath_only():
-    from tests.test_determinism import run_once
-
-    with fastpath.overridden(**_MIGRATION_ONLY):
-        fast_commits, fast_dump, fast_copied = run_once(seed=11)
-    with fastpath.all_disabled():
-        slow_commits, slow_dump, slow_copied = run_once(seed=11)
-    assert fast_commits == slow_commits
-    assert fast_dump == slow_dump
-    assert fast_copied == slow_copied
+        restored = ExperimentResult.from_dict(result.to_dict())
+        assert restored.to_dict() == result.to_dict()
 
 
 def test_commit_timeline_identical_with_fastpath_off():
-    """Tuple-level check: every commit time/latency and the final table."""
+    """Tuple-level check: every commit time/latency, the final table and
+    the tuples copied, against the digest the flag-off run produced."""
     from tests.test_determinism import run_once
 
-    fast_commits, fast_dump, fast_copied = run_once(seed=11)
-    with fastpath.all_disabled():
-        slow_commits, slow_dump, slow_copied = run_once(seed=11)
-    assert fast_commits == slow_commits
-    assert fast_dump == slow_dump
-    assert fast_copied == slow_copied
+    commits, dump, copied = run_once(seed=11)
+    digest = _sha16(repr((commits, sorted(dump.items()), copied)))
+    assert digest == "15bb1ce6f928fb36"
 
 
 def test_flags_restored_after_override():
-    before = fastpath.flags()
-    with fastpath.all_disabled():
-        assert not any(fastpath.flags().values())
-    assert fastpath.flags() == before
-    with pytest.raises(ValueError):
-        fastpath.configure(warp_drive=True)
+    before = fastpath.batch_workload
+    with fastpath.overridden(batch_workload=not before):
+        assert fastpath.batch_workload is not before
+    assert fastpath.batch_workload is before
+    with pytest.raises(ValueError), fastpath.overridden(warp_drive=True):
+        pass
 
 
 def test_profiler_does_not_perturb_the_timeline():
@@ -147,7 +130,8 @@ def test_profiler_rejects_nesting():
 #: horizon hold — before vacuum went from a whole-heap sweep to the
 #: candidate set (PR 15), and every approach of ``hybrid_a``, ``hybrid_b``,
 #: ``scale_out`` and ``cross_az`` before the partitioned and parallel event
-#: loops were deleted. A change that only makes the host's work cheaper
+#: loops were deleted, and the ``failover`` and ``chaos`` soaks before the
+#: fast-path flags and their slow twins were. A change that only makes the host's work cheaper
 #: keeps all three; one that removes, adds or reorders a single wakeup, or
 #: reclaims a version a pass earlier or later than a reader walks its
 #: chain, moves the event count or the digest. Re-pin only for a change
@@ -176,6 +160,8 @@ _GOLDEN = {
     ("cross_az", "lock_and_abort"): ("f563efe622f20292", 4668, 73298),
     ("cross_az", "wait_and_remaster"): ("ee42dd23350e2da8", 4638, 72144),
     ("cross_az", "squall"): ("33d99ebf4c4ad572", 4119, 63747),
+    ("failover", "remus"): ("8423bc6b7350ad16", 2118, 144522),
+    ("chaos", "remus"): ("0ba27bab6003d252", 6191, 216813),
 }
 #: The table whose final contents join each scenario's digest (TPC-C's
 #: ``district`` is written by both new-order and payment).
@@ -186,14 +172,31 @@ _GOLDEN_TABLE = {
     "hybrid_b": "ycsb",
     "scale_out": "district",
     "cross_az": "ycsb",
+    "failover": "counters",
+    "chaos": "counters",
+}
+#: The two soak harnesses outside the registry, run at their default
+#: config and seed 0: scenario -> (runner, config class) in
+#: ``repro.experiments.<scenario>``.
+_SOAKS = {
+    "failover": ("run_failover", "FailoverConfig"),
+    "chaos": ("run_chaos", "ChaosConfig"),
 }
 
 
 def _run_cell_capturing_cluster(scenario, approach, monkeypatch):
-    """Run the smoke cell at seed 0 and hand back the cluster it built."""
-    import importlib
+    """Run the smoke cell (or soak) at seed 0 and hand back its cluster."""
+    if scenario in _SOAKS:
+        module = importlib.import_module("repro.experiments." + scenario)
+        runner, config = (getattr(module, name) for name in _SOAKS[scenario])
 
-    module = importlib.import_module(registry.get(scenario).runner.__module__)
+        def run():
+            runner(config(seed=0))
+    else:
+        module = importlib.import_module(registry.get(scenario).runner.__module__)
+
+        def run():
+            _run_cell(scenario, approach, 0)
     clusters = []
     build_cluster = module.build_cluster
 
@@ -202,19 +205,17 @@ def _run_cell_capturing_cluster(scenario, approach, monkeypatch):
         return clusters[-1]
 
     monkeypatch.setattr(module, "build_cluster", capturing_build)
-    _run_cell(scenario, approach, 0)
+    run()
     (cluster,) = clusters
     return cluster
 
 
 @pytest.mark.parametrize("scenario,approach", sorted(_GOLDEN))
 def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch):
-    import hashlib
-
     cluster = _run_cell_capturing_cluster(scenario, approach, monkeypatch)
     commits = [(r.time, r.label, r.latency) for r in cluster.metrics.commits]
     dump = sorted(cluster.dump_table(_GOLDEN_TABLE[scenario]).items())
-    digest = hashlib.sha256(repr((commits, dump)).encode()).hexdigest()[:16]
+    digest = _sha16(repr((commits, dump)))
     # ``_seq`` numbers every wakeup slot of the run — a schedule()/
     # schedule_at() call or a tail dispatch — so slots per committed txn
     # (16.28 for load_balancing/remus) is pinned seed-exactly.
@@ -322,9 +323,7 @@ def _sorted_timeline(payload):
 
 
 def _timeline_digest(payload):
-    import hashlib
-
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+    return _sha16(canonical_json(payload))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

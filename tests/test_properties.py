@@ -12,6 +12,7 @@ from repro.cluster.hashing import (
 from repro.metrics.series import bin_series, downtime_windows, moving_average
 from repro.sim import Simulator
 from repro.storage import Clog, HeapTable, Snapshot, TxnStatus
+from repro.storage.snapshot import UNDECIDED
 from repro.storage.tuples import ABORTED
 from repro.txn.timestamps import HybridLogicalClock, decode_hlc, encode_hlc
 from repro.workloads.zipf import ZipfGenerator
@@ -123,6 +124,118 @@ def test_visible_version_matches_reference_model(gaps, read_ts):
     visible = [t for t in commit_times if t <= read_ts]
     expected = "v{}".format(max(visible)) if visible else None
     assert value == expected
+
+
+# ----------------------------------------------------------------------
+# Hint-bit visibility against the CLOG-only reader it replaced
+# ----------------------------------------------------------------------
+#: The reference reader's verdict when it would prepare-wait.
+_WAIT = "prepare-wait"
+
+
+def _clog_only_read(chain, snapshot, clog):
+    """The reader ``HeapTable`` had before hint bits: every version goes to
+    the CLOG, nothing is stamped. Kept here, and only here, as the oracle.
+    Returns ``(version_or_None, versions_traversed)`` or ``(_WAIT, None)``."""
+
+    def committed_for_us(xid):
+        if xid == snapshot.xid:
+            return True
+        status = clog.status(xid)
+        if status is TxnStatus.PREPARED:
+            return _WAIT
+        return status is TxnStatus.COMMITTED and clog.commit_ts(xid) <= snapshot.start_ts
+
+    for traversed, version in enumerate(chain, 1):
+        created = committed_for_us(version.xmin)
+        if created is _WAIT:
+            return _WAIT, None
+        if not created:
+            continue
+        if version.xmax is None:
+            return version, traversed
+        deleted = committed_for_us(version.xmax)
+        if deleted is _WAIT:
+            return _WAIT, None
+        return (None if deleted else version), traversed
+    return None, len(chain)
+
+
+def _first_step(generator):
+    """Run a visibility generator to its first yield: its return value, or
+    ``(_WAIT, None)`` if it parks on a prepare-wait."""
+    try:
+        generator.send(None)
+    except StopIteration as stop:
+        return stop.value
+    generator.close()
+    return _WAIT, None
+
+
+_XIDS = 6  # xid 0 is the reader's own transaction and stays IN_PROGRESS
+_XID = st.integers(min_value=0, max_value=_XIDS - 1)
+_FATE = st.tuples(
+    st.sampled_from(list(TxnStatus)), st.integers(min_value=1, max_value=4)
+)
+
+
+@given(
+    st.lists(st.tuples(_XID, st.none() | _XID), min_size=1, max_size=6),
+    st.lists(_FATE, min_size=_XIDS - 1, max_size=_XIDS - 1),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),  # snapshot start_ts
+            st.booleans(),  # read as xid 0 (sees its own writes)
+            st.none() | st.tuples(_XID, st.booleans()),  # then settle an xid
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads):
+    """Mixed-fate chains — creators and deleters COMMITTED, ABORTED,
+    IN_PROGRESS or PREPARED, with the reader's own writes among them — read
+    repeatedly, so later reads trust the hints earlier ones stamped, while
+    in-doubt writers settle in between. Every answer matches the CLOG-only
+    reader: ``visible_version`` (version and chain positions walked, or a
+    prepare-wait), ``latest_committed_or_locked``, and
+    ``scan_visible_fast`` whenever it decides without a fallback."""
+    sim = Simulator()
+    clog = Clog(sim)
+    heap = HeapTable(sim, clog)
+    for xid in range(_XIDS):
+        clog.begin(xid)
+    for (status, commit_ts), xid in zip(fates, range(1, _XIDS)):
+        if status is TxnStatus.PREPARED:
+            clog.set_prepared(xid)
+        elif status is TxnStatus.COMMITTED:
+            clog.set_committed(xid, commit_ts)
+        elif status is TxnStatus.ABORTED:
+            clog.set_aborted(xid)
+    for creator, deleter in reversed(chain_spec):
+        version = heap.put_version("k", "v", creator)
+        if deleter is not None:
+            heap.mark_deleted(version, deleter)
+    chain = heap.chain("k")
+
+    for start_ts, own, settle in reads:
+        snapshot = Snapshot(start_ts, xid=0 if own else None)
+        expected = _clog_only_read(chain, snapshot, clog)
+        scanned = heap.scan_visible_fast("k", snapshot)
+        if scanned is not UNDECIDED:
+            assert scanned is expected[0]
+        assert _first_step(heap.visible_version("k", snapshot)) == expected
+        latest = next(
+            (v for v in chain if clog.status(v.xmin) is not TxnStatus.ABORTED), None
+        )
+        assert heap.latest_committed_or_locked("k") is latest
+        if settle is not None and settle[0] != 0 and not clog.is_finished(settle[0]):
+            xid, commit = settle
+            if commit:
+                clog.set_committed(xid, fates[xid - 1][1])
+            else:
+                clog.set_aborted(xid)
 
 
 # ----------------------------------------------------------------------
