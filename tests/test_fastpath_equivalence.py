@@ -92,6 +92,20 @@ def test_commit_timeline_identical_with_fastpath_off():
     assert digest == "15bb1ce6f928fb36"
 
 
+def test_commit_timeline_identical_with_migration_fastpath_only():
+    """The same run, split so a drift is attributed: the migration data
+    path (indexed scan, routed pump, batched replay) owns the tuples copied
+    and the migrated shard's final rows; the commit timeline is checked on
+    its own. Each value is the one the flag-off run produced."""
+    from tests.test_determinism import run_once
+
+    commits, dump, copied = run_once(seed=11)
+    assert copied == 79
+    assert len(dump) == 400
+    assert _sha16(repr(sorted(dump.items()))) == "3bca4804f80b9132"
+    assert _sha16(repr(commits)) == "0576e67f62d7d785"
+
+
 def test_flags_restored_after_override():
     before = fastpath.batch_workload
     with fastpath.overridden(batch_workload=not before):
