@@ -48,8 +48,6 @@ class Node:
         # replica takes over as the new primary (§3.7).
         self.failed = False
         self._recovered = None
-        if config.replication_factor > 0:
-            self.manager.extra_flush_latency = config.replica_sync_latency
 
     # ------------------------------------------------------------------
     # Failure / failover

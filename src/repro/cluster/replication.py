@@ -2,9 +2,9 @@
 
 Each replicated shard gets a *group*: the owning node is the leader and N
 followers hold full copies. A send process on the leader tails the leader's
-WAL through the per-shard routing index (the same shard-routed pump the
-migration propagation pipeline uses) and turns the shard's transaction
-stream into a *group log* of prepare/commit/abort entries. One feeder
+WAL (a :class:`~repro.storage.wal.WalTailer`, the same loop migration
+propagation runs) and turns the shard's transaction stream into a *group
+log* of prepare/commit/abort entries. One feeder
 process per follower ships log entries in order over the reliable-RPC layer,
 applies them to the follower's heap and acks; a prepare or commit is
 *quorum-acknowledged* once a majority of the group (leader included) holds
@@ -26,11 +26,9 @@ the shard — which is also why ``wait_and_remaster`` onto an in-sync
 follower is near-free (the STAR-style asymmetric path).
 """
 
-from bisect import bisect_left
-
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
-from repro.storage.wal import WalRecordKind
+from repro.storage.wal import WalRecordKind, WalTailer
 from repro.txn.errors import ReplicaFailover, RpcAbort, StaleEpoch
 
 _PROBE_SIZE = 32  # heartbeat probe bytes
@@ -102,7 +100,7 @@ class ShardReplicaGroup:
         self._quorum_waiters = []  # (kind, origin, xid, event)
         self._wake = None  # event armed while a feeder waits for work
         self._pump_proc = None
-        self._pump_reader = None
+        self._tailer = None  # the current pump generation's WalTailer
         self._pump_caches = {}  # leader-local xid -> cached change records
         self._prepared = {}  # leader-local xid -> records already logged
         self._monitor_proc = None
@@ -190,9 +188,12 @@ class ShardReplicaGroup:
         leader_node = self.cluster.nodes[self.leader_node_id]
         self._pump_caches = {}
         self._prepared = {}
-        self._pump_reader = leader_node.wal.reader(from_lsn)
+        self._tailer = WalTailer(
+            leader_node.wal, [self.shard_id], from_lsn, leader_node.cpu,
+            self.costs.cpu_propagate, self.config.pump_batch_records,
+        )
         self._pump_proc = self.sim.spawn(
-            self._pump(leader_node, self._pump_reader),
+            self._tailer.run(lambda record: self._handle(record, leader_node.node_id)),
             name="repl-pump:{}".format(self.shard_id),
         )
 
@@ -229,58 +230,8 @@ class ShardReplicaGroup:
             armed.succeed(None)
 
     # ------------------------------------------------------------------
-    # Leader pump: leader WAL -> group log (shard-routed, as in PR 5)
+    # Leader pump: leader WAL -> group log (the tailer calls _handle)
     # ------------------------------------------------------------------
-    def _pump(self, leader_node, reader):
-        # The reader is handed in by _start_pump rather than re-read from
-        # self._pump_reader: the attribute changes on every reconfiguration,
-        # and this pump generation must keep its own cursor even if a stale
-        # scheduling slot runs it one last time after an election replaced
-        # the pump (check-then-act across the yields below).
-        try:
-            wal = leader_node.wal
-            cpu = leader_node.cpu
-            batch = self.config.repl_ship_batch
-            charge = self.costs.cpu_propagate * batch
-            since_charge = 0
-            change_index, control_index = wal.routing_index()
-            route = change_index.get(self.shard_id)
-            if route is None:
-                # Share the live list so appends after this point land in it.
-                route = change_index[self.shard_id] = []
-            routes = [control_index, route]
-            cursors = [bisect_left(r, reader.next_lsn) for r in routes]
-            while True:
-                if reader.next_lsn >= wal.tail_lsn:
-                    yield wal._wait_appended()
-                    continue
-                next_lsn = wal.tail_lsn
-                winner = -1
-                for index, r in enumerate(routes):
-                    cursor = cursors[index]
-                    if cursor < len(r) and r[cursor] < next_lsn:
-                        next_lsn = r[cursor]
-                        winner = index
-                gap = next_lsn - reader.next_lsn
-                if gap:
-                    reader.next_lsn += gap
-                    since_charge += gap
-                    while since_charge >= batch:
-                        yield cpu.use(charge)
-                        since_charge -= batch
-                if winner < 0:
-                    continue
-                record = wal.record_at(next_lsn)
-                reader.next_lsn = next_lsn + 1
-                cursors[winner] += 1
-                since_charge += 1
-                if since_charge >= batch:
-                    yield cpu.use(charge)
-                    since_charge = 0
-                self._handle(record, leader_node.node_id)
-        except Interrupt:
-            return
-
     def _handle(self, record, origin):
         kind = record.kind
         if kind.is_change:
@@ -624,13 +575,14 @@ class ShardReplicaGroup:
         )
 
     def drain(self):
-        """Generator: wait until the pump has consumed the leader's WAL and
-        every live follower has applied the full group log."""
+        """Generator: wait until the pump has handled the leader's whole WAL
+        (every record it consumed is in the group log) and every live
+        follower has applied the full group log."""
         interval = self.config.repl_lease_interval
         while True:
             leader_wal = self.cluster.nodes[self.leader_node_id].wal
-            reader = self._pump_reader
-            if reader is not None and reader.next_lsn < leader_wal.tail_lsn:
+            tailer = self._tailer
+            if tailer is not None and tailer.handled_lsn < leader_wal.tail_lsn:
                 yield interval
                 continue
             behind = [

@@ -146,12 +146,6 @@ class ClusterConfig:
     backup_chunk_bytes: int = 262144
     vacuum_interval: float = 1.0  # seconds between vacuum passes
     cpu_bin_width: float = 1.0  # CPU usage accounting bin (Figure 10)
-    # Fault tolerance (§3.7: each node can have synchronized replicas; a
-    # replica takes over as the new primary on failure). replication_factor 0
-    # disables replication; > 0 makes every commit wait for the synchronous
-    # replica round trip.
-    replication_factor: int = 0
-    replica_sync_latency: float = 0.0004  # per WAL flush with replication on
     # RPC discipline (chaos hardening): every cross-node protocol hop waits
     # at most rpc_timeout for delivery, retries with exponential backoff and
     # gives up (aborting the transaction) after rpc_max_attempts. 2PC
@@ -164,17 +158,17 @@ class ClusterConfig:
     # Migration data-path batching (§3.2/§3.3). Formerly magic constants in
     # snapshot_copy/propagation; centralized so experiments can tune them.
     snapshot_batch_tuples: int = 256  # tuples per snapshot-copy RPC batch
-    pump_batch_records: int = 64  # WAL records per send-process CPU charge
+    # WAL records per CPU charge of a WAL tailer: both the migration send
+    # process and a replication group's leader pump.
+    pump_batch_records: int = 64
     propagation_msg_overhead: int = 128  # protocol bytes per shipped message
     default_tuple_size: int = 64  # bytes for tables with no declared size
     # Per-shard replication groups (leader + N followers, WAL shipping,
     # quorum-acked commit). The lease monitor declares a leader dead after
     # repl_lease_timeout without a heartbeat and elects the lowest live
-    # replica id; repl_ship_batch bounds records per shipped group-log entry
-    # message for the per-follower feed.
+    # replica id.
     repl_lease_interval: float = 0.05
     repl_lease_timeout: float = 0.2
-    repl_ship_batch: int = 64
     # Storm-scale workload knobs (repro.workloads.batch). The population
     # arrival generator models ``storm_population`` clients as Poisson
     # arrival batches drawn once per ``storm_arrival_tick`` seconds of

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, TierProfiles
+from repro.faults import InvariantChecker
 from repro.migration import Migration
 from repro.sim.network import MIGRATION_CLASS
 from repro.sim.topology import Topology, make_topology
@@ -193,3 +194,13 @@ def check_no_crashes(cluster, allow_prefixes=()):
                 len(crashes), name, exc
             )
         ) from exc
+
+
+def check_run_ok(cluster):
+    """End of a registry run: no background process crashed and one
+    invariant sweep finds nothing. Both only read state, so neither adds a
+    kernel event or touches the result payload."""
+    check_no_crashes(cluster)
+    checker = InvariantChecker(cluster)
+    checker.check_once()
+    checker.assert_ok()

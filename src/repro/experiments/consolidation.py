@@ -17,7 +17,7 @@ from repro.experiments.common import (
     ExperimentResult,
     build_cluster,
     build_ycsb,
-    check_no_crashes,
+    check_run_ok,
     note_topology,
     run_until_finished,
     summarize,
@@ -121,7 +121,7 @@ def _hybrid_a(approach, config=None):
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
-    check_no_crashes(cluster)
+    check_run_ok(cluster)
 
     result = ExperimentResult(approach=approach, scenario="hybrid_a")
     summarize(result, cluster.metrics, label="ycsb", end_time=end, weighted_label="batch")
@@ -208,7 +208,7 @@ def _hybrid_b(approach, config=None):
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
-    check_no_crashes(cluster)
+    check_run_ok(cluster)
 
     result = ExperimentResult(approach=approach, scenario="hybrid_b")
     summarize(result, cluster.metrics, label="ycsb", end_time=end)

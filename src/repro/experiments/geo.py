@@ -28,7 +28,7 @@ from repro.experiments.common import (
     ExperimentResult,
     build_cluster,
     build_ycsb,
-    check_no_crashes,
+    check_run_ok,
     note_topology,
     run_until_finished,
     summarize,
@@ -132,7 +132,7 @@ def _cross_az(approach, config=None):
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
-    check_no_crashes(cluster)
+    check_run_ok(cluster)
 
     result = ExperimentResult(approach=approach, scenario="cross_az")
     summarize(result, cluster.metrics, label="ycsb", end_time=end)

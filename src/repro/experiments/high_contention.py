@@ -19,7 +19,7 @@ from repro.experiments import registry
 from repro.experiments.common import (
     ExperimentResult,
     build_cluster,
-    check_no_crashes,
+    check_run_ok,
     note_topology,
     run_until_finished,
     summarize,
@@ -119,7 +119,7 @@ def _high_contention(approach="remus", config=None):
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
-    check_no_crashes(cluster)
+    check_run_ok(cluster)
 
     metrics = cluster.metrics
     result = ExperimentResult(approach=approach, scenario="high_contention")

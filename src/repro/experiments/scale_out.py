@@ -17,7 +17,7 @@ from repro.experiments import registry
 from repro.experiments.common import (
     ExperimentResult,
     build_cluster,
-    check_no_crashes,
+    check_run_ok,
     note_topology,
     run_until_finished,
     summarize,
@@ -139,7 +139,7 @@ def _scale_out(approach, config=None):
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
-    check_no_crashes(cluster)
+    check_run_ok(cluster)
 
     result = ExperimentResult(approach=approach, scenario="scale_out")
     summarize(result, cluster.metrics, label="tpcc", end_time=end)

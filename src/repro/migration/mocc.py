@@ -67,7 +67,7 @@ class MoccCoordinator(CommitHook):
             return True
         if (
             participant.prepare_lsn is not None
-            and participant.prepare_lsn < self.propagation.handled_lsn
+            and participant.prepare_lsn < self.propagation.tailer.handled_lsn
         ):
             return False
         return True

@@ -24,14 +24,14 @@ with overlapping write keys are chained in commit order (the paper's
 order", §3.6).
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
 from repro.sim.ordered import OrderedSet
 from repro.sim.resources import Resource
-from repro.storage.wal import WalRecordKind
+from repro.storage.wal import WalRecordKind, WalTailer
 from repro.txn.errors import RpcAbort, SerializationFailure, TransactionError
 from repro.txn.transaction import Transaction, TxnState
 
@@ -56,7 +56,6 @@ class Propagation:
         # Frozen tuple-keyed set: ShardId is a tuple subclass, so membership
         # per WAL record is one O(1) hash with no per-record allocation.
         self.shard_set = frozenset(shard_ids)
-        self._pump_batch = cluster.config.pump_batch_records
         self._msg_overhead = cluster.config.propagation_msg_overhead
         self.source = source
         self.dest = dest
@@ -65,11 +64,12 @@ class Propagation:
         self.costs = cluster.config.costs
         self.source_node = cluster.nodes[source]
         self.dest_node = cluster.nodes[dest]
-        self.reader = self.source_node.wal.reader(from_lsn)
-        # Every record below this LSN has had its effect (_handle returned).
-        # reader.next_lsn runs ahead of it while the pump is parked in its
-        # CPU charge: "has the PREPARE been seen?" must ask this one.
-        self.handled_lsn = from_lsn
+        # The send process. "Has the PREPARE been handled?" and the applied
+        # watermark read tailer.handled_lsn, never the consumed cursor.
+        self.tailer = WalTailer(
+            self.source_node.wal, self.shard_set, from_lsn, self.source_node.cpu,
+            self.costs.cpu_propagate, cluster.config.pump_batch_records,
+        )
         self.mocc = None  # set by enable_sync(); None => async mode
         self._caches = {}  # source xid -> [change records]
         self._validated = {}  # source xid -> (shadow txn, inflight entry)
@@ -90,8 +90,6 @@ class Propagation:
         self._shadows = []  # every shadow txn created by this pipeline
         self._pump_process = None
         self._apply_gate = None  # armed while the snapshot copy is running
-        self._since_cpu_charge = 0
-        self.records_seen = 0
         self.pending_records = 0  # records in caches/in-flight (bookkeeping)
         self.unreplayed_records = 0  # committed records not yet applied
         # Set when a transfer exhausted its RPC retry budget (partitioned /
@@ -103,7 +101,10 @@ class Propagation:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        self._pump_process = self.sim.spawn(self._pump(), name="propagation-send")
+        self._pump_process = self.sim.spawn(
+            self.tailer.run(self._handle, self._check_applied_waiters),
+            name="propagation-send",
+        )
 
     def stop(self, kill_tasks=False):
         """Stop the send process; with ``kill_tasks`` also interrupt every
@@ -178,13 +179,13 @@ class Propagation:
         cannot hold the mode change back; a long-running batch insert would
         otherwise stall the catch-up forever.
         """
-        return self.reader.lag + self.unreplayed_records
+        return self.tailer.lag + self.unreplayed_records
 
     def applied_watermark(self):
         """Every committed change with lsn below this has been applied."""
         if self._inflight:
             return min(entry.min_lsn for entry in self._inflight)
-        return self.reader.next_lsn
+        return self.tailer.handled_lsn
 
     def wait_applied_through(self, lsn):
         """Event firing once the applied watermark reaches ``lsn``."""
@@ -212,77 +213,8 @@ class Propagation:
             entry[2].succeed(None)
 
     # ------------------------------------------------------------------
-    # Send process
+    # Send process: the tailer calls this on each routed record
     # ------------------------------------------------------------------
-    def _pump(self):
-        try:
-            yield from self._pump_routed()
-        except Interrupt:
-            return
-
-    def _pump_routed(self):
-        """Shard-routed send loop.
-
-        Consumes only the records propagation acts on — change records
-        touching the migrating shard set, plus every control record — via
-        the WAL's per-shard routing index. Skipped records still advance
-        the reader cursor, the ``records_seen`` count and the CPU-charge
-        accounting, so the send process pays ``cpu_propagate`` for every
-        WAL record it passes (the ~6% source overhead in Figure 10), one
-        charge per ``pump_batch_records`` records, at the instant the
-        batch boundary is crossed, interleaved with the ``_handle``
-        effects in LSN order.
-        """
-        wal = self.source_node.wal
-        reader = self.reader
-        cpu = self.source_node.cpu
-        batch = self._pump_batch
-        charge = self.costs.cpu_propagate * batch
-        change_index, control_index = wal.routing_index()
-        routes = [control_index]
-        for shard_id in sorted(self.shard_set):
-            route = change_index.get(shard_id)
-            if route is None:
-                # Share the live list so appends after this point land in it.
-                route = change_index[shard_id] = []
-            routes.append(route)
-        cursors = [bisect_left(route, reader.next_lsn) for route in routes]
-        while True:
-            if reader.next_lsn >= wal.tail_lsn:
-                yield wal._wait_appended()
-                continue
-            # Next relevant record at or beyond the reader cursor, if any.
-            next_lsn = wal.tail_lsn
-            winner = -1
-            for index, route in enumerate(routes):
-                cursor = cursors[index]
-                if cursor < len(route) and route[cursor] < next_lsn:
-                    next_lsn = route[cursor]
-                    winner = index
-            # Records in [reader.next_lsn, next_lsn) are irrelevant: count
-            # them and pay every crossed charge boundary, handling nothing.
-            gap = next_lsn - reader.next_lsn
-            if gap:
-                self.records_seen += gap
-                reader.next_lsn += gap
-                COUNTERS.migration_pump_skipped += gap
-                self._since_cpu_charge += gap
-                while self._since_cpu_charge >= batch:
-                    yield cpu.use(charge)
-                    self._since_cpu_charge -= batch
-            if winner < 0:
-                continue
-            record = wal.record_at(next_lsn)
-            reader.next_lsn = next_lsn + 1
-            cursors[winner] += 1
-            self.records_seen += 1
-            self._since_cpu_charge += 1
-            if self._since_cpu_charge >= batch:
-                yield cpu.use(charge)
-                self._since_cpu_charge = 0
-            self._handle(record)
-            self.handled_lsn = next_lsn + 1
-
     def _handle(self, record):
         kind = record.kind
         if kind.is_change:
@@ -315,7 +247,6 @@ class Propagation:
         if commit_ts <= self.snapshot_ts:
             # Already contained in the snapshot copy.
             self.pending_records -= len(records)
-            self._check_applied_waiters()
             return
         self.unreplayed_records += len(records)
         self._start_async_apply(records, commit_ts)
@@ -330,7 +261,6 @@ class Propagation:
                 self._rollback_prepared_shadow(xid, shadow, entry),
                 name="shadow-rollback",
             )
-        self._check_applied_waiters()
 
     # ------------------------------------------------------------------
     # Replay task scheduling (commit-order chaining per key)

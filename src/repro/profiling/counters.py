@@ -1,12 +1,12 @@
 """Zero-sim-time-overhead fast-path counters.
 
 The storage, transaction and migration fast paths — hint bits, snapshot
-sharing, group commit, the lock fast path, the batched scan, the routed
-pump, coalesced replay — bump these plain integer attributes as they run,
-showing how often each one fires. Incrementing a counter never touches the
-simulator — no events, no virtual time, no RNG draws — so the counts can
-stay on in production runs and feed both ``repro profile`` reports and the
-end-to-end benchmark without perturbing any timeline.
+sharing, group commit, the lock fast path, the batched scan, the routed WAL
+tailer (migration and replication pumps alike), coalesced replay — bump
+these plain integer attributes as they run, showing how often each one
+fires. Incrementing a counter never touches the simulator — no events, no
+virtual time, no RNG draws — so the counts can stay on in production runs
+and feed ``repro profile`` and the end-to-end benchmark unperturbed.
 
 The counters are deliberately coarse: one increment per *operation* (e.g.
 per ``visible_version`` call), not per version traversed, to keep the cost

@@ -8,7 +8,8 @@ This package implements the storage substrate the paper's protocols rely on:
   its status (in-progress / **prepared** / committed / aborted) and commit
   timestamp, including the *prepare-wait* hook used for distributed SI;
 - :mod:`repro.storage.wal` — a write-ahead log with typed records, LSNs and
-  streaming readers (the substrate for Remus' update propagation);
+  the shard-routed tailer that both update propagation (Remus' send
+  process) and the replication pump run on;
 - :mod:`repro.storage.heap` — versioned heap tables (one per shard) with a
   primary-key index and MVCC reads/writes;
 - :mod:`repro.storage.snapshot` — snapshots and visibility checking.
@@ -18,7 +19,7 @@ from repro.storage.clog import Clog, TxnStatus
 from repro.storage.heap import HeapTable
 from repro.storage.snapshot import Snapshot, VisibilityError
 from repro.storage.tuples import TupleVersion
-from repro.storage.wal import Wal, WalReader, WalRecord, WalRecordKind
+from repro.storage.wal import Wal, WalRecord, WalRecordKind, WalTailer
 
 __all__ = [
     "Clog",
@@ -28,7 +29,7 @@ __all__ = [
     "TxnStatus",
     "VisibilityError",
     "Wal",
-    "WalReader",
     "WalRecord",
     "WalRecordKind",
+    "WalTailer",
 ]

@@ -72,7 +72,6 @@ class NodeTxnManager:
         self._commit_hooks = []
         self.active_xids = OrderedSet()
         self._first_change_lsn = {}  # xid -> LSN of its first change record
-        self.extra_flush_latency = 0.0  # synchronous replication round trip
         self.flush_stall_until = 0.0  # chaos: WAL device stalled until then
         # Epoch-tagged snapshot caching: bumped on every active_xids change
         # (begin/commit/abort), so cached frozensets / shared read snapshots
@@ -403,8 +402,7 @@ class NodeTxnManager:
     # Local 2PC halves
     # ------------------------------------------------------------------
     def flush_wal(self):
-        """Durable WAL flush; with synchronous replication the commit also
-        waits for the replicas to acknowledge (§3.7).
+        """Durable WAL flush.
 
         A chaos-injected WAL stall (``flush_stall_until``) models a hiccuping
         storage device: every flush issued before that time blocks until the
@@ -416,7 +414,7 @@ class NodeTxnManager:
         events while resuming the waiters in the identical order. A stalled
         device disables coalescing for the stall window — correctness of
         the stall loop stays with the simple per-flush path."""
-        delay = self.costs.wal_flush + self.extra_flush_latency
+        delay = self.costs.wal_flush
         COUNTERS.wal_flushes += 1
         if self.sim.now >= self.flush_stall_until:
             waitable = self.wal.flush_group.join(delay)

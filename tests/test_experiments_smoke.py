@@ -42,6 +42,24 @@ def test_hybrid_a_smoke(approach):
         assert result.abort_ratio == 0.0
 
 
+def test_registry_run_ends_with_an_invariant_sweep(monkeypatch):
+    """Every registry run ends with one invariant sweep that raises on a
+    violation: here a shard handed to a node that does not exist, planted
+    just before the sweep."""
+    from repro.faults import InvariantChecker, InvariantViolation
+
+    check_once = InvariantChecker.check_once
+
+    def corrupt_then_check(checker):
+        shard_id = sorted(checker.cluster.tables["ycsb"].shard_ids())[0]
+        checker.cluster.shard_owners[shard_id] = "node-99"
+        check_once(checker)
+
+    monkeypatch.setattr(InvariantChecker, "check_once", corrupt_then_check)
+    with pytest.raises(InvariantViolation, match="owned by unknown node 'node-99'"):
+        registry.run("hybrid_a", approach="remus", config=tiny_consolidation())
+
+
 def test_hybrid_a_squall_smoke():
     result = registry.run("hybrid_a", approach="squall", config=tiny_consolidation())
     assert result.extra["data_intact"]

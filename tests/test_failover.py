@@ -12,8 +12,8 @@ from repro.txn.transaction import TxnState
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
 
-def build(replication=1):
-    cluster = Cluster(ClusterConfig(num_nodes=3, replication_factor=replication))
+def build():
+    cluster = Cluster(ClusterConfig(num_nodes=3))
     workload = YcsbWorkload(
         cluster,
         YcsbConfig(num_tuples=600, num_shards=6, num_clients=6,
@@ -21,13 +21,6 @@ def build(replication=1):
     )
     workload.create()
     return cluster, workload
-
-
-def test_replication_adds_commit_latency():
-    plain, _w = build(replication=0)
-    replicated, _w2 = build(replication=2)
-    assert replicated.nodes["node-1"].manager.extra_flush_latency > 0
-    assert plain.nodes["node-1"].manager.extra_flush_latency == 0
 
 
 def test_failed_node_blocks_new_work_until_failover():
@@ -121,11 +114,7 @@ def test_source_failure_mid_migration_then_recovery():
     from repro.config import CostModel
 
     cluster = Cluster(
-        ClusterConfig(
-            num_nodes=3,
-            replication_factor=1,
-            costs=CostModel(snapshot_scan_per_tuple=2e-3),
-        )
+        ClusterConfig(num_nodes=3, costs=CostModel(snapshot_scan_per_tuple=2e-3))
     )
     workload = YcsbWorkload(
         cluster,

@@ -238,6 +238,54 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
     prop.stop(kill_tasks=True)
 
 
+def test_applied_watermark_waits_for_a_consumed_commit_to_be_handled():
+    """Regression (publish before effect). The send process consumes a
+    record, *then* pays its per-batch CPU charge, *then* handles it. A
+    ``wait_applied_through(tail)`` registered inside that window used to
+    fire at once, read off the consumed cursor, while the committed row was
+    not yet on the destination: the guarantee Remus's mode change (§3.4)
+    and the baselines' final catch-up rely on was void."""
+    from repro.config import CostModel
+
+    config = ClusterConfig(
+        num_nodes=2, pump_batch_records=1, costs=CostModel(cpu_propagate=0.01)
+    )
+    cluster = Cluster(config)
+    cluster.create_table("t", num_shards=2, tuple_size=100)
+    cluster.bulk_load("t", [(k, {"v": k}) for k in range(40)])
+    shard = cluster.shards_on_node("node-1", table="t")[0]
+    source = cluster.nodes["node-1"]
+    prop = Propagation(
+        cluster, [shard], "node-1", "node-2", 0, from_lsn=source.wal.tail_lsn,
+        stats=MigrationStats(),
+    )
+    prop.start()
+    # A 2PC participant's records, all at t=0: one charge per record puts
+    # the COMMIT_PREPARED's charge over (0.02, 0.03).
+    source.clog.begin(960)
+    wal_change(cluster, xid=960, shard_id=shard, key=5000, value={"v": "new"})
+    source.wal.append(WalRecord(WalRecordKind.PREPARE, xid=960, start_ts=1))
+    source.clog.set_committed(960, 100)
+    source.wal.append(WalRecord(WalRecordKind.COMMIT_PREPARED, xid=960, commit_ts=100))
+    cluster.run(until=0.0201)
+
+    dest_heap = cluster.nodes["node-2"].heap_for(shard)
+    fired = {}
+
+    def on_fire(_event):
+        version = dest_heap.latest_committed_or_locked(5000)
+        fired["at"] = cluster.sim.now
+        fired["row"] = None if version is None else version.value
+
+    event = prop.wait_applied_through(source.wal.tail_lsn)
+    assert not event.triggered, "fired on a consumed but unhandled COMMIT_PREPARED"
+    event.add_callback(on_fire)
+    cluster.run(until=1.0)
+    assert fired["row"] == {"v": "new"}
+    assert fired["at"] > 0.03
+    prop.stop()
+
+
 def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
     """Regression (the MOCC wedge: 10 of 40 ``load_balancing`` seeds). The
     send process moves its cursor past a record, *then* may wait for its
@@ -275,7 +323,8 @@ def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
         # Consumed (the cursor is past it) but not handled (handling a
         # PREPARE moves the transaction's cached changes into a validation).
         seen["straddled"] = (
-            participant.prepare_lsn < prop.reader.next_lsn and participant.xid in prop._caches
+            participant.prepare_lsn < prop.tailer._consumed_lsn
+            and participant.xid in prop._caches
         )
         seen["expects"] = expects_validation(participant)
         return seen["expects"]

@@ -393,6 +393,60 @@ def test_monitor_revalidates_leader_after_probe_yield():
     assert not cluster.sim.failed_processes
 
 
+def test_drain_waits_for_a_consumed_commit_to_reach_the_group_log():
+    """Regression (publish before effect). The replication pump consumes a
+    record, *then* pays its per-batch CPU charge, *then* turns it into a
+    group-log entry. ``drain()`` used to read the consumed cursor, so it
+    returned inside that window with the transaction's commit missing from
+    the group log: a rehome would then stop the pump with the decision
+    unreplicated."""
+    from repro.config import CostModel
+    from repro.storage.wal import WalRecord, WalRecordKind
+
+    COUNTERS.reset()
+    config = ClusterConfig(num_nodes=4, costs=CostModel(cpu_propagate=0.01))
+    cluster = Cluster(config)
+    cluster.create_table(TABLE, num_shards=NUM_SHARDS, tuple_size=64)
+    cluster.bulk_load(TABLE, [(k, {"n": 0}) for k in range(NUM_KEYS)])
+    cluster.enable_replication(TABLE, n_followers=2)
+    shard_id = ShardId(TABLE, 0)
+    group = cluster.replication.group_for(shard_id)
+    leader = cluster.nodes[group.leader_node_id]
+    schema = cluster.tables[TABLE]
+    key = next(k for k in range(NUM_KEYS) if schema.shard_for_key(k) == shard_id)
+    # A 2PC write on the leader whose COMMIT_PREPARED is the record that
+    # crosses the first pump_batch_records (64) charge boundary: the pump
+    # consumes it, then sits in a 0.64 s CPU charge before handling it.
+    batch = config.pump_batch_records
+    leader.wal.append(
+        WalRecord(WalRecordKind.UPDATE, xid=970, shard_id=shard_id, key=key,
+                  value={"n": 1}, size=64, start_ts=1)
+    )
+    leader.wal.append(WalRecord(WalRecordKind.PREPARE, xid=970, start_ts=1))
+    for i in range(batch - 3):
+        leader.wal.append(
+            WalRecord(WalRecordKind.INSERT, xid=971, shard_id=("other", 0), key=i)
+        )
+    leader.wal.append(
+        WalRecord(WalRecordKind.COMMIT_PREPARED, xid=970, commit_ts=100)
+    )
+    out = {}
+
+    def drainer():
+        yield 0.01
+        out["before"] = [(e.kind, e.xid) for e in group.log]
+        yield from group.drain()
+        out["after"] = [(e.kind, e.xid) for e in group.log]
+        out["at"] = cluster.sim.now
+
+    cluster.spawn(drainer(), name="drainer")
+    cluster.run(until=2.0)
+    assert out["before"] == [("prepare", 970)]
+    assert out["after"] == [("prepare", 970), ("commit", 970)], out["after"]
+    assert out["at"] > batch * 0.01
+    assert not cluster.sim.failed_processes
+
+
 def test_feeder_never_rewinds_cursor_overtaken_during_apply():
     """Regression (SIM101, loop-carried): the feeder captures a log entry,
     then suspends inside the apply. A catch-up (election/rehome) advancing

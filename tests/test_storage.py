@@ -4,6 +4,7 @@ import pytest
 
 from repro.profiling.counters import COUNTERS
 from repro.sim import Simulator
+from repro.sim.resources import CpuResource
 from repro.storage import (
     Clog,
     HeapTable,
@@ -12,6 +13,7 @@ from repro.storage import (
     Wal,
     WalRecord,
     WalRecordKind,
+    WalTailer,
 )
 
 
@@ -108,45 +110,85 @@ def test_wal_assigns_monotonic_lsns(sim):
     assert wal.tail_lsn == 3
 
 
-def test_wal_reader_consumes_in_order(sim):
+def change(shard, key, kind=WalRecordKind.INSERT):
+    return WalRecord(kind, xid=1, shard_id=shard, key=key)
+
+
+def start_tailer(sim, wal, from_lsn=0, cost=1.0, batch=1):
+    """A tailer over shard "a" on a 1-slot CPU; returns (tailer, handled)
+    where ``handled`` collects (lsn, sim time) per handled record."""
+    tailer = WalTailer(wal, ["a"], from_lsn, CpuResource(sim, 1), cost, batch)
+    handled = []
+    sim.spawn(tailer.run(lambda record: handled.append((record.lsn, sim.now))))
+    return tailer, handled
+
+
+def test_wal_tailer_skipped_records_pay_their_charges(sim):
+    """Every record passed costs ``cost`` — one charge per ``batch`` records
+    at the instant the boundary is crossed — but only shard "a" changes and
+    control records reach the handler."""
     wal = Wal(sim)
-    for k in range(3):
-        wal.append(WalRecord(WalRecordKind.INSERT, xid=1, key=k))
-    reader = wal.reader()
-    assert [reader.poll().key for _ in range(3)] == [0, 1, 2]
-    assert reader.poll() is None
-    assert reader.lag == 0
+    for record in (
+        change("a", 0),
+        change("b", 1),
+        change("b", 2),
+        change("b", 3),
+        WalRecord(WalRecordKind.COMMIT, xid=1),
+        change("a", 5),
+    ):
+        wal.append(record)
+    skipped = COUNTERS.migration_pump_skipped
+    tailer, handled = start_tailer(sim, wal, batch=2)
+    sim.run(until=10.0)
+    # lsn 0 handled before any charge; the gap (1-3) crosses two batch
+    # boundaries (t=2, t=4) before the COMMIT; lsn 5 closes the third.
+    assert handled == [(0, 0.0), (4, 4.0), (5, 6.0)]
+    assert COUNTERS.migration_pump_skipped - skipped == 3
+    assert tailer.handled_lsn == wal.tail_lsn and tailer.lag == 0
 
 
-def test_wal_reader_blocks_until_append(sim):
+def test_wal_tailer_waits_at_the_tail(sim):
     wal = Wal(sim)
-    reader = wal.reader()
-    got = []
-
-    def consume():
-        record = yield from reader.next_record()
-        got.append((record.key, sim.now))
-
-    sim.spawn(consume())
-    sim.schedule(3.0, wal.append, WalRecord(WalRecordKind.COMMIT, xid=7, key="k"))
-    sim.run()
-    assert got == [("k", 3.0)]
+    tailer, handled = start_tailer(sim, wal, batch=100)
+    sim.schedule(3.0, wal.append, WalRecord(WalRecordKind.COMMIT, xid=7))
+    sim.run(until=5.0)
+    assert handled == [(0, 3.0)]
+    assert tailer.handled_lsn == 1
 
 
-def test_wal_reader_from_middle(sim):
+def test_wal_tailer_starts_mid_log(sim):
     wal = Wal(sim)
     for k in range(5):
-        wal.append(WalRecord(WalRecordKind.UPDATE, xid=1, key=k))
-    reader = wal.reader(from_lsn=3)
-    assert reader.poll().key == 3
+        wal.append(change("a", k, WalRecordKind.UPDATE))
+    tailer, handled = start_tailer(sim, wal, from_lsn=3, batch=100)
+    assert tailer.lag == 2
+    sim.run(until=1.0)
+    assert [lsn for lsn, _t in handled] == [3, 4]
+    assert tailer.handled_lsn == 5 and tailer.lag == 0
 
 
-def test_wal_records_between(sim):
+def test_wal_tailer_handled_trails_consumed_only_inside_a_charge(sim):
+    """A routed record is consumed, then charged, then handled: only while
+    parked in that charge does handled_lsn trail the consumed cursor, by
+    exactly one. A skipped record is handled the moment it is consumed, so
+    a charge paid for a gap leaves no distance."""
     wal = Wal(sim)
-    for k in range(5):
-        wal.append(WalRecord(WalRecordKind.UPDATE, xid=1, key=k))
-    middle = wal.records_between(1, 3)
-    assert [r.key for r in middle] == [1, 2]
+    for record in (change("a", 0), change("b", 1), change("a", 2)):
+        wal.append(record)
+    tailer, handled = start_tailer(sim, wal, cost=1.0, batch=1)
+    trail = []
+
+    def probe():
+        for _ in range(4):
+            yield 0.5 if not trail else 1.0
+            consumed = wal.tail_lsn - tailer.lag
+            trail.append(consumed - tailer.handled_lsn)
+
+    sim.spawn(probe())
+    sim.run(until=5.0)
+    # t=0.5: lsn 0's charge; t=1.5: the gap's; t=2.5: lsn 2's; t=3.5: idle.
+    assert trail == [1, 0, 1, 0]
+    assert handled == [(0, 1.0), (2, 3.0)]
 
 
 def test_wal_record_kind_is_change():
