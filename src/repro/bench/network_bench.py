@@ -42,16 +42,6 @@ _CHURN_SCALE = {"smoke": (16, 50), "full": (32, 200)}
 #: Descending migration-class caps swept by the demonstration.
 PUMP_SHARES = (1.0, 0.5, 0.25)
 
-#: Scaled-down cross_az config for the CI smoke sweep (seconds per share).
-_SWEEP_SMOKE_OVERRIDES = {
-    "num_tuples": 2000,
-    "num_shards": 16,
-    "ycsb_clients": 6,
-    "warmup": 1.5,
-    "settle": 1.0,
-}
-
-
 def _measure(storm, a: int, b: int, repeats: int = 3) -> dict:
     """Best-of-``repeats`` wall-clock measurement of one storm.
 
@@ -164,7 +154,7 @@ def run_pump_share_sweep(smoke: bool = False, seed: int = 0) -> dict:
     must shrink (and the copy stretch) as the share drops; ``monotonic``
     asserts the dip half of that trade-off.
     """
-    overrides = dict(_SWEEP_SMOKE_OVERRIDES) if smoke else {}
+    overrides = dict(registry.get("cross_az").smoke) if smoke else {}
     rows = []
     for share in PUMP_SHARES:
         result = registry.run(

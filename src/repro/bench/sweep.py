@@ -7,9 +7,8 @@ serial rerun when ``verify_serial`` is on. Simulation results depend only on
 the seed — never on worker scheduling — so the comparison must be exact.
 
 Aggregation reports mean/p5/p50/p95/p99 of the headline metrics per cell,
-which is what the paper-figure benchmarks consume; wall-clock runtimes per
-seed ride along so ``BENCH_experiments.json`` doubles as a performance
-trajectory.
+with the wall-clock runtime of every seed alongside. ``smoke`` runs each
+scenario at the tiny scale it registers (:mod:`repro.experiments.registry`).
 
 When the platform cannot start a :class:`multiprocessing.Pool` (sandboxed
 CI runners, missing ``/dev/shm`` semaphores), ``run_jobs`` falls back to
@@ -30,39 +29,6 @@ import traceback
 
 from repro.bench.stats import percentile
 from repro.experiments import registry
-
-#: Tiny-scale overrides per scenario, mirroring tests/test_experiments_smoke.py,
-#: so ``repro bench --smoke`` finishes in seconds while driving the exact same
-#: harness code paths as the calibrated runs.
-SMOKE_OVERRIDES = {
-    "hybrid_a": dict(
-        num_tuples=1200, num_shards=12, ycsb_clients=4, batch_tuples=600,
-        num_batches=2, warmup=1.0, settle=1.0, snapshot_cost=3e-4,
-        max_sim_time=60.0,
-    ),
-    "hybrid_b": dict(
-        num_tuples=1200, num_shards=12, ycsb_clients=4, batch_tuples=600,
-        num_batches=2, warmup=1.0, settle=1.0, snapshot_cost=3e-4,
-        analytical_row_cost=5e-4, max_sim_time=60.0,
-    ),
-    "load_balancing": dict(
-        num_tuples=1200, num_shards=12, ycsb_clients=4, warmup=1.0,
-        settle=1.0, max_sim_time=60.0,
-    ),
-    "scale_out": dict(
-        num_warehouses=6, warehouses_to_move=2, districts_per_warehouse=2,
-        customers_per_district=6, items=12, warmup=1.0, settle=1.0,
-        max_sim_time=60.0,
-    ),
-    "high_contention": dict(
-        shard_tuples=800, hot_tuples=40, num_clients=8, warmup=1.0,
-        run_after=1.0, max_sim_time=30.0,
-    ),
-    "cross_az": dict(
-        num_tuples=2000, num_shards=16, ycsb_clients=6, warmup=1.5,
-        settle=1.0, max_sim_time=60.0,
-    ),
-}
 
 #: Headline metrics aggregated per cell (taken from the result payload).
 _HEADLINE_KEYS = (
@@ -131,17 +97,17 @@ def _aggregate(values):
     }
 
 
-def make_jobs(cells, seeds, overrides_by_scenario=None):
+def make_jobs(cells, seeds, smoke=False):
     """Expand (scenario, approach) cells x seed list into worker jobs."""
-    overrides_by_scenario = overrides_by_scenario or {}
     jobs = []
     for scenario, approach in cells:
+        overrides = dict(registry.get(scenario).smoke) if smoke else {}
         for seed in seeds:
             jobs.append({
                 "scenario": scenario,
                 "approach": approach,
                 "seed": seed,
-                "overrides": overrides_by_scenario.get(scenario, {}),
+                "overrides": overrides,
             })
     return jobs
 
@@ -167,14 +133,8 @@ def run_jobs(jobs, jobs_in_parallel=1):
         return pool.map(_run_cell, jobs)
 
 
-def run_sweep(
-    cells,
-    seeds,
-    jobs_in_parallel=1,
-    overrides_by_scenario=None,
-    verify_serial=False,
-):
-    """Sweep seeds x cells; returns the ``BENCH_experiments.json`` payload.
+def run_sweep(cells, seeds, jobs_in_parallel=1, smoke=False, verify_serial=False):
+    """Sweep seeds x cells; returns the aggregate payload.
 
     With ``verify_serial``, every cell is rerun serially in-process and the
     canonical JSON payloads (or errors) must match the pool's byte for byte
@@ -183,7 +143,7 @@ def run_sweep(
     Only healthy cells are aggregated; every failed one is listed under
     ``failures`` with its seed and error, in job order.
     """
-    jobs = make_jobs(cells, seeds, overrides_by_scenario)
+    jobs = make_jobs(cells, seeds, smoke)
     results = run_jobs(jobs, jobs_in_parallel=jobs_in_parallel)
 
     serial_identical = None

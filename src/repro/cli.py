@@ -61,69 +61,33 @@ def _print_result(result):
         print("{}: {}".format(key, value))
 
 
-def _run_chaos(args):
+def _run_soak(args):
+    """``repro chaos`` / ``repro failover``: one soak run, printed; the exit
+    code is 1 if it saw an invariant violation, 2 on a bad --fault-plan."""
     from repro.experiments.chaos import ChaosConfig, run_chaos
-
-    config = ChaosConfig(seed=args.seed)
-    if args.fault_plan:
-        from repro.faults.plan import FaultPlan
-
-        try:
-            FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print("error: bad --fault-plan: {}".format(exc), file=sys.stderr)
-            return 2
-        config.fault_spec = args.fault_plan
-    if args.num_faults is not None:
-        config.extra_faults = max(0, args.num_faults - 3)
-    result = run_chaos(config)
-    _print_chaos_result(result)
-    return _report_violations(result.violations)
-
-
-def _print_chaos_result(result):
-    print("chaos run (seed={})".format(result.seed))
-    print()
-    print("fault plan:")
-    for line in result.fault_plan.splitlines():
-        print("  " + line)
-    print()
-    print("fault / recovery timeline:")
-    interesting = ("fault:", "heal:", "migration_crash", "migration_recovered",
-                   "batch_skipped", "node_failed", "node_recovered")
-    for t, name in result.marks:
-        if any(name.startswith(p) for p in interesting):
-            print("  {:>8.3f}s  {}".format(t, name))
-    for t, description in result.supervisor_events:
-        print("  {:>8.3f}s  supervisor: {}".format(t, description))
-    stats = result.plan_stats
-    print()
-    print("committed increments: {}".format(result.committed))
-    print("crash recoveries: {}  batch retries: {}  batches skipped: {}".format(
-        stats.crash_recoveries, stats.migration_retries, stats.batches_skipped))
-    print("invariant violations: {}".format(len(result.violations)))
-    print("plan outcome: {}".format("degraded" if result.degraded else "completed"))
-    print("finished at t={:.3f}s".format(result.finished_at))
-
-
-def _run_failover(args):
     from repro.experiments.failover import (
         FailoverConfig,
         run_failover,
         run_remaster_comparison,
     )
+    from repro.faults.plan import FaultPlan
 
-    config = FailoverConfig(seed=args.seed, crash_phase=args.phase)
+    if args.command == "chaos":
+        config = ChaosConfig(seed=args.seed)
+        if args.num_faults is not None:
+            config.extra_faults = max(0, args.num_faults - 3)
+        run = run_chaos
+    else:
+        config = FailoverConfig(seed=args.seed, crash_phase=args.phase)
+        run = run_failover
     if args.fault_plan:
-        from repro.faults.plan import FaultPlan
-
         try:
             FaultPlan.parse(args.fault_plan)
         except ValueError as exc:
             print("error: bad --fault-plan: {}".format(exc), file=sys.stderr)
             return 2
         config.fault_spec = args.fault_plan
-    if args.compare:
+    if args.command == "failover" and args.compare:
         out = run_remaster_comparison(config)
         print("remaster comparison (seed={})".format(config.seed))
         print("  remus full copy:    {} bytes, {} tuples".format(
@@ -131,31 +95,27 @@ def _run_failover(args):
         print("  wait_and_remaster:  {} bytes, {} tuples".format(
             out["remaster_bytes"], out["remaster_tuples"]))
         return 0
-    result = run_failover(config)
-    _print_failover_result(result)
-    return _report_violations(result.violations)
-
-
-def _report_violations(violations):
-    """Print each ``(time, description)`` invariant violation to stderr;
-    the exit code is 1 if there were any, else 0."""
-    for t, description in violations:
+    result = run(config)
+    _print_soak_result(args.command, result)
+    for t, description in result.violations:
         print("VIOLATION t={:.3f}s: {}".format(t, description), file=sys.stderr)
-    return 1 if violations else 0
+    return 1 if result.violations else 0
 
 
-def _print_failover_result(result):
-    print("failover run (seed={}, crash phase={})".format(
-        result.seed, result.crash_phase))
+def _print_soak_result(command, result):
+    replicated = bool(result.epochs)
+    print("{} run (seed={}{})".format(
+        command, result.seed,
+        ", crash phase={}".format(result.crash_phase) if result.crash_phase else ""))
     print()
     print("fault plan:")
     for line in result.fault_plan.splitlines():
         print("  " + line)
     print()
-    print("fault / election / recovery timeline:")
-    interesting = ("fault:", "heal:", "failover_election", "replica_crash",
-                   "replica_heal", "rehome", "migration_crash",
-                   "migration_recovered", "batch_skipped")
+    print("fault / {}recovery timeline:".format("election / " if replicated else ""))
+    interesting = ("fault:", "heal:", "migration_crash", "migration_recovered",
+                   "batch_skipped", "node_failed", "node_recovered",
+                   "failover_election", "replica_crash", "replica_heal", "rehome")
     for t, name in result.marks:
         if any(name.startswith(p) for p in interesting):
             print("  {:>8.3f}s  {}".format(t, name))
@@ -164,13 +124,15 @@ def _print_failover_result(result):
     stats = result.plan_stats
     print()
     print("committed increments: {}".format(result.committed))
-    print("elections: {}  stale-epoch rejects: {}  ship batches: {}".format(
-        result.failover_elections, result.stale_epoch_rejects,
-        result.repl_ship_batches))
-    print("group epochs: {}".format(result.epochs))
+    if replicated:
+        print("elections: {}  stale-epoch rejects: {}  ship batches: {}".format(
+            result.failover_elections, result.stale_epoch_rejects,
+            result.repl_ship_batches))
+        print("group epochs: {}".format(result.epochs))
     print("crash recoveries: {}  batch retries: {}  batches skipped: {}".format(
         stats.crash_recoveries, stats.migration_retries, stats.batches_skipped))
     print("invariant violations: {}".format(len(result.violations)))
+    print("plan outcome: {}".format("degraded" if result.degraded else "completed"))
     print("finished at t={:.3f}s".format(result.finished_at))
 
 
@@ -290,7 +252,8 @@ def main(argv=None):
 
     bench = sub.add_parser(
         "bench",
-        help="experiment sweep + network/cluster storms; writes BENCH_*.json",
+        help="network storms + pump-share sweep + cluster storms; "
+        "writes BENCH_network.json and BENCH_cluster.json",
     )
     add_bench_arguments(bench)
 
@@ -378,10 +341,8 @@ def main(argv=None):
             print()
             print(format_report(report))
         return 0
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "failover":
-        return _run_failover(args)
+    if args.command in ("chaos", "failover"):
+        return _run_soak(args)
     if args.command == "bench":
         from repro.bench.cli import run_bench_command
 

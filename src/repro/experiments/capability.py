@@ -2,14 +2,10 @@
 
 The paper's Table 1 states, per approach: service downtime (yes/no),
 transaction aborts (yes/no), OLTP throughput drop (low/high), batch
-throughput drop (low/median/high) and the concurrency-control basis. We run
-one hybrid-A consolidation per approach and *derive* the flags from the
-measured run instead of asserting them, so the table is evidence, not lore.
+throughput drop (low/median/high) and the concurrency-control basis.
+:func:`classify` *derives* one approach's row from its measured hybrid-A
+run instead of asserting it, so the table is evidence, not lore.
 """
-
-from repro.experiments import registry
-from repro.experiments.common import APPROACH_ORDER
-from repro.experiments.consolidation import ConsolidationConfig
 
 CC_BASIS = {
     "remus": "MVCC",
@@ -52,14 +48,3 @@ def classify(result):
     }
     return row
 
-
-def capability_matrix(approaches=APPROACH_ORDER, config=None):
-    """Run hybrid-A consolidation per approach and classify each."""
-    matrix = {}
-    for approach in approaches:
-        result = registry.run(
-            "hybrid_a", approach=approach, config=config or ConsolidationConfig()
-        )
-        matrix[approach] = classify(result)
-        matrix[approach]["result"] = result
-    return matrix

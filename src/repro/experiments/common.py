@@ -119,41 +119,59 @@ def build_cluster(
     return cluster
 
 
-def note_topology(result, cluster):
-    """Record the run's network shape in ``result.extra`` (round-trips
-    through ``to_dict``/``from_dict`` with the rest of the payload)."""
-    topology = cluster.network.topology
-    result.extra["topology"] = topology.name
-    result.extra["topology_contended"] = topology.contended
-    result.extra["pump_share"] = cluster.network.class_cap(MIGRATION_CLASS)
-    return result
-
-
 def build_ycsb(cluster, **ycsb_kwargs):
     workload = YcsbWorkload(cluster, YcsbConfig(**ycsb_kwargs))
     workload.create()
     return workload
 
 
-def approach_class(approach):
-    """Approach name -> migration class (delegates to the unified factory)."""
-    return Migration.resolve(approach)
+def migrate_and_settle(cluster, approach, scenario, batches, config, pool, wait_for=()):
+    """The run every paper scenario shares once its load is warm.
+
+    Builds the plan for ``approach`` (Squall takes the config's
+    ``squall_chunk_bytes`` when it has one), runs it to completion along
+    with every process in ``wait_for`` the scenario must see finish, lets
+    the load run ``config.settle`` more seconds, stops ``pool`` and ends
+    with :func:`check_run_ok`. Returns ``(plan, end)``: ``end`` is where
+    the measurement window closes.
+    """
+    plan_kwargs = {}
+    chunk_bytes = getattr(config, "squall_chunk_bytes", None)
+    if approach == "squall" and chunk_bytes is not None:
+        plan_kwargs["chunk_bytes"] = chunk_bytes
+    plan = Migration.plan(approach, batches, **plan_kwargs)
+    migration = cluster.spawn(Migration.launch(cluster, plan), name="migration")
+    for proc in (migration, *wait_for):
+        run_until_finished(
+            cluster, proc, config.max_sim_time,
+            what="{} {} ({})".format(approach, scenario, proc.name),
+        )
+    end = cluster.sim.now + config.settle
+    cluster.run(until=end)
+    pool.stop()
+    cluster.run(until=end + 0.5)
+    check_run_ok(cluster)
+    return plan, end
 
 
-def migration_window(metrics):
-    return metrics.first_mark("migration_start"), metrics.last_mark("migration_end")
-
-
-def summarize(result, metrics, label, end_time, weighted_label=None, bin_width=1.0):
-    """Fill the common measurement fields of ``result`` from the metrics."""
-    start_mig, end_mig = migration_window(metrics)
+def measure(cluster, approach, scenario, config, label, end, weighted_label=None,
+            bin_width=1.0):
+    """The common measurement fields of a finished run, as an
+    :class:`ExperimentResult`: the ``label`` throughput series up to
+    ``end`` (plus the weighted ``weighted_label`` series), aborts, and the
+    before/during latency, throughput and downtime around the migration
+    window. A run on a set topology also records its network shape."""
+    metrics = cluster.metrics
+    result = ExperimentResult(approach=approach, scenario=scenario)
+    start_mig = metrics.first_mark("migration_start")
+    end_mig = metrics.last_mark("migration_end")
     result.migration_window = (start_mig, end_mig)
     result.throughput = metrics.throughput_series(
-        label=label, bin_width=bin_width, end=end_time
+        label=label, bin_width=bin_width, end=end
     )
     if weighted_label:
         result.batch_throughput = metrics.throughput_series(
-            label=weighted_label, bin_width=1.0, end=end_time, weighted=True
+            label=weighted_label, bin_width=1.0, end=end, weighted=True
         )
     result.aborts = dict(metrics.abort_kinds())
     if start_mig is not None and end_mig is not None:
@@ -168,25 +186,36 @@ def summarize(result, metrics, label, end_time, weighted_label=None, bin_width=1
         result.downtime_longest, result.downtime_total = metrics.downtime(
             label=label, start=start_mig, end=end_mig
         )
+    if config.topology is not None:
+        topology = cluster.network.topology
+        result.extra["topology"] = topology.name
+        result.extra["topology_contended"] = topology.contended
+        result.extra["pump_share"] = cluster.network.class_cap(MIGRATION_CLASS)
     return result
 
 
 def run_until_finished(cluster, proc, deadline, step=0.5, what="migration plan"):
-    """Advance the sim in steps until ``proc`` completes (or the deadline)."""
+    """Advance the sim in steps until ``proc`` completes (or the deadline).
+
+    A stall is checked like the end of a run (:func:`check_run_ok`) before
+    it is reported, so a crashed process or a broken invariant behind it
+    is named as the cause instead of only the time the run gave up at.
+    """
     while not proc.finished and cluster.sim.now < deadline:
         cluster.run(until=min(deadline, cluster.sim.now + step))
     if not proc.finished:
-        raise AssertionError("{} did not finish by t={}s".format(what, deadline))
+        stall = "{} did not finish by t={}s".format(what, deadline)
+        try:
+            check_run_ok(cluster)
+        except AssertionError as cause:
+            raise AssertionError("{}: {}".format(stall, cause)) from cause
+        raise AssertionError(stall)
     return proc.result()
 
 
-def check_no_crashes(cluster, allow_prefixes=()):
+def check_no_crashes(cluster):
     """Raise if any detached simulated process died with an exception."""
-    crashes = [
-        (proc.name, exc)
-        for proc, exc in cluster.sim.failed_processes
-        if not any(proc.name.startswith(p) for p in allow_prefixes)
-    ]
+    crashes = [(proc.name, exc) for proc, exc in cluster.sim.failed_processes]
     if crashes:
         name, exc = crashes[0]
         raise AssertionError(

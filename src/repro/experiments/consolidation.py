@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 from repro.experiments import registry
 from repro.experiments.common import (
-    ExperimentResult,
     build_cluster,
     build_ycsb,
-    check_run_ok,
-    note_topology,
-    run_until_finished,
-    summarize,
+    measure,
+    migrate_and_settle,
 )
-from repro.migration import Migration
 from repro.migration.base import consolidation_batches
 from repro.workloads.hybrid import AnalyticalClient, BatchIngestClient
 
@@ -65,15 +61,16 @@ class ConsolidationConfig:
         return CostModel(snapshot_scan_per_tuple=self.snapshot_cost)
 
 
-@registry.register(
-    "hybrid_a",
-    config_cls=ConsolidationConfig,
-    description="cluster consolidation under hybrid workload A: "
-    "uniform YCSB + batch ingestion (Table 2, Figure 6)",
+#: The tiny scale every smoke run of hybrid A and B uses (seconds a cell).
+SMOKE = dict(
+    num_tuples=1200, num_shards=12, ycsb_clients=4, batch_tuples=600,
+    num_batches=2, warmup=1.0, settle=1.0, snapshot_cost=3e-4,
+    analytical_row_cost=5e-4, max_sim_time=60.0,
 )
-def _hybrid_a(approach, config=None):
-    """Hybrid workload A: uniform YCSB + batch ingestion (Table 2, Fig. 6)."""
-    config = config or ConsolidationConfig()
+
+
+def _start(approach, config):
+    """Cluster + uniform YCSB load, its clients already running."""
     cluster = build_cluster(
         config.num_nodes, approach, seed=config.seed, costs=config.make_costs(),
         topology=config.topology, pump_share=config.pump_share,
@@ -88,6 +85,19 @@ def _hybrid_a(approach, config=None):
     )
     pool = workload.make_clients()
     pool.start()
+    return cluster, pool
+
+
+@registry.register(
+    "hybrid_a",
+    config_cls=ConsolidationConfig,
+    smoke=SMOKE,
+    description="cluster consolidation under hybrid workload A: "
+    "uniform YCSB + batch ingestion (Table 2, Figure 6)",
+)
+def _hybrid_a(approach, config):
+    """Hybrid workload A: uniform YCSB + batch ingestion (Table 2, Fig. 6)."""
+    cluster, pool = _start(approach, config)
     batch = BatchIngestClient(
         cluster,
         "node-2",  # the coordinator node for ingestion; node-1 is drained
@@ -98,37 +108,17 @@ def _hybrid_a(approach, config=None):
     )
     batch.start()
     cluster.run(until=config.warmup)
-
-    batches = consolidation_batches(
-        cluster, "node-1", table="ycsb", group_size=config.group_size
-    )
-    plan_kwargs = {}
-    if approach == "squall":
-        plan_kwargs["chunk_bytes"] = config.squall_chunk_bytes
-    plan = Migration.plan(approach, batches, **plan_kwargs)
-    migration_proc = cluster.spawn(Migration.launch(cluster, plan), name="consolidation")
-    run_until_finished(
-        cluster, migration_proc, config.max_sim_time,
-        what="{} consolidation".format(approach),
-    )
-    # Run the batch workload to completion so Table 2's abort ratio counts
+    # The batch workload runs to completion so Table 2's abort ratio counts
     # every attempt (the paper's consolidation spans most of the ingestion).
-    run_until_finished(
-        cluster, batch.process, config.max_sim_time,
-        what="hybrid-A batch ingestion",
+    batches = consolidation_batches(cluster, "node-1", "ycsb", config.group_size)
+    plan, end = migrate_and_settle(
+        cluster, approach, "hybrid_a", batches, config, pool, wait_for=(batch.process,)
     )
-    end = cluster.sim.now + config.settle
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
-    result = ExperimentResult(approach=approach, scenario="hybrid_a")
-    summarize(result, cluster.metrics, label="ycsb", end_time=end, weighted_label="batch")
+    result = measure(
+        cluster, approach, "hybrid_a", config, "ycsb", end, weighted_label="batch"
+    )
     mig_start, mig_end = result.migration_window
     metrics = cluster.metrics
-    # As in Table 2, the ratio covers the batch workload's attempts for the
-    # run (the paper's consolidation spans nearly the whole ingestion).
     result.abort_ratio = metrics.abort_ratio(label="batch")
     result.extra["batch_aborts"] = metrics.abort_count(label="batch")
     result.extra["batch_committed"] = batch.committed
@@ -146,8 +136,6 @@ def _hybrid_a(approach, config=None):
         len(cluster.dump_table("ycsb"))
         == config.num_tuples + batch.tuples_ingested
     )
-    if config.topology is not None:
-        note_topology(result, cluster)
     return result
 
 
@@ -155,26 +143,13 @@ def _hybrid_a(approach, config=None):
     "hybrid_b",
     config_cls=ConsolidationConfig,
     config_defaults=(("group_size", 4),),
+    smoke=SMOKE,
     description="cluster consolidation under hybrid workload B: "
     "uniform YCSB + analytical duplicate check (Figure 7)",
 )
-def _hybrid_b(approach, config=None):
+def _hybrid_b(approach, config):
     """Hybrid workload B: uniform YCSB + analytical duplicate check (Fig. 7)."""
-    config = config or ConsolidationConfig(group_size=4)
-    cluster = build_cluster(
-        config.num_nodes, approach, seed=config.seed, costs=config.make_costs(),
-        topology=config.topology, pump_share=config.pump_share,
-    )
-    workload = build_ycsb(
-        cluster,
-        num_tuples=config.num_tuples,
-        num_shards=config.num_shards,
-        tuple_size=config.tuple_size,
-        num_clients=config.ycsb_clients,
-        think_time=config.ycsb_think,
-    )
-    pool = workload.make_clients()
-    pool.start()
+    cluster, pool = _start(approach, config)
     # The analytical query starts just before consolidation so it overlaps
     # the migrations, as in Figure 7 (red dashed lines inside the window).
     analytical = AnalyticalClient(
@@ -185,33 +160,13 @@ def _hybrid_b(approach, config=None):
     )
     analytical.start()
     cluster.run(until=config.warmup)
-
-    batches = consolidation_batches(
-        cluster, "node-1", table="ycsb", group_size=config.group_size
-    )
-    plan_kwargs = {}
-    if approach == "squall":
-        plan_kwargs["chunk_bytes"] = config.squall_chunk_bytes
-    plan = Migration.plan(approach, batches, **plan_kwargs)
-    migration_proc = cluster.spawn(Migration.launch(cluster, plan), name="consolidation")
-    run_until_finished(
-        cluster, migration_proc, config.max_sim_time,
-        what="{} consolidation".format(approach),
-    )
     # The consistency check needs the analytical transaction to complete (it
     # may outlive a fast consolidation).
-    run_until_finished(
-        cluster, analytical.process, config.max_sim_time,
-        what="hybrid-B analytical transaction",
+    batches = consolidation_batches(cluster, "node-1", "ycsb", config.group_size)
+    _plan, end = migrate_and_settle(
+        cluster, approach, "hybrid_b", batches, config, pool, wait_for=(analytical.process,)
     )
-    end = cluster.sim.now + config.settle
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
-    result = ExperimentResult(approach=approach, scenario="hybrid_b")
-    summarize(result, cluster.metrics, label="ycsb", end_time=end)
+    result = measure(cluster, approach, "hybrid_b", config, "ycsb", end)
     result.workload_window = (
         cluster.metrics.first_mark("analytical_start"),
         cluster.metrics.last_mark("analytical_end"),
@@ -221,6 +176,4 @@ def _hybrid_b(approach, config=None):
     result.extra["analytical_committed"] = analytical.committed
     result.extra["analytical_aborted"] = analytical.aborted
     result.extra["data_intact"] = len(cluster.dump_table("ycsb")) == config.num_tuples
-    if config.topology is not None:
-        note_topology(result, cluster)
     return result

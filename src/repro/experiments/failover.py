@@ -15,8 +15,10 @@ The scenario family behind the replicated-shard robustness claims:
   throughout, and the run ends with the no-lost-updates counter audit plus
   a full leader-vs-follower state comparison.
 
-Runs are fully determined by ``(config, seed)``; the metrics mark stream
-doubles as a replayable timeline, exactly as in the chaos soak.
+It is the chaos soak's run (:func:`~repro.experiments.chaos.run_soak`)
+with replication on and one phase-targeted crash as the fault plan, so
+runs are fully determined by ``(config, seed)`` and the metrics mark
+stream doubles as a replayable timeline, exactly as in the chaos soak.
 
 :func:`run_remaster_comparison` is the STAR-style asymmetric-availability
 probe: migrating a replicated shard onto a node that already holds an
@@ -24,25 +26,13 @@ in-sync follower (wait-and-remaster) must move strictly less data than a
 full Remus copy onto a fresh node.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.experiments.common import (
-    build_cluster,
-    check_no_crashes,
-    run_until_finished,
-)
-from repro.faults import FaultPlan, InvariantChecker, Nemesis
+from repro.experiments.chaos import TABLE, counters_cluster, run_soak
+from repro.experiments.common import check_no_crashes, run_until_finished
+from repro.faults import FaultPlan
 from repro.faults.plan import Fault
-from repro.migration import (
-    MigrationPlan,
-    MigrationSupervisor,
-    RemusMigration,
-    WaitAndRemasterMigration,
-)
-from repro.profiling import COUNTERS
-from repro.workloads.client import run_transaction
-
-TABLE = "counters"
+from repro.migration import RemusMigration, WaitAndRemasterMigration
 
 
 @dataclass
@@ -73,81 +63,22 @@ class FailoverConfig:
         return CostModel(snapshot_scan_per_tuple=self.snapshot_cost)
 
 
-@dataclass
-class FailoverResult:
-    """Outcome of one failover soak iteration."""
-
-    seed: int
-    crash_phase: str = ""
-    committed: int = 0
-    violations: list = field(default_factory=list)
-    fault_plan: str = ""
-    nemesis_timeline: list = field(default_factory=list)
-    supervisor_events: list = field(default_factory=list)
-    marks: list = field(default_factory=list)  # (time, name): event timeline
-    plan_stats: object = None
-    epochs: dict = field(default_factory=dict)  # shard -> final group epoch
-    failover_elections: int = 0
-    stale_epoch_rejects: int = 0
-    repl_ship_batches: int = 0
-    finished_at: float = 0.0
-
-    def timeline_signature(self):
-        """Hashable replay signature: the full metrics mark stream plus the
-        commit count. Two runs of the same seed must produce equal values."""
-        return (tuple(self.marks), self.committed)
-
-
-def _increment_body(key):
-    def body(session, txn):
-        row = yield from session.read(txn, TABLE, key)
-        yield from session.update(txn, TABLE, key, {"n": row["n"] + 1})
-
-    return body
-
-
 def _build_replicated(config):
-    """Cluster + replicated counters table, loaded and group-started."""
-    cluster = build_cluster(
-        config.num_nodes, "remus", seed=config.seed, costs=config.make_costs()
-    )
-    cluster.create_table(TABLE, num_shards=config.num_shards, tuple_size=64)
-    cluster.bulk_load(TABLE, [(k, {"n": 0}) for k in range(config.num_keys)])
+    """Soak cluster with every counters shard a replication group."""
+    cluster = counters_cluster(config)
     cluster.enable_replication(TABLE, n_followers=config.n_followers)
     return cluster
 
 
 def run_failover(config=None):
-    """Run one failover soak iteration; returns a :class:`FailoverResult`.
+    """Run one failover soak iteration; returns a
+    :class:`~repro.experiments.chaos.SoakResult`.
 
     Raises if any invariant is violated (including replica divergence and
     dual leadership), a background process crashes, the counter audit finds
     a lost update, or the supervised plan wedges."""
     config = config or FailoverConfig()
-    COUNTERS.reset()
     cluster = _build_replicated(config)
-    node_ids = cluster.node_ids()
-
-    state = {"running": True, "committed": 0}
-
-    def client(client_id):
-        rng = cluster.sim.rng("failover-client-{}".format(client_id))
-        session = cluster.session(node_ids[client_id % len(node_ids)])
-
-        def loop():
-            while state["running"]:
-                key = rng.randint(0, config.num_keys - 1)
-                ok, _err = yield from run_transaction(
-                    session, _increment_body(key), label="inc"
-                )
-                if ok:
-                    state["committed"] += 1
-                yield config.think_time
-
-        return loop()
-
-    for i in range(config.num_clients):
-        cluster.spawn(client(i), name="failover-client-{}".format(i))
 
     # Supervised Remus migration of one replicated shard from node-1 to the
     # node *outside* its replication group — the full copy + propagation
@@ -158,17 +89,7 @@ def run_failover(config=None):
         replica.node_id
         for replica in cluster.replication.group_for(target_shard).replicas
     }
-    dest = min(n for n in node_ids if n not in member_nodes)
-    batches = [([target_shard], "node-1", dest)]
-    plan = MigrationPlan(RemusMigration, batches, pause=config.batch_pause)
-    supervisor = MigrationSupervisor(cluster, plan)
-
-    def supervised():
-        yield config.warmup
-        result = yield from supervisor.run()
-        return result
-
-    plan_proc = cluster.spawn(supervised(), name="failover-consolidation")
+    dest = min(n for n in cluster.node_ids() if n not in member_nodes)
 
     # Fault plan: crash the migrating shard's group leader once the
     # migration reaches the configured phase (plus, optionally, a later
@@ -176,59 +97,25 @@ def run_failover(config=None):
     if config.fault_spec:
         fault_plan = FaultPlan.parse(config.fault_spec)
     else:
+        shard = (target_shard.table, target_shard.index)
         faults = [
             Fault(
-                "crash_leader",
-                at=config.crash_at,
-                shard=(target_shard.table, target_shard.index),
-                phase=config.crash_phase,
-                duration=config.crash_duration,
+                "crash_leader", at=config.crash_at, shard=shard,
+                phase=config.crash_phase, duration=config.crash_duration,
             )
         ]
         if config.follow_crash:
             faults.append(
                 Fault(
-                    "crash_follower",
-                    at=config.crash_at + 1.5,
-                    shard=(target_shard.table, target_shard.index),
+                    "crash_follower", at=config.crash_at + 1.5, shard=shard,
                     duration=config.crash_duration,
                 )
             )
         fault_plan = FaultPlan(faults)
-    nemesis = Nemesis(cluster, fault_plan, supervisor=supervisor)
-    cluster.spawn(nemesis.run(), name="nemesis")
-    checker = InvariantChecker(cluster, supervisor=supervisor)
-    cluster.spawn(checker.run(), name="invariant-checker")
-
-    run_until_finished(
-        cluster, plan_proc, config.max_sim_time, what="supervised failover plan"
+    result = run_soak(
+        cluster, config, "failover", [([target_shard], "node-1", dest)], fault_plan
     )
-    plan_proc.result()
-
-    # Drain: stop clients, let the election/catch-up settle, final audits.
-    state["running"] = False
-    cluster.run(until=cluster.sim.now + config.settle)
-    checker.check_once()
-    checker.final_check(TABLE, state["committed"])
-    checker.final_replication_check()
-    check_no_crashes(cluster)
-
-    result = FailoverResult(seed=config.seed, crash_phase=config.crash_phase)
-    result.committed = state["committed"]
-    result.violations = list(checker.violations)
-    result.fault_plan = fault_plan.describe()
-    result.nemesis_timeline = list(nemesis.timeline)
-    result.supervisor_events = list(supervisor.events)
-    result.marks = list(cluster.metrics.marks)
-    result.plan_stats = plan.stats
-    result.epochs = {
-        str(group.shard_id): group.epoch
-        for group in cluster.replication.sorted_groups()
-    }
-    result.failover_elections = COUNTERS.failover_elections
-    result.stale_epoch_rejects = COUNTERS.stale_epoch_rejects
-    result.repl_ship_batches = COUNTERS.repl_ship_batches
-    result.finished_at = cluster.sim.now
+    result.crash_phase = config.crash_phase
     return result
 
 

@@ -24,16 +24,7 @@ from dataclasses import dataclass
 
 from repro.config import TierProfiles
 from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    build_cluster,
-    build_ycsb,
-    check_run_ok,
-    note_topology,
-    run_until_finished,
-    summarize,
-)
-from repro.migration import Migration
+from repro.experiments.common import build_cluster, build_ycsb, measure, migrate_and_settle
 from repro.sim.network import BACKUP_CLASS
 
 
@@ -86,11 +77,14 @@ def _backup_streamer(cluster, src, dst, deadline):
 @registry.register(
     "cross_az",
     config_cls=CrossAzConfig,
+    smoke=dict(
+        num_tuples=2000, num_shards=16, ycsb_clients=6, warmup=1.5,
+        settle=1.0, max_sim_time=60.0,
+    ),
     description="cross-AZ migration over a contended trunk; --pump-share "
     "trades copy speed against the foreground throughput dip",
 )
-def _cross_az(approach, config=None):
-    config = config or CrossAzConfig()
+def _cross_az(approach, config):
     cluster = build_cluster(
         config.num_nodes,
         approach,
@@ -122,21 +116,10 @@ def _cross_az(approach, config=None):
     # collocated batch, so the snapshot copy is one contiguous network-bound
     # stream with a well-defined phase window to measure the dip against.
     shards = cluster.shards_on_node("node-1", table="ycsb")
-    plan = Migration.plan(approach, [(shards, "node-1", "node-3")])
-    proc = cluster.spawn(Migration.launch(cluster, plan), name="cross-az")
-    run_until_finished(
-        cluster, proc, config.max_sim_time,
-        what="{} cross-AZ migration".format(approach),
+    plan, end = migrate_and_settle(
+        cluster, approach, "cross_az", [(shards, "node-1", "node-3")], config, pool
     )
-    end = cluster.sim.now + config.settle
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
-    result = ExperimentResult(approach=approach, scenario="cross_az")
-    summarize(result, cluster.metrics, label="ycsb", end_time=end)
-    note_topology(result, cluster)
+    result = measure(cluster, approach, "cross_az", config, "ycsb", end)
     mig_start, mig_end = result.migration_window
     if mig_start is not None and mig_end is not None:
         result.extra["migration_duration"] = mig_end - mig_start

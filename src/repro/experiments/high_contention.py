@@ -16,15 +16,7 @@ that shard. Reproduced effects:
 from dataclasses import dataclass
 
 from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    build_cluster,
-    check_run_ok,
-    note_topology,
-    run_until_finished,
-    summarize,
-)
-from repro.migration import Migration
+from repro.experiments.common import build_cluster, measure, migrate_and_settle
 from repro.workloads.client import ClientPool, ClosedLoopClient
 
 
@@ -42,7 +34,7 @@ class HighContentionConfig:
     version_cost: float = 1e-5  # per dead version walked on a read
     vacuum_interval: float = 0.25
     warmup: float = 2.0  # steady state before migration
-    run_after: float = 3.0  # observation after migration completes
+    settle: float = 3.0  # observation after migration completes
     max_sim_time: float = 60.0
     topology: str = None  # network preset (single|multi_az|geo); None = flat
     pump_share: float = None  # migration's contended-trunk share cap
@@ -61,11 +53,14 @@ class HighContentionConfig:
     "high_contention",
     config_cls=HighContentionConfig,
     approaches=("remus", "lock_and_abort", "wait_and_remaster", "stop_and_copy"),
+    smoke=dict(
+        shard_tuples=800, hot_tuples=40, num_clients=8, warmup=1.0, settle=1.0,
+        max_sim_time=30.0,
+    ),
     description="hot-shard migration under high contention with CPU accounting "
     "(Figure 10)",
 )
-def _high_contention(approach="remus", config=None):
-    config = config or HighContentionConfig()
+def _high_contention(approach, config):
     cluster = build_cluster(
         config.num_nodes,
         approach,
@@ -112,19 +107,12 @@ def _high_contention(approach="remus", config=None):
     pool.start()
     cluster.run(until=config.warmup)
 
-    plan = Migration.plan(approach, [([shard], source, dest)])
-    proc = cluster.spawn(Migration.launch(cluster, plan), name="hot-migration")
-    run_until_finished(cluster, proc, config.max_sim_time, what="hot-shard migration")
-    end = cluster.sim.now + config.run_after
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
+    plan, end = migrate_and_settle(
+        cluster, approach, "high_contention", [([shard], source, dest)], config, pool
+    )
     metrics = cluster.metrics
-    result = ExperimentResult(approach=approach, scenario="high_contention")
     # 0.5 s bins: the copy-phase dip of Figure 10 lasts a second or two.
-    summarize(result, metrics, "hot", end, bin_width=0.5)
+    result = measure(cluster, approach, "high_contention", config, "hot", end, bin_width=0.5)
     result.abort_ratio = metrics.abort_ratio(label="hot")
     mig_start, mig_end = result.migration_window
     migration = plan.migrations[0]
@@ -159,6 +147,4 @@ def _high_contention(approach="remus", config=None):
     result.extra["ww_aborts_total"] = metrics.abort_count(kind="ww_conflict")
     result.extra["copy_window"] = (copy_start, copy_end)
     result.extra["data_intact"] = len(cluster.dump_table("hot")) == config.shard_tuples
-    if config.topology is not None:
-        note_topology(result, cluster)
     return result

@@ -12,16 +12,7 @@ the hot shards.
 from dataclasses import dataclass
 
 from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    build_cluster,
-    build_ycsb,
-    check_run_ok,
-    note_topology,
-    run_until_finished,
-    summarize,
-)
-from repro.migration import Migration
+from repro.experiments.common import build_cluster, build_ycsb, measure, migrate_and_settle
 
 
 @dataclass
@@ -73,10 +64,13 @@ def balancing_batches(cluster, hot_node, hot_shards, migrate_fraction, group_siz
 @registry.register(
     "load_balancing",
     config_cls=LoadBalancingConfig,
+    smoke=dict(
+        num_tuples=1200, num_shards=12, ycsb_clients=4, warmup=1.0,
+        settle=1.0, max_sim_time=60.0,
+    ),
     description="hotspot-shard load balancing under skewed YCSB (Figure 8)",
 )
-def _load_balancing(approach, config=None):
-    config = config or LoadBalancingConfig()
+def _load_balancing(approach, config):
     cluster = build_cluster(
         config.num_nodes,
         approach,
@@ -105,23 +99,8 @@ def _load_balancing(approach, config=None):
     batches = balancing_batches(
         cluster, hot_node, workload.hot_shards, config.migrate_fraction, config.group_size
     )
-    plan_kwargs = {}
-    if approach == "squall":
-        plan_kwargs["chunk_bytes"] = config.squall_chunk_bytes
-    plan = Migration.plan(approach, batches, **plan_kwargs)
-    proc = cluster.spawn(Migration.launch(cluster, plan), name="balancing")
-    run_until_finished(
-        cluster, proc, config.max_sim_time,
-        what="{} load balancing".format(approach),
-    )
-    end = cluster.sim.now + config.settle
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
-    result = ExperimentResult(approach=approach, scenario="load_balancing")
-    summarize(result, cluster.metrics, label="ycsb", end_time=end)
+    plan, end = migrate_and_settle(cluster, approach, "load_balancing", batches, config, pool)
+    result = measure(cluster, approach, "load_balancing", config, "ycsb", end)
     mig_start, mig_end = result.migration_window
     metrics = cluster.metrics
     # Throughput gain: steady-state after balancing vs before.
@@ -135,6 +114,4 @@ def _load_balancing(approach, config=None):
     result.extra["ww_aborts"] = metrics.abort_count(kind="ww_conflict")
     result.extra["data_intact"] = len(cluster.dump_table("ycsb")) == config.num_tuples
     result.extra["plan_stats"] = plan.stats
-    if config.topology is not None:
-        note_topology(result, cluster)
     return result

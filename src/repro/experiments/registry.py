@@ -1,18 +1,20 @@
 """The experiment registry: declarative scenario specs instead of if-chains.
 
 Every paper scenario registers itself once, with its runner, its config
-dataclass and the approaches it supports::
+dataclass, the approaches it supports and its smoke scale (the config
+overrides every tiny-scale run of it uses)::
 
     @register(
         "hybrid_a",
         config_cls=ConsolidationConfig,
+        smoke=dict(num_tuples=1200, warmup=1.0, ...),
         description="cluster consolidation under hybrid workload A",
     )
     def _hybrid_a(approach, config):
         ...
 
-Callers then resolve scenarios uniformly — the CLI, the latency table, the
-capability matrix and the seed-sweep harness all go through here::
+Callers then resolve scenarios uniformly — the CLI, the seed-sweep
+harness, the pump-share sweep and the benchmarks all go through here::
 
     from repro.experiments import registry
 
@@ -54,6 +56,7 @@ class ExperimentSpec:
     approaches: tuple  # approach names this scenario supports
     default_approach: str = "remus"
     config_defaults: tuple = ()  # ((field, value), ...) applied by make_config
+    smoke: tuple = ()  # ((field, value), ...): the tiny-scale overrides
     description: str = ""
 
     def make_config(self, seed=0, **overrides):
@@ -100,6 +103,7 @@ def register(
     approaches=ALL_APPROACHES,
     default_approach="remus",
     config_defaults=(),
+    smoke=None,
     description="",
 ):
     """Class-decorator-style registration of a scenario runner."""
@@ -114,6 +118,7 @@ def register(
             approaches=tuple(approaches),
             default_approach=default_approach,
             config_defaults=tuple(config_defaults),
+            smoke=tuple((smoke or {}).items()),
             description=description,
         )
         return runner

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 from repro.cluster.shard import ShardId
 from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    build_cluster,
-    check_run_ok,
-    note_topology,
-    run_until_finished,
-    summarize,
-)
-from repro.migration import Migration
+from repro.experiments.common import build_cluster, measure, migrate_and_settle
 from repro.workloads.tpcc import TABLES, TpccConfig, TpccWorkload
 
 
@@ -80,15 +72,14 @@ def overloaded_placement(config, node_ids):
     "scale_out",
     config_cls=ScaleOutConfig,
     approaches=registry.NO_SQUALL,
+    smoke=dict(
+        num_warehouses=6, warehouses_to_move=2, districts_per_warehouse=2,
+        customers_per_district=6, items=12, warmup=1.0, settle=1.0,
+        max_sim_time=60.0,
+    ),
     description="TPC-C scale-out: add a node, drain the overloaded one (Figure 9)",
 )
-def _scale_out(approach, config=None):
-    if approach == "squall":
-        raise NotImplementedError(
-            "Squall is not shown in the scale-out evaluation: the port does "
-            "not support multi-key range partitioning (§4.6)"
-        )
-    config = config or ScaleOutConfig()
+def _scale_out(approach, config):
     cluster = build_cluster(
         config.initial_nodes,
         approach,
@@ -129,20 +120,8 @@ def _scale_out(approach, config=None):
         for w in moving[i : i + config.warehouses_per_batch]:
             group.extend(ShardId(table, w) for table in TABLES)
         batches.append((group, config.overloaded_node, new_node))
-    plan = Migration.plan(approach, batches)
-    proc = cluster.spawn(Migration.launch(cluster, plan), name="scale-out")
-    run_until_finished(
-        cluster, proc, config.max_sim_time,
-        what="{} scale-out".format(approach),
-    )
-    end = cluster.sim.now + config.settle
-    cluster.run(until=end)
-    pool.stop()
-    cluster.run(until=end + 0.5)
-    check_run_ok(cluster)
-
-    result = ExperimentResult(approach=approach, scenario="scale_out")
-    summarize(result, cluster.metrics, label="tpcc", end_time=end)
+    plan, end = migrate_and_settle(cluster, approach, "scale_out", batches, config, pool)
+    result = measure(cluster, approach, "scale_out", config, "tpcc", end)
     mig_start, mig_end = result.migration_window
     metrics = cluster.metrics
     result.extra["tput_before"] = metrics.average_throughput(
@@ -164,6 +143,4 @@ def _scale_out(approach, config=None):
     result.extra["warehouses_moved"] = len(moving)
     result.extra["new_node_shards"] = len(cluster.shards_on_node(new_node))
     result.extra["plan_stats"] = plan.stats
-    if config.topology is not None:
-        note_topology(result, cluster)
     return result

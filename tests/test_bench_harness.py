@@ -9,7 +9,6 @@ Simulation results may depend only on the seed, never on worker scheduling.
 import pytest
 
 from repro.bench.sweep import (
-    SMOKE_OVERRIDES,
     canonical_json,
     default_cells,
     make_jobs,
@@ -23,7 +22,7 @@ _SEEDS = [0, 1]
 
 
 def _tiny_jobs():
-    return make_jobs(_CELLS, _SEEDS, overrides_by_scenario=SMOKE_OVERRIDES)
+    return make_jobs(_CELLS, _SEEDS, smoke=True)
 
 
 def test_parallel_matches_serial_byte_for_byte():
@@ -43,7 +42,7 @@ def test_run_sweep_verify_serial_and_aggregates():
         _CELLS,
         seeds=_SEEDS,
         jobs_in_parallel=2,
-        overrides_by_scenario=SMOKE_OVERRIDES,
+        smoke=True,
         verify_serial=True,
     )
     assert payload["serial_identical"] is True
@@ -80,7 +79,7 @@ def test_run_jobs_falls_back_to_serial_when_pool_cannot_start(monkeypatch):
 
     serial = run_sweep(
         _CELLS, seeds=_SEEDS, jobs_in_parallel=1,
-        overrides_by_scenario=SMOKE_OVERRIDES,
+        smoke=True,
     )
 
     class _BrokenPool:
@@ -90,7 +89,7 @@ def test_run_jobs_falls_back_to_serial_when_pool_cannot_start(monkeypatch):
     monkeypatch.setattr(sweep_module.multiprocessing, "Pool", _BrokenPool)
     fallback = run_sweep(
         _CELLS, seeds=_SEEDS, jobs_in_parallel=4,
-        overrides_by_scenario=SMOKE_OVERRIDES,
+        smoke=True,
     )
     # Runtime wall-clock differs per run; the simulated metrics may not.
     def cell_metrics(payload):

@@ -64,10 +64,11 @@ def test_soak_command_exits_one_on_an_invariant_violation(command, monkeypatch, 
     import importlib
     from types import SimpleNamespace
 
+    from repro.experiments.chaos import SoakResult
+
     module = importlib.import_module("repro.experiments." + command)
-    result_class = {"chaos": "ChaosResult", "failover": "FailoverResult"}[command]
     stats = SimpleNamespace(crash_recoveries=0, migration_retries=0, batches_skipped=0)
-    result = getattr(module, result_class)(
+    result = SoakResult(
         seed=0, violations=[(1.25, "lost update on counters:7")], plan_stats=stats
     )
     monkeypatch.setattr(module, "run_" + command, lambda config: result)

@@ -8,33 +8,17 @@ with minimal workloads so `pytest tests/` stays quick.
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.consolidation import ConsolidationConfig
-from repro.experiments.high_contention import HighContentionConfig
-from repro.experiments.load_balancing import LoadBalancingConfig
-from repro.experiments.scale_out import ScaleOutConfig
 
 
-def tiny_consolidation(**kwargs):
-    defaults = dict(
-        num_tuples=1200,
-        num_shards=12,
-        ycsb_clients=4,
-        batch_tuples=600,
-        num_batches=2,
-        batch_rate=2000.0,
-        warmup=1.0,
-        settle=1.0,
-        snapshot_cost=3e-4,
-        analytical_row_cost=5e-4,
-        max_sim_time=60.0,
-    )
-    defaults.update(kwargs)
-    return ConsolidationConfig(**defaults)
+def smoke_config(scenario, **overrides):
+    """The scenario's registered smoke-scale config, plus ``overrides``."""
+    spec = registry.get(scenario)
+    return spec.make_config(**dict(spec.smoke, **overrides))
 
 
 @pytest.mark.parametrize("approach", ["remus", "wait_and_remaster"])
 def test_hybrid_a_smoke(approach):
-    result = registry.run("hybrid_a", approach=approach, config=tiny_consolidation())
+    result = registry.run("hybrid_a", approach=approach, config=smoke_config("hybrid_a"))
     assert result.extra["data_intact"]
     assert result.migration_window[0] is not None
     assert result.throughput, "throughput series should not be empty"
@@ -57,16 +41,45 @@ def test_registry_run_ends_with_an_invariant_sweep(monkeypatch):
 
     monkeypatch.setattr(InvariantChecker, "check_once", corrupt_then_check)
     with pytest.raises(InvariantViolation, match="owned by unknown node 'node-99'"):
-        registry.run("hybrid_a", approach="remus", config=tiny_consolidation())
+        registry.run("hybrid_a", approach="remus", config=smoke_config("hybrid_a"))
+
+
+def test_a_stall_names_the_crashed_process_behind_it(monkeypatch):
+    """A run that stalls at its deadline is checked like the end of a run
+    first: a background process that crashed is reported as the cause of
+    the stall, by name. Here one is planted next to the vacuum daemons and
+    the deadline leaves the migration no time past the warm-up."""
+    from repro.cluster import Cluster
+
+    start_vacuum_daemons = Cluster.start_vacuum_daemons
+
+    def start_and_plant(cluster):
+        start_vacuum_daemons(cluster)
+
+        def doomed():
+            yield 0.25
+            raise RuntimeError("planted fault")
+
+        cluster.spawn(doomed(), name="doomed-daemon")
+
+    monkeypatch.setattr(Cluster, "start_vacuum_daemons", start_and_plant)
+    config = smoke_config("load_balancing", max_sim_time=1.0)
+    assert config.max_sim_time == config.warmup
+    with pytest.raises(AssertionError) as stall:
+        registry.run("load_balancing", approach="remus", config=config)
+    message = str(stall.value)
+    assert "did not finish by t=1.0s" in message
+    assert "doomed-daemon" in message and "planted fault" in message
 
 
 def test_hybrid_a_squall_smoke():
-    result = registry.run("hybrid_a", approach="squall", config=tiny_consolidation())
+    result = registry.run("hybrid_a", approach="squall", config=smoke_config("hybrid_a"))
     assert result.extra["data_intact"]
 
 
 def test_hybrid_b_smoke():
-    result = registry.run("hybrid_b", approach="remus", config=tiny_consolidation(group_size=3))
+    config = smoke_config("hybrid_b", group_size=3)
+    result = registry.run("hybrid_b", approach="remus", config=config)
     assert result.extra["duplicates"] == 0
     assert result.extra["rows_seen"] == 1200
     assert result.extra["data_intact"]
@@ -77,7 +90,7 @@ def test_hybrid_b_wait_and_remaster_blocks():
     result = registry.run(
         "hybrid_b",
         approach="wait_and_remaster",
-        config=tiny_consolidation(group_size=3, analytical_row_cost=2.5e-3),
+        config=smoke_config("hybrid_b", group_size=3, analytical_row_cost=2.5e-3),
     )
     assert result.extra["data_intact"]
     # The analytical txn keeps the gate closed: measurable downtime.
@@ -85,14 +98,7 @@ def test_hybrid_b_wait_and_remaster_blocks():
 
 
 def test_load_balancing_smoke():
-    config = LoadBalancingConfig(
-        num_tuples=1200,
-        num_shards=12,
-        ycsb_clients=4,
-        warmup=1.0,
-        settle=1.0,
-        max_sim_time=60.0,
-    )
+    config = smoke_config("load_balancing")
     result = registry.run("load_balancing", approach="remus", config=config)
     assert result.extra["data_intact"]
     assert result.extra["migration_aborts"] == 0
@@ -103,17 +109,7 @@ def test_load_balancing_smoke():
 
 
 def test_scale_out_smoke():
-    config = ScaleOutConfig(
-        num_warehouses=6,
-        warehouses_to_move=2,
-        warehouses_per_batch=1,
-        districts_per_warehouse=2,
-        customers_per_district=6,
-        items=12,
-        warmup=1.0,
-        settle=1.0,
-        max_sim_time=60.0,
-    )
+    config = smoke_config("scale_out")
     result = registry.run("scale_out", approach="remus", config=config)
     assert result.extra["migration_aborts"] == 0
     assert result.extra["new_node_shards"] == 16  # 2 warehouses x 8 tables
@@ -130,14 +126,7 @@ def test_scale_out_rejects_squall():
     "approach", ["remus", "lock_and_abort", "wait_and_remaster", "stop_and_copy"]
 )
 def test_high_contention_smoke(approach):
-    config = HighContentionConfig(
-        shard_tuples=800,
-        hot_tuples=40,
-        num_clients=8,
-        warmup=1.0,
-        run_after=1.0,
-        max_sim_time=30.0,
-    )
+    config = smoke_config("high_contention")
     result = registry.run("high_contention", approach=approach, config=config)
     assert result.extra["data_intact"]
     assert result.extra["tput_baseline"] > 0
@@ -173,22 +162,8 @@ def test_added_node_gets_shard_map_replica():
     assert node.shardmap_heap.key_count == 4
 
 
-def tiny_cross_az(**kwargs):
-    from repro.experiments.geo import CrossAzConfig
-
-    defaults = dict(
-        num_tuples=2000,
-        num_shards=16,
-        ycsb_clients=6,
-        warmup=1.5,
-        settle=1.0,
-    )
-    defaults.update(kwargs)
-    return CrossAzConfig(**defaults)
-
-
 def test_cross_az_smoke():
-    result = registry.run("cross_az", approach="remus", config=tiny_cross_az())
+    result = registry.run("cross_az", approach="remus", config=smoke_config("cross_az"))
     assert result.extra["data_intact"]
     assert result.extra["topology"] == "multi_az"
     assert result.extra["topology_contended"] is True
@@ -201,9 +176,9 @@ def test_cross_az_smoke():
 
 
 def test_cross_az_pump_share_trades_dip_for_copy_time():
-    full = registry.run("cross_az", approach="remus", config=tiny_cross_az())
+    full = registry.run("cross_az", approach="remus", config=smoke_config("cross_az"))
     throttled = registry.run(
-        "cross_az", approach="remus", config=tiny_cross_az(pump_share=0.25)
+        "cross_az", approach="remus", config=smoke_config("cross_az", pump_share=0.25)
     )
     # Throttling the migration class shrinks the foreground dip and
     # stretches the copy (the full sweep is gated in `repro bench`).
@@ -213,9 +188,9 @@ def test_cross_az_pump_share_trades_dip_for_copy_time():
 
 
 def test_cross_az_backup_traffic_deepens_the_dip():
-    plain = registry.run("cross_az", approach="remus", config=tiny_cross_az())
+    plain = registry.run("cross_az", approach="remus", config=smoke_config("cross_az"))
     with_backup = registry.run(
-        "cross_az", approach="remus", config=tiny_cross_az(backup=True)
+        "cross_az", approach="remus", config=smoke_config("cross_az", backup=True)
     )
     # Backup bulk traffic shares the same trunk direction as the copy, so
     # the foreground runs slower during the copy (and before it — the

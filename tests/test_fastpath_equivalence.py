@@ -24,8 +24,8 @@ import importlib
 import pytest
 
 from repro import fastpath
-from repro.bench.sweep import SMOKE_OVERRIDES, canonical_json
-from repro.experiments import ExperimentResult, registry
+from repro.bench.sweep import canonical_json
+from repro.experiments import ExperimentResult, common, registry
 from repro.profiling import Profiler
 
 #: One cell per migration approach, crossing scenario boundaries.
@@ -60,10 +60,8 @@ def _sha16(text):
 
 
 def _run_cell(scenario, approach, seed):
-    overrides = SMOKE_OVERRIDES.get(scenario, {})
-    return registry.run(
-        registry.get(scenario), approach=approach, seed=seed, **overrides
-    )
+    spec = registry.get(scenario)
+    return registry.run(spec, approach=approach, seed=seed, **dict(spec.smoke))
 
 
 @pytest.mark.parametrize("scenario,approach", _CELLS)
@@ -196,37 +194,88 @@ _SOAKS = {
     "failover": ("run_failover", "FailoverConfig"),
     "chaos": ("run_chaos", "ChaosConfig"),
 }
+#: The soak result fields the payload digest covers: every field the chaos
+#: and failover results had when the digests below were recorded.
+_SOAK_FIELDS = (
+    "seed", "committed", "violations", "fault_plan", "nemesis_timeline",
+    "supervisor_events", "marks", "plan_stats", "finished_at",
+)
+_FAILOVER_FIELDS = _SOAK_FIELDS + (
+    "crash_phase", "epochs", "failover_elections", "stale_epoch_rejects",
+    "repl_ship_batches",
+)
+#: (scenario, approach) -> sha256[:16] of the run's whole result: the
+#: canonical-JSON ``to_dict()`` payload of a registry cell, or the soak
+#: fields above, for the same smoke-sized runs at seed 0 as ``_GOLDEN``.
+#: Recorded before the experiment modules and the two soaks were folded
+#: onto one shared run and measure path.
+_PAYLOAD_DIGESTS = {
+    ("chaos", "remus"): "9e05832e86d814df",
+    ("cross_az", "lock_and_abort"): "364689b47766c3ea",
+    ("cross_az", "remus"): "8bd701af7bee9ac8",
+    ("cross_az", "squall"): "84b5b4ca973fe219",
+    ("cross_az", "wait_and_remaster"): "0321cc861aba8b7e",
+    ("failover", "remus"): "4f25a2a455a4244d",
+    ("high_contention", "lock_and_abort"): "0ec93a49f1a42b19",
+    ("high_contention", "remus"): "312c4878327393d8",
+    ("high_contention", "stop_and_copy"): "464f34f3a87c3600",
+    ("high_contention", "wait_and_remaster"): "556a73beab8735f8",
+    ("hybrid_a", "lock_and_abort"): "c3430e819b18f211",
+    ("hybrid_a", "remus"): "d4f8fe2841877dbb",
+    ("hybrid_a", "squall"): "acabc2564de5280b",
+    ("hybrid_a", "wait_and_remaster"): "dc284575b327d33c",
+    ("hybrid_b", "lock_and_abort"): "1dea65f97796fc85",
+    ("hybrid_b", "remus"): "a37937083d2acab8",
+    ("hybrid_b", "squall"): "5b2a037dcf270580",
+    ("hybrid_b", "wait_and_remaster"): "5d9974dae1540d99",
+    ("load_balancing", "lock_and_abort"): "d64379484e12300b",
+    ("load_balancing", "remus"): "3aa8545242765c53",
+    ("load_balancing", "squall"): "9094a2f637bdb445",
+    ("load_balancing", "wait_and_remaster"): "7fcfea96ea7700d2",
+    ("scale_out", "lock_and_abort"): "3def95ab117ede59",
+    ("scale_out", "remus"): "e79798ce33e8d5ca",
+    ("scale_out", "wait_and_remaster"): "c8336661f48ae937",
+}
+
+
+def _payload_digest(scenario, result):
+    if scenario not in _SOAKS:
+        return _sha16(canonical_json(result.to_dict()))
+    names = _FAILOVER_FIELDS if scenario == "failover" else _SOAK_FIELDS
+    payload = {name: getattr(result, name) for name in names}
+    payload["plan_stats"] = payload["plan_stats"].to_dict()
+    return _sha16(canonical_json(payload))
 
 
 def _run_cell_capturing_cluster(scenario, approach, monkeypatch):
-    """Run the smoke cell (or soak) at seed 0 and hand back its cluster."""
+    """Run the smoke cell (or soak) at seed 0; hand back its cluster and
+    its result."""
     if scenario in _SOAKS:
         module = importlib.import_module("repro.experiments." + scenario)
         runner, config = (getattr(module, name) for name in _SOAKS[scenario])
 
         def run():
-            runner(config(seed=0))
+            return runner(config(seed=0))
     else:
-        module = importlib.import_module(registry.get(scenario).runner.__module__)
 
         def run():
-            _run_cell(scenario, approach, 0)
+            return _run_cell(scenario, approach, 0)
     clusters = []
-    build_cluster = module.build_cluster
+    cluster_cls = common.Cluster
 
-    def capturing_build(*args, **kwargs):
-        clusters.append(build_cluster(*args, **kwargs))
+    def capturing_cluster(*args, **kwargs):
+        clusters.append(cluster_cls(*args, **kwargs))
         return clusters[-1]
 
-    monkeypatch.setattr(module, "build_cluster", capturing_build)
-    run()
+    monkeypatch.setattr(common, "Cluster", capturing_cluster)
+    result = run()
     (cluster,) = clusters
-    return cluster
+    return cluster, result
 
 
 @pytest.mark.parametrize("scenario,approach", sorted(_GOLDEN))
 def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch):
-    cluster = _run_cell_capturing_cluster(scenario, approach, monkeypatch)
+    cluster, result = _run_cell_capturing_cluster(scenario, approach, monkeypatch)
     commits = [(r.time, r.label, r.latency) for r in cluster.metrics.commits]
     dump = sorted(cluster.dump_table(_GOLDEN_TABLE[scenario]).items())
     digest = _sha16(repr((commits, dump)))
@@ -234,6 +283,7 @@ def test_golden_commit_timeline_and_event_count(scenario, approach, monkeypatch)
     # schedule_at() call or a tail dispatch — so slots per committed txn
     # (16.28 for load_balancing/remus) is pinned seed-exactly.
     assert (digest, len(commits), cluster.sim._seq) == _GOLDEN[(scenario, approach)]
+    assert _payload_digest(scenario, result) == _PAYLOAD_DIGESTS[(scenario, approach)]
 
 
 def test_vacuum_visits_candidates_not_the_heap(monkeypatch):
@@ -387,7 +437,7 @@ def test_tail_dispatch_keeps_nearly_half_the_wakeups_off_the_heap(monkeypatch):
             return _original(sim, *args)
 
         monkeypatch.setattr(Simulator, name, counting)
-    cluster = _run_cell_capturing_cluster("load_balancing", "remus", monkeypatch)
+    cluster, _result = _run_cell_capturing_cluster("load_balancing", "remus", monkeypatch)
     assert cluster.sim._seq == _GOLDEN[("load_balancing", "remus")][2]
     assert len(calls) == 82480
     assert len(calls) / cluster.sim._seq <= 0.6
