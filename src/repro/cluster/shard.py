@@ -43,6 +43,8 @@ class HashPartitioner:
         self.ranges = split_hash_space(num_shards)
 
     def shard_index(self, key):
+        if self.num_shards == 1:
+            return 0  # the only range covers the whole ring: no need to hash
         return shard_index_for_hash(consistent_hash(key), self.num_shards)
 
     def range_for(self, index):

@@ -246,8 +246,8 @@ class Migration:
     subclasses, ``SquallMigration``, ``StopAndCopyMigration``) and callers
     wired classes, plans and ``run_plan`` together by hand. This facade
     unifies them: resolve an approach by name or class, build a plan, and
-    launch it — ``experiments/common.py::approach_class`` and every
-    experiment harness delegate here.
+    launch it — ``experiments/common.py::migrate_and_settle``, and with it
+    every experiment harness, delegates here.
     """
 
     @staticmethod

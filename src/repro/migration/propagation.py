@@ -74,7 +74,7 @@ class Propagation:
         self._caches = {}  # source xid -> [change records]
         self._validated = {}  # source xid -> (shadow txn, inflight entry)
         self.validation_started = OrderedSet()  # xids whose PREPARE spawned a task
-        self._inflight = []  # _InflightApply entries still replaying
+        self._inflight = OrderedSet()  # _InflightApply entries still replaying
         self._key_tail = {}  # (shard, key) -> done event of last writer
         self._slots = Resource(
             self.sim, capacity=cluster.config.replay_parallelism, name="replay"
@@ -166,7 +166,7 @@ class Propagation:
     def drain(self):
         """Generator: wait until every in-flight replay task completes."""
         while self._inflight:
-            yield self._inflight[0].done
+            yield next(iter(self._inflight)).done
 
     # ------------------------------------------------------------------
     # Progress
@@ -277,12 +277,11 @@ class Propagation:
         for key in keys:
             self._key_tail[key] = done
         entry = _InflightApply(done, min(r.lsn for r in records), keys)
-        self._inflight.append(entry)
+        self._inflight.add(entry)
         return entry, predecessors, done
 
     def _finish_task(self, entry, done):
-        if entry in self._inflight:
-            self._inflight.remove(entry)
+        self._inflight.discard(entry)
         done.succeed(None)
         for key in entry.keys:
             if self._key_tail.get(key) is done:
@@ -475,8 +474,7 @@ class Propagation:
                 # Changes are applied (prepared); keep the key chain until
                 # resolution but let the applied watermark advance past this
                 # transaction.
-                if entry in self._inflight:
-                    self._inflight.remove(entry)
+                self._inflight.discard(entry)
                 self._check_applied_waiters()
                 self._validated[xid] = (shadow, (entry, done))
             else:

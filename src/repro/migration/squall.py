@@ -206,7 +206,7 @@ class SquallMigration(BaseMigration):
             )
             self.dest_node.bulk_install(shard_id, moved)
             for key, _value in moved:
-                for version in list(heap.chain(key)):
+                for version in heap.chain(key):
                     heap.remove_version(version)
             self.stats.chunks_pulled += 1
             self.stats.tuples_copied += len(moved)

@@ -1,11 +1,19 @@
 """Versioned heap tables: one per shard per node.
 
-A heap table stores version chains newest-first per primary key, exactly the
+A heap table stores one version chain per primary key, exactly the
 structure the paper's protocols manipulate: MVCC reads traverse the chain
-until the first version visible to the reader's snapshot; updates append a
+until the first version visible to the reader's snapshot; updates prepend a
 new version and stamp the old one's ``xmax``; vacuum trims versions that no
 active snapshot can see (long snapshot scans hold vacuum back, which is the
 mechanism behind the paper's Figure 10 throughput dip).
+
+A chain is linked newest first through ``TupleVersion.older``, as
+PostgreSQL's ``t_ctid`` links a HOT chain, and the table maps each key to
+its newest version. Vacuum and ``remove_version`` relink survivors in place
+(``_relink``); an unlinked version keeps its ``older`` link, so a reader
+parked on it in a prepare-wait walks on, skipping at worst versions
+reclaimed below the horizon, which never exceeds an active reader's
+``start_ts``.
 
 Vacuum does not sweep the heap: the table keeps a *candidate set* of the
 keys whose chain may hold garbage now or later (fed by ``put_version`` and
@@ -66,11 +74,17 @@ class HeapTable:
         return self._chains.keys()
 
     def chain(self, key):
-        """Version chain for ``key``, newest first (empty if unknown)."""
-        return self._chains.get(key, [])
+        """Fresh list of ``key``'s versions, newest first (empty if unknown)."""
+        versions = []
+        version = self._chains.get(key)
+        while version is not None:
+            versions.append(version)
+            version = version.older
+        return versions
 
     def chain_length(self, key):
-        return len(self._chains.get(key, ()))
+        head = self._chains.get(key)
+        return 0 if head is None else head.count
 
     @property
     def key_count(self):
@@ -95,6 +109,21 @@ class HeapTable:
             if index < len(keys) and keys[index] == key:
                 del keys[index]
 
+    def _relink(self, key, kept):
+        """Make ``kept`` (versions of the chain, newest first) the chain of
+        ``key``, or drop the key when it is empty. Versions left out keep
+        their own ``older`` link."""
+        if not kept:
+            del self._chains[key]
+            self._index_discard(key)
+            return
+        older = None
+        for version in reversed(kept):
+            version.older = older
+            older = version
+        kept[0].count = len(kept)
+        self._chains[key] = kept[0]
+
     # ------------------------------------------------------------------
     # Physical mutation (called by the transaction layer under locks)
     # ------------------------------------------------------------------
@@ -108,13 +137,10 @@ class HeapTable:
         :meth:`mark_deleted`, which enrols the key itself. Bulk loads use
         it so that set-up pays nothing for rows that are never updated.
         """
-        version = TupleVersion(key, value, xmin)
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = self._chains[key] = []
-            if self._sorted_keys is not None:
-                insort(self._sorted_keys, key)
-        chain.insert(0, version)
+        head = self._chains.get(key)
+        if head is None and self._sorted_keys is not None:
+            insort(self._sorted_keys, key)
+        version = self._chains[key] = TupleVersion(key, value, xmin, None, head)
         self.version_count += 1
         if not committed:
             self._vacuum_candidates[key] = None
@@ -133,13 +159,12 @@ class HeapTable:
             version.cts_max = None
 
     def remove_version(self, version):
-        chain = self._chains.get(version.key)
-        if chain and version in chain:
-            chain.remove(version)
+        kept = self.chain(version.key)
+        if version in kept:
+            kept.remove(version)
+            self._relink(version.key, kept)
             self.version_count -= 1
-            if not chain:
-                del self._chains[version.key]
-                self._index_discard(version.key)
+            if not kept:
                 self._vacuum_candidates.pop(version.key, None)
 
     # ------------------------------------------------------------------
@@ -164,17 +189,20 @@ class HeapTable:
         traversed = 0
         try:
             start_ts = snapshot.start_ts
-            for version in list(self.chain(key)):
+            version = self._chains.get(key)
+            while version is not None:
                 traversed += 1
                 hint = version.cts_min
                 if hint is not None:
                     if hint is ABORTED or hint > start_ts:
+                        version = version.older
                         continue
                 else:
                     created = creation_visible_fast(version, snapshot, clog)
                     if created is UNDECIDED:
                         created = yield from creation_visible(version, snapshot, clog)
                     if not created:
+                        version = version.older
                         continue
                 if version.xmax is None:
                     return version, traversed
@@ -210,19 +238,18 @@ class HeapTable:
         lock: it is either committed, prepared or belongs to the lock holder.
         """
         clog = self.clog
-        for version in self.chain(key):
+        version = self._chains.get(key)
+        while version is not None:
             hint = version.cts_min
-            if hint is not None:
-                if hint is ABORTED:
-                    continue
+            if hint is None:
+                status = clog.status(version.xmin)
+                if status is TxnStatus.ABORTED:
+                    hint = version.cts_min = ABORTED
+                elif status is TxnStatus.COMMITTED:
+                    version.cts_min = clog.commit_ts(version.xmin)
+            if hint is not ABORTED:
                 return version
-            status = clog.status(version.xmin)
-            if status is TxnStatus.ABORTED:
-                version.cts_min = ABORTED
-                continue
-            if status is TxnStatus.COMMITTED:
-                version.cts_min = clog.commit_ts(version.xmin)
-            return version
+            version = version.older
         return None
 
     # ------------------------------------------------------------------
@@ -248,18 +275,20 @@ class HeapTable:
         start_ts = snapshot.start_ts
         traversed = 0
         outcome = None
-        for version in self._chains.get(key, ()):
+        version = self._chains.get(key)
+        while version is not None:
             traversed += 1
             hint = version.cts_min
             if hint is None:
                 status = clog.status(version.xmin)
                 if status is TxnStatus.ABORTED:
-                    version.cts_min = ABORTED
-                    continue
-                if status is not TxnStatus.COMMITTED:
+                    hint = version.cts_min = ABORTED
+                elif status is not TxnStatus.COMMITTED:
                     return UNDECIDED
-                hint = version.cts_min = clog.commit_ts(version.xmin)
+                else:
+                    hint = version.cts_min = clog.commit_ts(version.xmin)
             if hint is ABORTED or hint > start_ts:
+                version = version.older
                 continue
             # Creation visible: the row survives iff its deletion is not.
             if version.xmax is None:
@@ -319,8 +348,9 @@ class HeapTable:
         Every other chain can only change through those two calls.
 
         Hint bits are trusted and stamped, as every reader does: they cache
-        terminal, immutable CLOG verdicts. Chains that lose nothing are kept
-        in place (no list rebuild).
+        terminal, immutable CLOG verdicts. The links are walked in place; the
+        list of survivors is built, and relinked, only for a chain that
+        loses a version.
         """
         candidates = self._vacuum_candidates
         if not candidates:
@@ -330,10 +360,11 @@ class HeapTable:
         survivors = {}
         removed = 0
         for key in candidates:
-            chain = chains[key]
+            version = chains[key]
             kept = None  # built lazily: only chains that lose a version
+            index = 0
             watch = False
-            for index, version in enumerate(chain):
+            while version is not None:
                 cts_min = version.cts_min
                 unsettled = False
                 if cts_min is None:
@@ -359,18 +390,16 @@ class HeapTable:
                 if reclaim:
                     removed += 1
                     if kept is None:
-                        kept = chain[:index]
+                        kept = self.chain(key)[:index]
                 else:
                     if unsettled:
                         watch = True
                     if kept is not None:
                         kept.append(version)
+                index += 1
+                version = version.older
             if kept is not None:
-                if kept:
-                    chains[key] = kept
-                else:
-                    del chains[key]
-                    self._index_discard(key)
+                self._relink(key, kept)
             if watch:
                 survivors[key] = None
         # A fresh dict every pass: a drained dict never gives its table back.

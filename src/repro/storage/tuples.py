@@ -22,6 +22,12 @@ transaction re-stamp the version), which is why
 :meth:`~repro.storage.heap.HeapTable.unmark_deleted` reset ``cts_max``.
 Hints are a pure cache of CLOG facts: stamping them never changes any
 visibility verdict or any simulated timeline.
+
+Versions of one row form a singly linked chain, newest first, the way
+PostgreSQL's ``t_ctid`` links a HOT chain: each version points to the
+next-older one through ``older``, and the heap keeps only the newest (the
+*head*). The head's ``count`` is the chain's length; on any other version
+it is stale and never read.
 """
 
 
@@ -48,17 +54,21 @@ class TupleVersion:
         xmax: id of the transaction that deleted/superseded it, or None.
         cts_min: hint for ``xmin`` — commit ts, :data:`ABORTED` or None.
         cts_max: hint for ``xmax`` — commit ts, :data:`ABORTED` or None.
+        older: the next-older version of the row, or None at the tail.
+        count: versions in the chain, when this version is its head.
     """
 
-    __slots__ = ("key", "value", "xmin", "xmax", "cts_min", "cts_max")
+    __slots__ = ("key", "value", "xmin", "xmax", "cts_min", "cts_max", "older", "count")
 
-    def __init__(self, key, value, xmin, xmax=None):
+    def __init__(self, key, value, xmin, xmax=None, older=None):
         self.key = key
         self.value = value
         self.xmin = xmin
         self.xmax = xmax
         self.cts_min = None
         self.cts_max = None
+        self.older = older
+        self.count = 1 if older is None else older.count + 1
 
     def __repr__(self):
         return "TupleVersion(key={!r}, xmin={}, xmax={})".format(

@@ -227,7 +227,7 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
     assert prop._slots.queued == 0
     assert prop.pending_records == 0
     assert prop.unreplayed_records == 0
-    assert prop._inflight == []
+    assert not prop._inflight
     # The ack never went out (the task died first), and the only process
     # failure is the interrupted validate task itself.
     assert mocc.results == []

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.cluster.hashing import (
     shard_index_for_hash,
     split_hash_space,
 )
+from repro.cluster.shard import HashPartitioner
 from repro.metrics.series import bin_series, downtime_windows, moving_average
 from repro.sim import Simulator
 from repro.storage import Clog, HeapTable, Snapshot, TxnStatus
@@ -62,6 +64,13 @@ def test_every_key_maps_to_exactly_one_shard_range(num_shards, key):
     containing = [i for i, r in enumerate(ranges) if h in r]
     assert len(containing) == 1
     assert containing[0] == shard_index_for_hash(h, num_shards)
+
+
+@given(st.one_of(st.integers(), st.text(max_size=20), st.tuples(st.integers())))
+def test_one_shard_partitioner_skips_hashing_exactly(key):
+    assert HashPartitioner(1).shard_index(key) == shard_index_for_hash(
+        consistent_hash(key), 1
+    )
 
 
 @given(st.integers(min_value=1, max_value=64))
@@ -238,6 +247,63 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads):
                 clog.set_aborted(xid)
 
 
+@pytest.mark.parametrize(
+    "resolve",
+    ["commit_before_snapshot", "commit_after_snapshot", "abort", "abort_then_vacuum"],
+)
+def test_reader_parked_mid_chain_walks_the_relinked_chain(resolve):
+    """A reader prepare-waits on a version mid-chain. Meanwhile a writer
+    prepends above it and vacuum unlinks versions above and below it,
+    among them an aborted one the reader has yet to reach. Resumed, the
+    reader walks the relinked chain and gives the CLOG-only reader's
+    verdict, also when vacuum has unlinked the very version it is parked
+    on (``abort_then_vacuum``)."""
+    sim = Simulator()
+    clog = Clog(sim)
+    heap = HeapTable(sim, clog)
+    for xid in range(1, 8):
+        clog.begin(xid)
+    clog.set_committed(1, 1)
+    clog.set_committed(2, 2)
+    clog.set_aborted(6)
+    clog.set_prepared(4)
+    clog.set_aborted(5)
+    # Oldest first: 2 superseded e; 6 updated d and aborted; 4 updated d
+    # and is PREPARED; 5 wrote on top and aborted.
+    heap.mark_deleted(heap.put_version("k", "e", 1), 2)
+    d = heap.put_version("k", "d", 2)
+    heap.put_version("k", "c", 6)
+    heap.mark_deleted(d, 4)
+    parked = heap.put_version("k", "b", 4)
+    heap.put_version("k", "a", 5)
+    at_start = heap.chain("k")
+    snapshot = Snapshot(10)
+
+    def reader():
+        return (yield from heap.visible_version("k", snapshot))
+
+    process = sim.spawn(reader())
+    sim.run()
+    assert not process.finished  # parked on b's PREPARED creator
+    heap.put_version("k", "f", 7)
+    assert heap.vacuum(5) == 3  # a, c and e
+    assert [v.value for v in heap.chain("k")] == ["f", "b", "d"]
+    if resolve == "commit_before_snapshot":
+        clog.set_committed(4, 4)
+    elif resolve == "commit_after_snapshot":
+        clog.set_committed(4, 12)
+    else:
+        clog.set_aborted(4)
+    if resolve == "abort_then_vacuum":
+        assert heap.vacuum(5) == 1  # b itself, before the reader resumes
+        assert [v.value for v in heap.chain("k")] == ["f", "d"]
+        assert parked.older is d
+    version, _traversed = sim.run_until_complete(process)
+    assert version is _clog_only_read(at_start, snapshot, clog)[0]
+    assert version is _clog_only_read(heap.chain("k"), snapshot, clog)[0]
+    assert version is (parked if resolve == "commit_before_snapshot" else d)
+
+
 # ----------------------------------------------------------------------
 # Candidate-set vacuum against the whole-heap sweep it replaced
 # ----------------------------------------------------------------------
@@ -249,9 +315,9 @@ def _reference_sweep(heap, horizon_ts, hints):
     """
     clog = heap.clog
     removed = 0
-    for key in list(heap._chains):
+    for key in list(heap.keys()):
         kept = []
-        for version in heap._chains[key]:
+        for version in heap.chain(key):
             reclaim = False
             if hints and version.cts_min is ABORTED:
                 reclaim = True
@@ -272,11 +338,7 @@ def _reference_sweep(heap, horizon_ts, hints):
                 removed += 1
             else:
                 kept.append(version)
-        if kept:
-            heap._chains[key] = kept
-        else:
-            del heap._chains[key]
-            heap._index_discard(key)
+        heap._relink(key, kept)
     heap.version_count -= removed
     return removed
 
@@ -398,12 +460,20 @@ def test_candidate_vacuum_equals_whole_heap_sweep(steps, preload, reference_hint
     what sweeping every chain does. Most steps vacuum right after their
     operation, so keys keep leaving the set and must find their way back."""
     subject, reference = _HeapUnderTest(preload), _HeapUnderTest(preload)
+
+    def assert_counts_match_links():
+        for heap in (subject.heap, reference.heap):
+            for key in range(_HeapUnderTest.KEYS):
+                assert heap.chain_length(key) == len(heap.chain(key))
+
     for op, horizon in list(steps) + [(("scan", 0, 1), 9)]:
         assert subject.apply(op) == reference.apply(op)
+        assert_counts_match_links()
         if horizon is None:
             continue
         removed = subject.heap.vacuum(horizon)
         assert removed == _reference_sweep(reference.heap, horizon, reference_hints)
+        assert_counts_match_links()
         assert _chains_of(subject.heap) == _chains_of(reference.heap)
         assert subject.heap.version_count == reference.heap.version_count
         assert subject.heap.version_count == sum(

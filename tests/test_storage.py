@@ -1,7 +1,11 @@
 """Unit tests for the MVCC storage engine: CLOG, WAL, heap, visibility."""
 
+import gc
+
 import pytest
 
+from repro.cluster import Cluster
+from repro.config import ClusterConfig
 from repro.profiling.counters import COUNTERS
 from repro.sim import Simulator
 from repro.sim.resources import CpuResource
@@ -435,6 +439,21 @@ def test_vacuum_skips_bulk_installed_rows_until_first_delete(sim, heap, clog):
     assert vacuum_visiting(heap, 10) == (1, 1)
     assert 7 not in heap and heap.key_count == 49
     assert vacuum_visiting(heap, 10) == (0, 0)
+
+
+def test_bulk_install_adds_one_tracked_object_per_row():
+    """Shape guard: a loaded row is its one version, with no per-row chain
+    container beside it for the garbage collector to track."""
+    cluster = Cluster(ClusterConfig(num_nodes=1))
+    cluster.create_table("kv", num_shards=1)
+    shard = cluster.tables["kv"].shard_ids()[0]
+    node = cluster.nodes[cluster.shard_owner(shard)]
+    node.heap_for(shard)
+    rows = [(key, key) for key in range(10_000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    node.bulk_install(shard, rows)
+    assert len(gc.get_objects()) - before <= 10_000 + 50
 
 
 def test_unmark_deleted_restores_version(sim, heap, clog):
