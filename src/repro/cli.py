@@ -178,30 +178,6 @@ def main(argv=None):
         help="print the result as a JSON payload instead of rendering it",
     )
 
-    prof = sub.add_parser(
-        "profile",
-        help="run one scenario under the wall-clock profiler "
-        "(zero effect on the simulated timeline)",
-    )
-    prof.add_argument("scenario", choices=SCENARIOS)
-    prof.add_argument(
-        "--approach",
-        default=None,
-        choices=sorted({a for name in SCENARIOS for a in registry.get(name).approaches}),
-        help="migration approach (default: the scenario's default)",
-    )
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument(
-        "--json",
-        action="store_true",
-        help="print the profile report as JSON instead of a table",
-    )
-    prof.add_argument(
-        "--out",
-        default=None,
-        help="also write the JSON report to this path",
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="consolidation under fault injection with live invariant checks",
@@ -309,37 +285,6 @@ def main(argv=None):
             print()
         else:
             _print_result(result)
-        return 0
-    if args.command == "profile":
-        from repro.profiling import Profiler, format_report
-
-        try:
-            with Profiler() as profiler:
-                result = registry.run(
-                    args.scenario, approach=args.approach, seed=args.seed
-                )
-        except ValueError as exc:
-            print("error: {}".format(exc), file=sys.stderr)
-            return 2
-        report = profiler.report()
-        report["scenario"] = args.scenario
-        report["approach"] = result.to_dict().get("approach")
-        report["seed"] = args.seed
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        if args.json:
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            print(
-                "profile: {} / {} (seed {})".format(
-                    args.scenario, report["approach"], args.seed
-                )
-            )
-            print()
-            print(format_report(report))
         return 0
     if args.command in ("chaos", "failover"):
         return _run_soak(args)

@@ -58,6 +58,7 @@ class Cluster:
         self.shard_owners = {}  # authoritative owner map (mirrors shard map)
         self.metrics = MetricsCollector(self.sim)
         self.active_txns = {}
+        self._last_tid = 0
         self.routing_gate = None  # Event while wait-and-remaster blocks BEGINs
         self.cc_mode = "mvcc"  # or "shard_lock" (the Squall port, §4.2)
         self._access_hooks = {}  # shard_id -> [hook]
@@ -264,6 +265,16 @@ class Cluster:
     # ------------------------------------------------------------------
     # Transaction registry
     # ------------------------------------------------------------------
+    def allocate_tid(self):
+        """A fresh transaction id, counted from 1 per cluster.
+
+        The counter belongs to this cluster, so ids depend only on what ran
+        in this run: two clusters built one after another in the same
+        process hand out the same sequence.
+        """
+        self._last_tid += 1
+        return self._last_tid
+
     def register_txn(self, txn):
         self.active_txns[txn.tid] = txn
 

@@ -52,7 +52,7 @@ class Session:
         if self.node.failed:
             yield from self.node.wait_available()
         start_ts = yield from self.oracle.start_timestamp(self.node_id)
-        txn = Transaction(Transaction.allocate_tid(), self.node_id, start_ts, label=label)
+        txn = Transaction(self.cluster.allocate_tid(), self.node_id, start_ts, label=label)
         txn.begin_time = self.sim.now
         self.cluster.register_txn(txn)
         return txn

@@ -24,9 +24,8 @@ from repro.sim.topology import LinkProfile, Topology
 # - The DES kernel and the RNG module are the only places allowed to touch
 #   the primitives they encapsulate (virtual time / seeding) — exempt from
 #   SIM001 / SIM002 respectively.
-# - The bench timing modules and the profiler measure host wall-clock time
-#   *by definition* and never feed it back into the simulation — exempt
-#   from SIM001 only.
+# - The bench timing modules measure host wall-clock time *by definition*
+#   and never feed it back into the simulation — exempt from SIM001 only.
 # - The analysis package lints everything but itself.
 # - The protocol rules (SIM004 raw sends; SIM101–SIM104 yield-point races)
 #   apply to protocol code only: the RPC layer and the network model
@@ -39,7 +38,6 @@ _WALL_CLOCK_OK = (
     "*/bench/network_bench.py",
     "*/bench/cluster_bench.py",
     "*/bench/sweep.py",
-    "*/profiling/*",
 )
 # The batch workload engine is protocol-shaped generator code (dispatchers
 # and runners crossing yields), so the yield-point race rules cover it too.

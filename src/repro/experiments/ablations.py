@@ -17,6 +17,7 @@
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, CostModel
+from repro.experiments.common import check_run_ok, run_until_finished
 from repro.migration import MigrationPlan, RemusMigration, run_plan
 from repro.workloads.client import run_transaction
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
@@ -61,13 +62,10 @@ def run_parallel_replay_ablation(parallelism):
     shards = cluster.shards_on_node("node-1", table="ycsb")
     plan = MigrationPlan(RemusMigration, [(shards, "node-1", "node-2")])
     proc = cluster.spawn(run_plan(cluster, plan))
-    deadline = 60.0
-    while not proc.finished and cluster.sim.now < deadline:
-        cluster.run(until=cluster.sim.now + 0.5)
-    assert proc.finished
-    proc.result()
+    run_until_finished(cluster, proc, deadline=60.0)
     pool.stop()
     cluster.run(until=cluster.sim.now + 0.5)
+    check_run_ok(cluster)
     migration = plan.migrations[0]
     return {
         "parallelism": parallelism,
@@ -136,14 +134,12 @@ def run_downtime_ablation(approach_cls, **migration_kwargs):
     shards = cluster.shards_on_node("node-1", table="ycsb")[:2]
     plan = MigrationPlan(approach_cls, [(shards, "node-1", "node-3")], **migration_kwargs)
     proc = cluster.spawn(run_plan(cluster, plan))
-    while not proc.finished and cluster.sim.now < 60.0:
-        cluster.run(until=cluster.sim.now + 0.5)
-    assert proc.finished
-    proc.result()
+    run_until_finished(cluster, proc, deadline=60.0)
     end = cluster.sim.now + 1.0
     cluster.run(until=end)
     pool.stop()
     cluster.run(until=end + 0.5)
+    check_run_ok(cluster)
     mig_start = cluster.metrics.first_mark("migration_start")
     mig_end = cluster.metrics.last_mark("migration_end")
     longest, total = cluster.metrics.downtime(
@@ -235,6 +231,7 @@ def run_timestamp_scheme_ablation(scheme, duration=2.0):
     cluster.run(until=duration)
     pool.stop()
     cluster.run(until=duration + 0.5)
+    check_run_ok(cluster)
     return {
         "scheme": scheme,
         "throughput": cluster.metrics.average_throughput(label="ycsb", end=duration),

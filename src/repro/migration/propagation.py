@@ -306,9 +306,7 @@ class Propagation:
         self.stats.records_propagated += len(records)
 
     def _make_shadow(self, start_ts, label="__shadow__"):
-        shadow = Transaction(
-            Transaction.allocate_tid(), self.dest, start_ts, label=label
-        )
+        shadow = Transaction(self.cluster.allocate_tid(), self.dest, start_ts, label=label)
         shadow.is_shadow = True
         shadow.begin_time = self.sim.now
         self.cluster.register_txn(shadow)

@@ -1,21 +1,12 @@
-"""Deterministic profiling: fast-path counters and wall-clock attribution.
+"""Deterministic fast-path counters.
 
-Two complementary facilities live here:
-
-- :mod:`repro.profiling.counters` — plain-integer counters the transaction
-  fast paths bump (hint hits, snapshot cache hits, flush coalescing, lock
-  fast acquires). Zero simulator interaction, always safe to leave on.
-- :mod:`repro.profiling.profiler` — a wall-clock profiler that wraps a
-  simulation run and attributes host CPU time to subsystems (kernel, txn,
-  storage, network, migration, ...) by inspecting the generator stack of
-  each resumed process. It observes the event loop from the outside, so it
-  has **zero effect on the simulated timeline**: same events, same order,
-  same results, profiled or not.
-
-``repro profile <scenario>`` is the CLI entry point.
+:mod:`repro.profiling.counters` holds plain-integer counters the storage,
+transaction and migration fast paths bump (hint hits, snapshot cache hits,
+flush coalescing, lock fast acquires). They never touch the simulator, so
+they are always safe to leave on. Host time per layer is measured on the
+real schedule by ``e2ebench/run.py --trace 1``.
 """
 
 from repro.profiling.counters import COUNTERS, FastPathCounters
-from repro.profiling.profiler import Profiler, format_report
 
-__all__ = ["COUNTERS", "FastPathCounters", "Profiler", "format_report"]
+__all__ = ["COUNTERS", "FastPathCounters"]

@@ -45,16 +45,10 @@ class Simulator:
 
     All simulated components share one :class:`Simulator`. Time is a float in
     *seconds* of virtual time. Determinism comes from the FIFO tie-break on
-    the event heap plus seeded RNG streams handed out by :meth:`rng`.
+    the event heap plus seeded RNG streams handed out by :meth:`rng`. All
+    state is per instance, so simulators run one after another in the same
+    process cannot see each other.
     """
-
-    #: Set by :class:`repro.profiling.Profiler` while active. Checked once
-    #: per :meth:`run` call (zero per-event cost when profiling is off) and
-    #: once per :meth:`step`; both hold the tail closed while they dispatch
-    #: through it, so profiled runs keep one heap dispatch per wakeup.
-    #: Class-level so the hook needs no per-instance state and survives
-    #: simulator re-creation inside a profiled block.
-    _active_profiler: Any = None
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
@@ -119,8 +113,7 @@ class Simulator:
         it. Every later entry keeps the sequence number it has today, so
         the schedule is not "nearly" but exactly the one the heap would
         have produced (DESIGN.md §8, "The ordering rule"). Returns False —
-        the caller schedules as usual — while the tail is held: under a
-        profiler (it attributes time per heap dispatch) and inside
+        the caller schedules as usual — while the tail is held: inside
         :meth:`Event.succeed_inline`'s non-final callbacks, which are not
         in tail position.
         """
@@ -155,7 +148,6 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next scheduled call. Returns False when idle."""
         heap = self._heap
-        profiler = Simulator._active_profiler
         while heap:
             entry = heapq.heappop(heap)
             callback = entry[_CALLBACK]
@@ -163,14 +155,7 @@ class Simulator:
                 self._cancelled -= 1
                 continue
             self.now = entry[_TIME]
-            if profiler is None:
-                callback(*entry[_ARGS])
-            else:
-                self._tail_held += 1  # profiled: one heap dispatch per wakeup
-                try:
-                    profiler.dispatch(callback, entry[_ARGS])
-                finally:
-                    self._tail_held -= 1
+            callback(*entry[_ARGS])
             return True
         return False
 
@@ -182,12 +167,6 @@ class Simulator:
         before the call returns; only then does ``now`` advance to
         ``until``.
         """
-        if Simulator._active_profiler is not None:
-            self._tail_held += 1  # profiled: one heap dispatch per wakeup
-            try:
-                return self._run_profiled(until)
-            finally:
-                self._tail_held -= 1
         heap = self._heap
         pop = heapq.heappop
         if until is None:
@@ -211,40 +190,6 @@ class Simulator:
             pop(heap)
             self.now = entry[_TIME]
             entry[_CALLBACK](*entry[_ARGS])
-        if until > self.now:
-            self.now = until
-        return self.now
-
-    def _run_profiled(self, until: float | None) -> float:
-        """The :meth:`run` loop with every dispatch routed through the
-        active profiler. Identical pop order, time advancement and boundary
-        semantics — the profiler only wraps the callback invocation."""
-        profiler = Simulator._active_profiler
-        profiler.last_sim = self
-        dispatch = profiler.dispatch
-        heap = self._heap
-        pop = heapq.heappop
-        if until is None:
-            while heap:
-                entry = pop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    self._cancelled -= 1
-                    continue
-                self.now = entry[_TIME]
-                dispatch(callback, entry[_ARGS])
-            return self.now
-        while heap:
-            entry = heap[0]
-            if entry[_CALLBACK] is None:
-                pop(heap)
-                self._cancelled -= 1
-                continue
-            if entry[_TIME] > until:
-                break
-            pop(heap)
-            self.now = entry[_TIME]
-            dispatch(entry[_CALLBACK], entry[_ARGS])
         if until > self.now:
             self.now = until
         return self.now

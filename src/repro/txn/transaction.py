@@ -50,14 +50,11 @@ class Participant:
 
 
 class Transaction:
-    """One (possibly distributed) transaction under snapshot isolation."""
+    """One (possibly distributed) transaction under snapshot isolation.
 
-    _next_tid = 0
-
-    @classmethod
-    def allocate_tid(cls) -> int:
-        cls._next_tid += 1
-        return cls._next_tid
+    ``tid`` is handed out by the owning cluster (:meth:`Cluster.allocate_tid`),
+    so a transaction's id depends only on its own run.
+    """
 
     def __init__(
         self, tid: int, coordinator_node: str, start_ts: int, label: str = ""

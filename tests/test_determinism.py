@@ -6,8 +6,10 @@ import pathlib
 import subprocess
 import sys
 
+from repro.bench.sweep import canonical_json
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.experiments import common, registry
 from repro.migration import MigrationPlan, RemusMigration, run_plan
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -89,3 +91,36 @@ def test_timeline_independent_of_hash_seed():
     a = _run_with_hashseed(0)
     b = _run_with_hashseed(12345)
     assert a == b
+
+
+def _run_cell_recording_tids(scenario, approach, monkeypatch):
+    """Run one smoke cell at seed 0; return its canonical payload and the
+    tid of every transaction it registered (shadows too), in order."""
+    tids = []
+
+    def recording_cluster(*args, **kwargs):
+        cluster = Cluster(*args, **kwargs)
+        register = cluster.register_txn
+
+        def record(txn):
+            tids.append(txn.tid)
+            register(txn)
+
+        cluster.register_txn = record
+        return cluster
+
+    monkeypatch.setattr(common, "Cluster", recording_cluster)
+    spec = registry.get(scenario)
+    result = registry.run(spec, approach=approach, seed=0, **dict(spec.smoke))
+    return canonical_json(result.to_dict()), tids
+
+
+def test_two_runs_in_one_process_cannot_see_each_other(monkeypatch):
+    """A run owns everything it numbers: running another scenario first in
+    the same process changes neither its payload nor its transaction ids."""
+    alone_payload, alone_tids = _run_cell_recording_tids("scale_out", "remus", monkeypatch)
+    _run_cell_recording_tids("load_balancing", "remus", monkeypatch)
+    payload, tids = _run_cell_recording_tids("scale_out", "remus", monkeypatch)
+    assert payload == alone_payload
+    assert tids == alone_tids
+    assert tids[0] == 1

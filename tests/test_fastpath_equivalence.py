@@ -13,9 +13,6 @@ were checked to agree:
   final table dump and the tuples copied;
 - golden commit timelines with the kernel's slot count (``sim._seq``) for
   every registry cell plus the failover and chaos soaks.
-
-The profiler makes the same promise (it observes dispatches, it never
-schedules), so it gets the same treatment.
 """
 
 import hashlib
@@ -26,7 +23,6 @@ import pytest
 from repro import fastpath
 from repro.bench.sweep import canonical_json
 from repro.experiments import ExperimentResult, common, registry
-from repro.profiling import Profiler
 
 #: One cell per migration approach, crossing scenario boundaries.
 _CELLS = [
@@ -111,24 +107,6 @@ def test_flags_restored_after_override():
     assert fastpath.batch_workload is before
     with pytest.raises(ValueError), fastpath.overridden(warp_drive=True):
         pass
-
-
-def test_profiler_does_not_perturb_the_timeline():
-    baseline = _run_cell("load_balancing", "remus", 3)
-    with Profiler() as profiler:
-        profiled = _run_cell("load_balancing", "remus", 3)
-    assert canonical_json(profiled.to_dict()) == canonical_json(baseline.to_dict())
-    report = profiler.report()
-    assert report["dispatches"] > 0
-    assert report["subsystems"], "expected per-subsystem wall-clock attribution"
-
-
-def test_profiler_rejects_nesting():
-    from repro.sim.errors import SimulationError
-
-    with Profiler():
-        with pytest.raises(SimulationError):
-            Profiler().__enter__()
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,13 @@ def test_sim001_exempt_inside_kernel():
     assert "SIM001" not in lint(src, path="src/repro/sim/kernel.py")
 
 
+def test_sim001_fires_inside_profiling_counters():
+    # The fast-path counters are plain integers: the package that holds
+    # them has no wall-clock exemption.
+    src = "import time\nnow = time.monotonic()\n"
+    assert "SIM001" in lint(src, path="src/repro/profiling/counters.py")
+
+
 # ----------------------------------------------------------------------
 # SIM002 — unseeded random
 # ----------------------------------------------------------------------
