@@ -1,4 +1,4 @@
-"""Storm-scale cluster benchmark: ``repro bench --cluster``.
+"""Storm-scale cluster benchmark: ``repro bench``.
 
 The ROADMAP's storm target — 100+ nodes, 1M+ simulated clients, a live
 migration in flight — is unreachable with one generator process per client:

@@ -8,11 +8,11 @@ remotely with network hops, and commits with two-phase commit across all
 writing participants.
 
 DTS causality is maintained here: every cross-node hop piggybacks the
-sender's HLC onto the message, advancing the receiver (``oracle.observe``),
+sender's HLC onto the message, advancing the receiver (``oracle.carry``),
 so dependent transactions order correctly even under clock skew.
 """
 
-from repro.sim.events import AllOf
+from repro.sim.process import join
 from repro.txn.errors import TransactionError
 from repro.txn.locks import SharedExclusiveLockTable
 from repro.txn.transaction import Transaction, TxnState
@@ -27,14 +27,10 @@ class Session:
     def __init__(self, cluster, node_id):
         self.cluster = cluster
         self.node = cluster.nodes[node_id]
+        self.node_id = node_id
         self.sim = cluster.sim
-        self.network = cluster.network
         self.oracle = cluster.oracle
         self.costs = cluster.config.costs
-
-    @property
-    def node_id(self):
-        return self.node.node_id
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -72,11 +68,8 @@ class Session:
             return txn.start_ts
 
         txn.state = TxnState.PREPARING
-        outcomes = yield AllOf(
-            [
-                self.sim.spawn(self._prepare_one(txn, p), name="prepare")
-                for p in writers
-            ]
+        outcomes = yield from join(
+            self.sim, [self._prepare_one(txn, p) for p in writers], "prepare"
         )
         failure = next((err for ok, err in outcomes if not ok), None)
         if failure is not None:
@@ -87,11 +80,8 @@ class Session:
         commit_ts = yield from self.oracle.commit_timestamp(self.node_id, floor)
         txn.commit_ts = commit_ts
         txn.state = TxnState.COMMITTING
-        yield AllOf(
-            [
-                self.sim.spawn(self._commit_one(txn, p, commit_ts), name="commit")
-                for p in writers
-            ]
+        yield from join(
+            self.sim, [self._commit_one(txn, p, commit_ts) for p in writers], "commit"
         )
         self._finish_read_only_participants(txn, commit_ts, exclude={p.node_id for p in writers})
         txn.state = TxnState.COMMITTED
@@ -144,7 +134,7 @@ class Session:
             if node.failed:
                 yield from node.wait_available()
             if remote:
-                self.oracle.observe(participant.node_id, self.oracle.peek(self.node_id))
+                self.oracle.carry(self.node_id, participant.node_id)
                 yield from self.cluster.rpc_send(
                     self.node_id, participant.node_id, _RPC_SIZE
                 )
@@ -174,7 +164,7 @@ class Session:
             yield from node.wait_available()
         remote = participant.node_id != self.node_id
         if remote:
-            self.oracle.observe(participant.node_id, self.oracle.peek(self.node_id))
+            self.oracle.carry(self.node_id, participant.node_id)
             yield from self.cluster.rpc_send(
                 self.node_id, participant.node_id, _RPC_SIZE, persistent=True
             )
@@ -242,7 +232,7 @@ class Session:
                 yield from target.wait_available()
             remote = owner != self.node_id
             if remote:
-                self.oracle.observe(owner, self.oracle.peek(self.node_id))
+                self.oracle.carry(self.node_id, owner)
                 yield from self.cluster.rpc_send(self.node_id, owner, _RPC_SIZE)
             if self.cluster.cc_mode == "shard_lock":
                 yield from target.manager.acquire_shard_lock(
@@ -253,7 +243,7 @@ class Session:
                 yield from self.cluster.rpc_send(
                     owner, self.node_id, _RPC_SIZE + 8 * len(keys)
                 )
-                self.oracle.observe(self.node_id, self.oracle.peek(owner))
+                self.oracle.carry(owner, self.node_id)
             all_keys.extend(keys)
         return all_keys
 
@@ -280,7 +270,7 @@ class Session:
             yield from target.wait_available()
         remote = owner != node.node_id
         if remote:
-            self.oracle.observe(owner, self.oracle.peek(node.node_id))
+            self.oracle.carry(node.node_id, owner)
             yield from cluster.rpc_send(node.node_id, owner, _RPC_SIZE)
         if cluster.cc_mode == "shard_lock":
             mode = (
@@ -309,7 +299,7 @@ class Session:
             raise ValueError("unknown op {!r}".format(op))
         if remote:
             yield from cluster.rpc_send(owner, node.node_id, _RPC_SIZE)
-            self.oracle.observe(node.node_id, self.oracle.peek(owner))
+            self.oracle.carry(owner, node.node_id)
         return result
 
     def _route(self, txn, shard_id):

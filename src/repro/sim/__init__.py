@@ -27,7 +27,7 @@ from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, At, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.network import BACKUP_CLASS, MIGRATION_CLASS, Network, NetworkConfig
-from repro.sim.process import Process
+from repro.sim.process import Process, join
 from repro.sim.resources import CpuResource, Resource
 from repro.sim.rng import RngStream, SeedSequence
 from repro.sim.rpc import (
@@ -62,6 +62,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
+    "join",
     "make_topology",
     "reliable_roundtrip",
     "reliable_send",

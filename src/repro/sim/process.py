@@ -212,13 +212,24 @@ class Process:
                     value = None if exception is not None else target._value
                     continue
                 else:
-                    self._waiting_on = target
-                    sim.schedule(0.0, self._on_event, target)
+                    self._queue_wakeup(target)
+            elif kind is float:
+                self._pending_timer = sim.schedule(target, self._resume, None, None)
             elif kind is Timeout:
                 self._pending_timer = sim.schedule(target.delay, self._resume, None, None)
+            elif kind is At:
+                self._pending_timer = sim.schedule_at(target.time, self._resume, None, None)
             else:
                 self._wait_on(target)
             return
+
+    def _queue_wakeup(self, event):
+        """Wake from ``event``, already triggered, in a slot of its own; a
+        timer if queued behind a pending interrupt, which must cancel it."""
+        self._waiting_on = event
+        entry = self.sim.schedule(0.0, self._on_event, event)
+        if self._interrupt_pending is not None:
+            self._pending_timer = entry
 
     def _on_event(self, event):
         """Wakeup callback of a single-event wait (runs in its own slot)."""
@@ -228,7 +239,8 @@ class Process:
             self._resume(None, event._exception)
 
     def _wait_on(self, target):
-        """Park on the less common waitables (and subclasses of any)."""
+        """Park on the less common waitables: ``Process``, ``AllOf``, ``int``,
+        ``AnyOf``, an ended ``Charge`` and subclasses of ``Event``."""
         if isinstance(target, Process):
             target = target._done_event
         if isinstance(target, AllOf):
@@ -239,16 +251,14 @@ class Process:
                 self._pending_timer = self.sim.schedule(0.0, self._resume, [], None)
         elif isinstance(target, (int, float)):
             self._pending_timer = self.sim.schedule(target, self._resume, None, None)
+        elif isinstance(target, Event) and target._done:
+            self._queue_wakeup(target)
         elif isinstance(target, Event):
             self._waiting_on = target
             target.add_callback(self._on_event)
         elif isinstance(target, AnyOf):
             events = [self._as_event(item) for item in target.waitables]
             self._wait_on_composite(_AnyOfWait(self, events))
-        elif isinstance(target, At):
-            self._pending_timer = self.sim.schedule_at(target.time, self._resume, None, None)
-        elif isinstance(target, Timeout):
-            self._pending_timer = self.sim.schedule(target.delay, self._resume, None, None)
         elif isinstance(target, Charge) and target.process is False:
             # Yielded after it ended: ready at once, like a triggered event.
             self._pending_timer = self.sim.schedule(0.0, self._resume, None, None)
@@ -286,3 +296,25 @@ class Process:
     def __repr__(self):
         state = "finished" if self.finished else "running"
         return "Process({!r}, {})".format(self.name, state)
+
+
+def join(sim, generators, name=""):
+    """Generator: the children's results in order. Two or more are spawned
+    and joined by one ``AllOf``; a sole child runs in the caller's process
+    between two ``yield sim.ready`` that take its start slot and the slot
+    its finish (or failure) wakes the joiner in (DESIGN.md §8, "The
+    claimed-slot join"). The one condition: nothing else joins or interrupts
+    the child, as for ``Session.commit``'s legs (interrupts only target
+    ACTIVE transactions, ``commit()`` starts with ``check_doomed()``)."""
+    if len(generators) != 1:
+        return (yield AllOf([sim.spawn(generator, name) for generator in generators]))
+    yield sim.ready
+    try:
+        value = yield from generators[0]
+    except Interrupt:
+        raise
+    except Exception as exc:
+        yield sim.ready
+        raise exc
+    yield sim.ready
+    return [value]

@@ -48,7 +48,7 @@ class WalRecordKind(enum.Enum):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class WalRecord:
     """One WAL entry. ``lsn`` is assigned by :meth:`Wal.append`."""
 

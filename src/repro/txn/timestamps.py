@@ -16,6 +16,7 @@ Both oracles expose the same generator-based interface:
     start_ts = yield from oracle.start_timestamp(node_id)
     commit_ts = yield from oracle.commit_timestamp(node_id, floor_ts)
     oracle.observe(node_id, some_remote_ts)
+    oracle.carry(src_node_id, dst_node_id)  # a hop piggybacks src's clock
 """
 
 from __future__ import annotations
@@ -88,13 +89,19 @@ class DtsOracle:
     def observe(self, node_id: str, ts: int) -> None:
         self.clock(node_id).update(ts)
 
+    def carry(self, src: str, dst: str) -> None:
+        """A hop from ``src`` to ``dst`` piggybacks ``src``'s clock."""
+        source = self._clocks.get(src) or self.clock(src)
+        target = self._clocks.get(dst) or self.clock(dst)
+        ts = int((self.sim.now + source.skew) * 1e6) << LOGICAL_BITS
+        if source._last > ts:
+            ts = source._last
+        if ts > target._last:
+            target._last = ts
+
     def local_now(self, node_id: str) -> int:
         """A fresh timestamp from the node's clock (used for prepare acks)."""
         return self.clock(node_id).now()
-
-    def peek(self, node_id: str) -> int:
-        """Non-advancing read of the node's clock (message piggybacking)."""
-        return self.clock(node_id).peek()
 
     def safe_horizon(self) -> int:
         """A timestamp no future snapshot can precede (vacuum horizon)."""
@@ -141,11 +148,10 @@ class GtsOracle:
     def observe(self, node_id, ts):
         """GTS timestamps are globally ordered already; nothing to merge."""
 
+    carry = observe  # nor anything to piggyback
+
     def local_now(self, node_id):
         """Non-blocking sequencer peek used for prepare acks."""
-        return self._counter
-
-    def peek(self, node_id):
         return self._counter
 
     def safe_horizon(self):

@@ -31,7 +31,7 @@ draw order in both modes), arrival instants are globally unique and both
 modes wake at exact absolute instants via the :class:`~repro.sim.events.At`
 waitable — so the kernel dispatches the same runners at the same times in
 the same order either way. ``tests/test_fastpath_equivalence.py`` pins the
-equivalence at small N; ``repro bench --cluster`` measures the speedup at
+equivalence at small N; ``repro bench`` measures the speedup at
 storm scale.
 
 Capacity is never silently truncated: arrivals beyond ``batch_cap`` in one

@@ -15,6 +15,7 @@ were checked to agree:
   every registry cell plus the failover and chaos soaks.
 """
 
+import collections
 import hashlib
 import importlib
 
@@ -301,7 +302,7 @@ def _storm_payload(mode, seed):
     """One small population storm on a 6-node multi-AZ cluster.
 
     ``mode``: ``per_client`` / ``batch`` — the two driving shapes
-    ``repro bench --cluster`` measures, at equivalence scale.
+    ``repro bench`` measures, at equivalence scale.
     """
     from repro.cluster.cluster import Cluster
     from repro.config import ClusterConfig, TierProfiles
@@ -402,9 +403,11 @@ def test_tail_dispatch_keeps_nearly_half_the_wakeups_off_the_heap(monkeypatch):
     slots (``sim._seq``, pinned in ``_GOLDEN``); on the commit before tail
     dispatch every one of them was a ``schedule``/``schedule_at`` call (this
     wrapper counted 158 146 there). A wakeup that is provably the next
-    dispatch now consumes its number without touching the heap. Losing a
-    tail site moves the count up; inlining where the rule forbids it moves
-    the digests in ``_GOLDEN``."""
+    dispatch now consumes its number without touching the heap (82 480
+    pushes), and a one-writer commit's 2PC legs run in the client's own
+    process, their start and finish slots claimed by ``repro.sim.join``
+    (72 856). Losing a tail site moves the count up; inlining where the
+    rule forbids it moves the digests in ``_GOLDEN``."""
     from repro.sim.kernel import Simulator
 
     calls = []
@@ -417,5 +420,38 @@ def test_tail_dispatch_keeps_nearly_half_the_wakeups_off_the_heap(monkeypatch):
         monkeypatch.setattr(Simulator, name, counting)
     cluster, _result = _run_cell_capturing_cluster("load_balancing", "remus", monkeypatch)
     assert cluster.sim._seq == _GOLDEN[("load_balancing", "remus")][2]
-    assert len(calls) == 82480
-    assert len(calls) / cluster.sim._seq <= 0.6
+    assert len(calls) == 72856
+    assert len(calls) / cluster.sim._seq <= 0.5
+
+
+def test_a_one_writer_commit_spawns_no_process(monkeypatch):
+    """Seed-exact op count: smoke ``load_balancing``/remus at seed 0 runs
+    4 823 commits with one writer and one with six (T_m, which writes the
+    shard map on every node). Only the six-writer commit's 2PC legs are
+    processes of their own; a one-writer commit's legs run in the client's
+    process (``repro.sim.join``). The parent of this change constructed
+    9 753 processes here, 4 829 ``prepare`` and 4 829 ``commit`` legs."""
+    from repro.cluster import coordinator
+    from repro.sim.process import Process
+
+    names = collections.Counter()
+    joined = []
+    init, join = Process.__init__, coordinator.join
+
+    def counting_init(self, sim, generator, name=""):
+        init(self, sim, generator, name)
+        names[self.name] += 1
+
+    def recording_join(sim, generators, name=""):
+        joined.append((name, len(generators)))
+        return join(sim, generators, name)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    monkeypatch.setattr(coordinator, "join", recording_join)
+    cluster, _result = _run_cell_capturing_cluster("load_balancing", "remus", monkeypatch)
+    assert cluster.sim._seq == _GOLDEN[("load_balancing", "remus")][2]
+    for leg in ("prepare", "commit"):
+        writers = [count for name, count in joined if name == leg]
+        assert names[leg] == sum(count for count in writers if count >= 2) == 6
+        assert (writers.count(1), len(writers)) == (4823, 4824)
+    assert sum(names.values()) == 107

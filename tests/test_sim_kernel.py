@@ -17,6 +17,7 @@ from repro.sim import (
     Topology,
 )
 from repro.sim.events import Event
+from repro.sim.process import join
 
 
 def test_schedule_runs_in_time_order():
@@ -371,6 +372,42 @@ def test_interrupt_racing_a_triggered_event_delivers_the_value_first():
     assert proc.finished
 
 
+@pytest.mark.parametrize("triggered", ["event", "finished process"])
+def test_a_wakeup_queued_behind_a_pending_interrupt_never_fires(triggered):
+    """Regression: woken first by a wakeup queued before the interrupt, the
+    victim parked on a triggered event (or a finished process) whose
+    wakeup was then queued *behind* the interrupt. Delivering the
+    interrupt did not cancel that wakeup, which later cut the victim's
+    next sleep short (here to 0 s instead of 5 s)."""
+    sim = Simulator()
+    first = sim.event()
+    ready = sim.event()
+    ready.succeed("stale")
+    log = []
+
+    def finished():
+        return "stale"
+        yield  # pragma: no cover
+
+    def victim(done):
+        yield first
+        try:
+            yield ready if triggered == "event" else done
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        log.append(("slept", (yield Timeout(5.0)), sim.now))
+
+    def poker(proc):
+        yield Timeout(1.0)
+        first.succeed(None)
+        proc.interrupt("stop")
+
+    done = sim.spawn(finished())
+    sim.spawn(poker(sim.spawn(victim(done))))
+    sim.run()
+    assert log == [("interrupted", 1.0), ("slept", None, 6.0)]
+
+
 @pytest.mark.parametrize(
     "wait_on", [lambda event: event, lambda event: AllOf([event]), lambda event: AnyOf([event])],
     ids=["event", "AllOf", "AnyOf"],
@@ -467,18 +504,30 @@ class NeverInline(Counting):
         return False
 
 
-def run_program(sim_cls, program, stops=()):
+def _spawn_and_join_all(sim, generators, name=""):
+    """The reference for ``join``: every child a process of its own."""
+    return (yield AllOf([sim.spawn(generator, name) for generator in generators]))
+
+
+def run_program(sim_cls, program, stops=(), joiner=join):
     """Interpret ``program`` (one op list per top-level process) on a fresh
     ``sim_cls`` and return everything an observer could tell two runs apart
     by — the dispatch trace ``(now, process, value)`` in execution order,
     the final ``_seq`` and clock, the CPUs' busy bins, slots and queues —
-    plus the number of heap pushes."""
+    plus the number of heap pushes. ``joiner`` runs the ``joinone`` op.
+
+    ``joinone`` keeps ``join``'s one condition the way ``Session.commit``
+    does: an ``interrupt`` spares a process inside a join (interrupts only
+    target ACTIVE transactions), and a process whose interrupt is still in
+    flight skips the join (``commit()`` starts with ``check_doomed()``)."""
     sim = sim_cls()
     cpus = [CpuResource(sim, 1, "c1", bin_width=0.5), CpuResource(sim, 2, "c2", bin_width=0.5)]
     net = Network.from_topology(sim, Topology.single(LinkProfile(0.25, 4.0)))
     shared = [sim.event("e{}".format(i)) for i in range(3)]
     trace = []
     procs = []
+    joining = set()  # processes inside a joinone
+    doomed = set()  # processes with an interrupt not yet delivered
 
     def spawn(name, ops):
         procs.append(sim.spawn(body(name, ops), name=name))
@@ -489,6 +538,7 @@ def run_program(sim_cls, program, stops=()):
             try:
                 value = yield from step("{}.{}".format(name, index), op)
             except Interrupt as exc:
+                doomed.discard(name)
                 value = ("interrupt", exc.cause)
             trace.append((sim.now, name, value))
         return name
@@ -519,7 +569,24 @@ def run_program(sim_cls, program, stops=()):
             if not shared[op[1]].triggered:
                 shared[op[1]].succeed(name)
         elif kind == "interrupt":
-            procs[op[1] % len(procs)].interrupt(name)
+            victim = procs[op[1] % len(procs)]
+            if victim.name in joining:
+                return "spared"
+            doomed.add(victim.name)
+            victim.interrupt(name)
+        elif kind == "raise":
+            raise ValueError(name)
+        elif kind == "joinone":
+            owner = name.rsplit(".", 1)[0]
+            if owner in doomed:
+                return "doomed"
+            joining.add(owner)
+            try:
+                return (yield from joiner(sim, [body(name + "/j", op[1])], "j"))
+            except ValueError as exc:
+                return ("raised", str(exc))
+            finally:
+                joining.discard(owner)
         elif kind == "cancelled":
             sim.cancel(sim.schedule(op[1], trace.append, "never"))
         elif kind == "callback":
@@ -548,7 +615,10 @@ def run_program(sim_cls, program, stops=()):
 
 
 _DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # tie-prone on purpose
-_LEAF_OPS = st.one_of(
+#: What a ``joinone`` child may do, besides raise: no join or interrupt,
+#: which could target the child's own caller (a child that joins the
+#: process it runs in deadlocks only when spawned).
+_CHILD_OPS = st.one_of(
     st.tuples(st.just("sleep"), _DELAYS),
     st.tuples(st.just("cpu"), st.integers(0, 1), _DELAYS),
     st.tuples(st.just("chain"), st.integers(0, 1), _DELAYS, _DELAYS),
@@ -556,10 +626,18 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("ready")),
     st.tuples(st.just("wait"), st.integers(0, 2)),
     st.tuples(st.just("fire"), st.integers(0, 2)),
-    st.tuples(st.just("join"), st.integers(0, 7)),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("cancelled"), _DELAYS),
     st.tuples(st.just("callback"), _DELAYS),
+)
+_LEAF_OPS = st.one_of(
+    _CHILD_OPS,
+    st.tuples(st.just("join"), st.integers(0, 7)),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    # A child that ends without yielding is an empty or all-instant list.
+    st.tuples(
+        st.just("joinone"),
+        st.lists(st.one_of(_CHILD_OPS, st.just(("raise",))), max_size=4),
+    ),
 )
 
 
@@ -585,6 +663,63 @@ def test_tail_dispatch_equals_the_never_inline_kernel(program, stops):
     assert observed == reference
     assert reference_pushes == reference[1]  # the reference pushes every slot
     assert pushes <= reference_pushes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_op_lists(2), min_size=1, max_size=4), st.lists(_DELAYS, max_size=2))
+def test_join_runs_a_sole_child_in_the_slots_its_process_would_have_had(program, stops):
+    """``join`` of one child, run in the caller's process, against the same
+    programs with every child spawned and joined by ``AllOf``: identical
+    dispatch trace, ``_seq``, clock and CPU accounting on either kernel,
+    and never more heap pushes."""
+    for sim_cls in (Counting, NeverInline):
+        observed, pushes = run_program(sim_cls, program, stops)
+        reference, reference_pushes = run_program(sim_cls, program, stops, _spawn_and_join_all)
+        assert observed == reference
+        assert pushes <= reference_pushes
+
+
+#: A child that finishes without yielding, one that raises before and one
+#: after its first yield, and one racing a same-instant bystander.
+_JOIN_EDGES = [
+    [("joinone", []), ("joinone", [("fire", 0)]), ("joinone", [("raise",)])],
+    [("joinone", [("cpu", 0, 0.5), ("raise",)]), ("wait", 0), ("callback", 0.0)],
+    [("sleep", 0.5), ("joinone", [("ready",), ("cpu", 0, 0.25)]), ("ready",)],
+    [("callback", 0.5), ("cpu", 0, 0.5), ("interrupt", 2), ("interrupt", 0)],
+]
+
+
+@pytest.mark.parametrize("sim_cls", [Counting, NeverInline])
+def test_join_edges_match_spawned_children(sim_cls):
+    observed, pushes = run_program(sim_cls, _JOIN_EDGES)
+    reference, reference_pushes = run_program(sim_cls, _JOIN_EDGES, joiner=_spawn_and_join_all)
+    assert observed == reference and pushes <= reference_pushes
+    values = [value for _now, name, value, *_ in observed[0] if name in ("p0", "p1")]
+    assert values[:4] == [["p0.0/j"], ["p0.1/j"], ("raised", "p0.2/j.0"), ("raised", "p1.0/j.1")]
+
+
+def _join_without_leading_ready(sim, generators, name=""):
+    try:
+        value = yield from generators[0]
+    except Exception as exc:
+        yield sim.ready
+        raise exc
+    yield sim.ready
+    return [value]
+
+
+def _join_without_trailing_ready(sim, generators, name=""):
+    yield sim.ready
+    return [(yield from generators[0])]
+
+
+@pytest.mark.parametrize(
+    "mutant", [_join_without_leading_ready, _join_without_trailing_ready]
+)
+def test_the_oracle_kills_join_mutants(mutant):
+    reference = run_program(Counting, _JOIN_EDGES, joiner=_spawn_and_join_all)[0]
+    assert run_program(Counting, _JOIN_EDGES, joiner=join)[0] == reference
+    assert run_program(Counting, _JOIN_EDGES, joiner=mutant)[0] != reference
 
 
 #: Every tail site at least once: charge -> waiter, chain leg 1 -> leg 2,

@@ -1,6 +1,8 @@
 """Unit tests for the transaction layer: locks, timestamps, manager pieces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.txn.locks import RowLockTable, SharedExclusiveLockTable
@@ -192,7 +194,44 @@ def test_dts_observe_entangles_clocks(sim):
 def test_dts_skew_shows_in_physical_component(sim):
     oracle = DtsOracle(sim, skew_by_node={"fast": 0.5, "slow": 0.0})
     sim.now = 1.0
-    assert oracle.peek("fast") > oracle.peek("slow")
+    assert oracle.clock("fast").peek() > oracle.clock("slow").peek()
+
+
+_CLOCK_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["carry", "now", "advance"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.floats(0.0, 0.01),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CLOCK_STEPS)
+def test_dts_carry_is_observe_of_the_senders_peek(steps):
+    """``carry(src, dst)`` is the inline form of ``observe(dst,
+    clock(src).peek())``, the piggyback every hop used to spell out:
+    skewed clocks, logical ticks and same-instant hops end in the same
+    state either way."""
+    skews = {"a": 0.0, "b": 0.003, "c": -0.002}
+    ends = []
+    for inline in (True, False):
+        sim = Simulator()
+        oracle = DtsOracle(sim, skew_by_node=skews)
+        for kind, src, dst, delta in steps:
+            if kind == "advance":
+                sim.now += delta
+            elif kind == "now":
+                oracle.local_now(src)
+            elif inline:
+                oracle.carry(src, dst)
+            else:
+                oracle.observe(dst, oracle.clock(src).peek())
+        ends.append({node: clock._last for node, clock in oracle._clocks.items()})
+    assert ends[0] == ends[1]
+    assert list(ends[0]) == list(ends[1])  # clocks created in the same order
 
 
 def test_gts_is_globally_monotonic_and_costs_roundtrip(sim):
