@@ -10,7 +10,6 @@ Examples::
     python -m repro chaos --fault-plan "crash:node-2@1.0; partition:node-1|node-3@2.0+0.5"
     python -m repro failover --seed 1 --phase async_propagation
     python -m repro failover --compare
-    python -m repro bench --smoke
     python -m repro sweep --scenario hybrid_a --seeds 4 --jobs 4
     python -m repro lint --format json
 
@@ -224,19 +223,12 @@ def main(argv=None):
         "wait-and-remaster onto an in-sync follower",
     )
 
-    from repro.bench.cli import add_bench_arguments, add_sweep_arguments
-
-    bench = sub.add_parser(
-        "bench",
-        help="network storms + pump-share sweep + cluster storms; "
-        "writes BENCH_network.json and BENCH_cluster.json",
-    )
-    add_bench_arguments(bench)
-
     sweep = sub.add_parser(
         "sweep",
         help="fan seeds x (scenario, approach) cells across a worker pool",
     )
+    from repro.experiments.sweep import add_sweep_arguments
+
     add_sweep_arguments(sweep)
 
     lint = sub.add_parser(
@@ -288,12 +280,8 @@ def main(argv=None):
         return 0
     if args.command in ("chaos", "failover"):
         return _run_soak(args)
-    if args.command == "bench":
-        from repro.bench.cli import run_bench_command
-
-        return run_bench_command(args)
     if args.command == "sweep":
-        from repro.bench.cli import run_sweep_command
+        from repro.experiments.sweep import run_sweep_command
 
         return run_sweep_command(args)
     if args.command == "lint":

@@ -17,7 +17,14 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.events import AllOf
 from repro.sim.kernel import Simulator
 from repro.sim.network import MIGRATION_CLASS, Network
-from repro.sim.rpc import RetryPolicy, RpcStats, RpcTimeout, clean_send, reliable_send
+from repro.sim.rpc import (
+    DEFAULT_POLICY,
+    PERSISTENT_POLICY,
+    RpcStats,
+    RpcTimeout,
+    clean_send,
+    reliable_send,
+)
 from repro.sim.topology import LinkProfile, Topology
 from repro.txn.errors import RpcAbort, TransactionError
 from repro.txn.timestamps import DtsOracle, GtsOracle
@@ -66,19 +73,6 @@ class Cluster:
         self._vacuum_holds = []
         self.replication = ReplicationManager(self)
         self.rpc_stats = RpcStats()
-        self.rpc_policy = RetryPolicy(
-            timeout=self.config.rpc_timeout,
-            max_attempts=self.config.rpc_max_attempts,
-            backoff_base=self.config.rpc_backoff_base,
-            backoff_cap=self.config.rpc_backoff_cap,
-        )
-        self.rpc_commit_policy = RetryPolicy(
-            timeout=self.config.rpc_timeout,
-            max_attempts=0,
-            backoff_base=self.config.rpc_backoff_base,
-            backoff_cap=self.config.rpc_backoff_cap,
-            persistent=True,
-        )
 
     def rpc_send(self, src, dst, size=0, persistent=False, traffic_class=None):
         """Generator: one cross-node protocol hop with timeout + retry.
@@ -97,7 +91,7 @@ class Cluster:
             # Clean link: this generator is the hop's only frame.
             yield arrived
             return
-        policy = self.rpc_commit_policy if persistent else self.rpc_policy
+        policy = PERSISTENT_POLICY if persistent else DEFAULT_POLICY
         try:
             yield from reliable_send(
                 self.network, src, dst, size, policy=policy,

@@ -33,6 +33,9 @@ from repro.txn.errors import ReplicaFailover, RpcAbort, StaleEpoch
 
 _PROBE_SIZE = 32  # heartbeat probe bytes
 _ACK_SIZE = 64  # follower ack / decision-relay bytes
+#: Protocol bytes per shipped message of WAL records, here and in
+#: migration propagation.
+MSG_OVERHEAD = 128
 _FNV_PRIME = 1000003
 _SIG_MOD = (1 << 61) - 1
 _KIND_CODE = {"prepare": 1, "commit": 2, "abort": 3}
@@ -299,7 +302,7 @@ class ShardReplicaGroup:
                     yield self._wake_event()
                     continue
                 entry = self.log[replica.next_index]
-                size = self.config.propagation_msg_overhead
+                size = MSG_OVERHEAD
                 if entry.records:
                     size += sum(r.size for r in entry.records)
                 yield from self.cluster.rpc_send(

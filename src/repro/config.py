@@ -24,8 +24,9 @@ from repro.sim.topology import LinkProfile, Topology
 # - The DES kernel and the RNG module are the only places allowed to touch
 #   the primitives they encapsulate (virtual time / seeding) — exempt from
 #   SIM001 / SIM002 respectively.
-# - The bench timing modules measure host wall-clock time *by definition*
-#   and never feed it back into the simulation — exempt from SIM001 only.
+# - The seed sweep times each cell in host wall-clock seconds for its
+#   report and never feeds that back into the simulation — exempt from
+#   SIM001 only.
 # - The analysis package lints everything but itself.
 # - The protocol rules (SIM004 raw sends; SIM101–SIM104 yield-point races)
 #   apply to protocol code only: the RPC layer and the network model
@@ -35,9 +36,7 @@ from repro.sim.topology import LinkProfile, Topology
 _LINT_SELF = ("*/analysis/*",)
 _WALL_CLOCK_OK = (
     "*/sim/kernel.py",
-    "*/bench/network_bench.py",
-    "*/bench/cluster_bench.py",
-    "*/bench/sweep.py",
+    "*/experiments/sweep.py",
 )
 # The batch workload engine is protocol-shaped generator code (dispatchers
 # and runners crossing yields), so the yield-point race rules cover it too.
@@ -138,29 +137,11 @@ class ClusterConfig:
     # the copy/propagation traffic class is capped at this fraction of link
     # bandwidth when foreground transfers compete. 1.0 = plain fair share.
     pump_share: float = 1.0
-    # Background backup traffic (the backup-interference scenario): bytes/s
-    # streamed by one backup client and the chunk size it sends in.
-    backup_rate: float = 5e7
-    backup_chunk_bytes: int = 262144
     vacuum_interval: float = 1.0  # seconds between vacuum passes
     cpu_bin_width: float = 1.0  # CPU usage accounting bin (Figure 10)
-    # RPC discipline (chaos hardening): every cross-node protocol hop waits
-    # at most rpc_timeout for delivery, retries with exponential backoff and
-    # gives up (aborting the transaction) after rpc_max_attempts. 2PC
-    # decision delivery (commit/abort records) retries forever instead —
-    # a decided transaction's outcome must reach every participant.
-    rpc_timeout: float = 0.05
-    rpc_max_attempts: int = 4
-    rpc_backoff_base: float = 0.02
-    rpc_backoff_cap: float = 0.5
-    # Migration data-path batching (§3.2/§3.3). Formerly magic constants in
-    # snapshot_copy/propagation; centralized so experiments can tune them.
-    snapshot_batch_tuples: int = 256  # tuples per snapshot-copy RPC batch
     # WAL records per CPU charge of a WAL tailer: both the migration send
-    # process and a replication group's leader pump.
+    # process and a replication group's leader pump (§3.3).
     pump_batch_records: int = 64
-    propagation_msg_overhead: int = 128  # protocol bytes per shipped message
-    default_tuple_size: int = 64  # bytes for tables with no declared size
     # Per-shard replication groups (leader + N followers, WAL shipping,
     # quorum-acked commit). The lease monitor declares a leader dead after
     # repl_lease_timeout without a heartbeat and elects the lowest live
@@ -171,9 +152,8 @@ class ClusterConfig:
     # arrival generator models ``storm_population`` clients as Poisson
     # arrival batches drawn once per ``storm_arrival_tick`` seconds of
     # virtual time, with at most ``storm_batch_cap`` arrivals admitted per
-    # tick (overflow is counted, never silently dropped). Centralized here —
-    # same policy as the migration batching constants above — so the storm
-    # bench, the CLI and the tests all read one source of truth.
+    # tick (overflow is counted, never silently dropped). A set field of the
+    # workload's ``PopulationConfig`` overrides its knob.
     storm_population: int = 10_000
     storm_arrival_tick: float = 0.05
     storm_batch_cap: int = 8192

@@ -27,6 +27,11 @@ from repro.experiments import registry
 from repro.experiments.common import build_cluster, build_ycsb, measure, migrate_and_settle
 from repro.sim.network import BACKUP_CLASS
 
+# The backup stream: bytes/s sent by one backup client, in chunks of this
+# many bytes.
+BACKUP_RATE = 5e7
+BACKUP_CHUNK_BYTES = 262144
+
 
 @dataclass
 class CrossAzConfig:
@@ -66,11 +71,9 @@ class CrossAzConfig:
 
 def _backup_streamer(cluster, src, dst, deadline):
     """Generator: paced background bulk traffic tagged ``BACKUP_CLASS``."""
-    rate = cluster.config.backup_rate
-    chunk = cluster.config.backup_chunk_bytes
-    period = chunk / rate
+    period = BACKUP_CHUNK_BYTES / BACKUP_RATE
     while cluster.sim.now < deadline:
-        yield from cluster.rpc_send(src, dst, chunk, traffic_class=BACKUP_CLASS)
+        yield from cluster.rpc_send(src, dst, BACKUP_CHUNK_BYTES, traffic_class=BACKUP_CLASS)
         yield period
 
 

@@ -13,8 +13,8 @@ overrides every tiny-scale run of it uses)::
     def _hybrid_a(approach, config):
         ...
 
-Callers then resolve scenarios uniformly — the CLI, the seed-sweep
-harness, the pump-share sweep and the benchmarks all go through here::
+Callers then resolve scenarios uniformly — the CLI, the seed sweep, the
+tests and the benchmarks all go through here::
 
     from repro.experiments import registry
 

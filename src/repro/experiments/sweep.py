@@ -18,16 +18,20 @@ the fallback only changes wall-clock, never output.
 A cell that raises is an outcome, not an abort: its error is recorded, the
 other cells still run and are aggregated, and the failures are listed
 separately in the payload.
+
+``repro sweep`` is the command-line front end (:func:`add_sweep_arguments`,
+:func:`run_sweep_command`); it exits 1 when any cell failed.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import sys
 import time
 import traceback
 
-from repro.bench.stats import percentile
 from repro.experiments import registry
 
 #: Headline metrics aggregated per cell (taken from the result payload).
@@ -82,18 +86,25 @@ def _outcome(cell):
     return canonical_json(cell.get("payload", cell.get("error")))
 
 
-# Kept as a module name for existing callers/tests; one implementation in
-# repro.bench.stats so bench and sweep percentiles can never diverge.
-_percentile = percentile
+def percentile(values, q):
+    """Interpolated percentile (q in [0, 100]) of a non-empty sequence."""
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    position = (len(ordered) - 1) * q / 100.0
+    lower = int(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = position - lower
+    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
 def _aggregate(values):
     return {
         "mean": sum(values) / len(values),
-        "p5": _percentile(values, 5),
-        "p50": _percentile(values, 50),
-        "p95": _percentile(values, 95),
-        "p99": _percentile(values, 99),
+        "p5": percentile(values, 5),
+        "p50": percentile(values, 50),
+        "p95": percentile(values, 95),
+        "p99": percentile(values, 99),
     }
 
 
@@ -218,3 +229,85 @@ def default_cells(scenarios=None, approaches=None, smoke=False):
             if approach in spec.approaches:
                 cells.append((name, approach))
     return cells
+
+
+def add_sweep_arguments(parser):
+    parser.add_argument(
+        "--scenario",
+        action="append",
+        default=None,
+        help="scenario to sweep (repeatable; default: all registered)",
+    )
+    parser.add_argument(
+        "--approach",
+        action="append",
+        default=None,
+        help="approach to include (repeatable; default: all the scenario supports)",
+    )
+    parser.add_argument("--seeds", type=int, default=4, help="seeds per cell")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=max(1, min(4, os.cpu_count() or 1)),
+        help="worker processes (default: up to 4)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true", help="tiny-scale configs (seconds per cell)"
+    )
+    parser.add_argument(
+        "--out", default=None, help="write the aggregate payload to this JSON file"
+    )
+    parser.add_argument(
+        "--verify-serial",
+        action="store_true",
+        help="rerun every cell serially and require byte-identical payloads",
+    )
+
+
+def run_sweep_command(args):
+    try:
+        for name in args.scenario or ():
+            registry.get(name)  # fail fast with the scenario list
+        cells = default_cells(
+            scenarios=args.scenario, approaches=args.approach, smoke=args.smoke
+        )
+    except ValueError as exc:
+        print("error: {}".format(exc), file=sys.stderr)
+        return 2
+    if not cells:
+        print("error: no (scenario, approach) cells selected", file=sys.stderr)
+        return 2
+    payload = run_sweep(
+        cells,
+        seeds=list(range(args.seeds)),
+        jobs_in_parallel=args.jobs,
+        smoke=args.smoke,
+        verify_serial=args.verify_serial,
+    )
+    for key, cell in payload["cells"].items():
+        runtime = cell["runtime_sec"]
+        line = "{:<28} mean {:.2f}s  p50/p95/p99 {:.2f}/{:.2f}/{:.2f}s  seeds {}".format(
+            key, runtime["mean"], runtime["p50"], runtime["p95"],
+            runtime["p99"], cell["seeds"]
+        )
+        print(line)
+    if args.verify_serial:
+        print("parallel == serial: byte-identical payloads for all cells")
+    if args.out:
+        parent = os.path.dirname(args.out)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(args.out, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("wrote {}".format(args.out))
+    for failure in payload["failures"]:
+        error = failure["error"]
+        print(
+            "FAILED {}/{} seed {}: {}: {}".format(
+                failure["scenario"], failure["approach"], failure["seed"],
+                error["type"], error["message"],
+            ),
+            file=sys.stderr,
+        )
+    return 1 if payload["failures"] else 0

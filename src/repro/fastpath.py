@@ -11,11 +11,11 @@ their simulated timelines as golden digests.
     transaction runners, instead of one pacer process per simulated client.
     Timeline-byte-identical to the per-client mode (arrival instants come
     from the same RNG draws and are globally unique). Defaults **off**: it
-    swaps the driving machinery rather than a hot path inside it, so the
-    storm harness and ``repro bench`` opt in explicitly. It stays
-    a flag while the end-to-end benchmark's storm scenario selects it
-    through :func:`overridden`; making the batch dispatcher the only
-    arrival driver goes with the next change to that benchmark.
+    swaps the driving machinery rather than a hot path inside it, so a
+    caller opts in explicitly. It stays a flag while the end-to-end
+    benchmark's storm scenario selects it through :func:`overridden`;
+    making the batch dispatcher the only arrival driver goes with the next
+    change to that benchmark.
 """
 
 from __future__ import annotations

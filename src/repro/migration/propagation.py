@@ -26,6 +26,7 @@ order", §3.6).
 
 from bisect import bisect_right, insort
 
+from repro.cluster.replication import MSG_OVERHEAD
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
@@ -56,7 +57,6 @@ class Propagation:
         # Frozen tuple-keyed set: ShardId is a tuple subclass, so membership
         # per WAL record is one O(1) hash with no per-record allocation.
         self.shard_set = frozenset(shard_ids)
-        self._msg_overhead = cluster.config.propagation_msg_overhead
         self.source = source
         self.dest = dest
         self.snapshot_ts = snapshot_ts
@@ -296,7 +296,7 @@ class Propagation:
         :class:`~repro.txn.errors.RpcAbort`, which wounds the pipeline
         instead of hanging it.
         """
-        total_bytes = self._msg_overhead + sum(r.size for r in records)
+        total_bytes = MSG_OVERHEAD + sum(r.size for r in records)
         if len(records) > self.costs.spill_threshold:
             batches = len(records) // 1000 + 1
             yield batches * self.costs.spill_reload_per_batch

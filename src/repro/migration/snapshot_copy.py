@@ -41,21 +41,23 @@ from repro.sim.network import MIGRATION_CLASS
 from repro.storage.snapshot import UNDECIDED
 from repro.txn.errors import RpcAbort
 
+BATCH_TUPLES = 256  # tuples per snapshot-copy RPC batch
+DEFAULT_TUPLE_SIZE = 64  # bytes for tables with no declared size
+
 
 def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
     """Generator: stream one shard's snapshot from ``source`` to ``dest``.
 
     Returns the number of tuples copied.
     """
-    config = cluster.config
     source_node = cluster.nodes[source]
     dest_node = cluster.nodes[dest]
     heap = source_node.heap_for(shard_id)
     if shard_id.table in cluster.tables:
         tuple_size = cluster.tables[shard_id.table].tuple_size
     else:
-        tuple_size = config.default_tuple_size
-    costs = config.costs
+        tuple_size = DEFAULT_TUPLE_SIZE
+    costs = cluster.config.costs
     # Shared epoch-tagged snapshot from the source's manager: carries the
     # active-xid set for introspection and is reused by concurrent readers
     # at the same timestamp instead of allocating per scan.
@@ -82,7 +84,7 @@ def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
                 version, _traversed = yield from heap.visible_version(key, snapshot)
             if version is not None:
                 batch.append((key, version.value))
-                if len(batch) >= config.snapshot_batch_tuples:
+                if len(batch) >= BATCH_TUPLES:
                     if pending:
                         yield from _flush_scan_charges(cpu, scan_cost, pending)
                         pending = 0
@@ -105,7 +107,7 @@ def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
             if version is None:
                 continue
             batch.append((key, version.value))
-            if len(batch) >= config.snapshot_batch_tuples:
+            if len(batch) >= BATCH_TUPLES:
                 copied += yield from _ship_batch(
                     cluster, batch, source, dest_node, shard_id, tuple_size, costs
                 )

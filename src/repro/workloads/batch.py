@@ -31,12 +31,11 @@ draw order in both modes), arrival instants are globally unique and both
 modes wake at exact absolute instants via the :class:`~repro.sim.events.At`
 waitable — so the kernel dispatches the same runners at the same times in
 the same order either way. ``tests/test_fastpath_equivalence.py`` pins the
-equivalence at small N; ``repro bench`` measures the speedup at
-storm scale.
+equivalence at small N.
 
 Capacity is never silently truncated: arrivals beyond ``batch_cap`` in one
 tick are dropped *and counted* (:attr:`ArrivalSchedule.capped_arrivals`),
-and the storm bench reports the counter.
+and the end-to-end benchmark reports the counter.
 """
 
 from dataclasses import dataclass, field

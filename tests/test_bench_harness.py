@@ -1,4 +1,4 @@
-"""The benchmark harness: parallel determinism, sweeps and the storm benches.
+"""The seed sweep (``repro sweep``): parallel determinism and failure capture.
 
 The load-bearing test here is the parallel-vs-serial identity: fanning the
 same (scenario, approach, seed) cells across 4 worker processes must yield
@@ -8,7 +8,7 @@ Simulation results may depend only on the seed, never on worker scheduling.
 
 import pytest
 
-from repro.bench.sweep import (
+from repro.experiments.sweep import (
     canonical_json,
     default_cells,
     make_jobs,
@@ -75,7 +75,7 @@ def test_run_jobs_falls_back_to_serial_when_pool_cannot_start(monkeypatch):
     whose Pool constructor raises must produce the same cell bytes as a
     plain serial sweep.
     """
-    import repro.bench.sweep as sweep_module
+    import repro.experiments.sweep as sweep_module
 
     serial = run_sweep(
         _CELLS, seeds=_SEEDS, jobs_in_parallel=1,
@@ -106,7 +106,7 @@ def test_run_jobs_falls_back_to_serial_when_pool_cannot_start(monkeypatch):
 def _stall_seed(monkeypatch, seed):
     """Make every sweep job at ``seed`` fail deterministically: a deadline
     at the end of warm-up leaves the migration no time to finish."""
-    import repro.bench.sweep as sweep_module
+    import repro.experiments.sweep as sweep_module
 
     make_jobs = sweep_module.make_jobs
 
@@ -151,62 +151,11 @@ def test_sweep_survives_a_failing_cell(jobs, monkeypatch, capsys, tmp_path):
 
 
 def test_aggregate_reports_report_quantiles():
-    from repro.bench.stats import REPORT_QUANTILES, distribution, percentile
-    from repro.bench.sweep import _aggregate
+    from repro.experiments.sweep import _aggregate, percentile
 
     values = [3.0, 1.0, 2.0, 10.0]
     stats = _aggregate(values)
     assert set(stats) == {"mean", "p5", "p50", "p95", "p99"}
     assert stats["p50"] == percentile(values, 50) == 2.5
     assert stats["p5"] <= stats["p50"] <= stats["p95"] <= stats["p99"]
-    assert REPORT_QUANTILES == (50, 95, 99)
-    assert set(distribution(values)) == {"p50", "p95", "p99"}
     assert percentile([7.0], 99) == 7.0
-
-
-@pytest.mark.bench
-def test_network_microbench_smoke():
-    """The contended storms run deterministically.
-
-    No speedup multiplier applies: events/sec is reported, not gated.
-    Determinism is the load-bearing assertion: two runs of a storm must
-    move the identical event count.
-    """
-    from repro.bench.network_bench import run_network_bench
-
-    first = run_network_bench(smoke=True, repeats=1)
-    second = run_network_bench(smoke=True, repeats=1)
-    for name, storm in first["storms"].items():
-        assert storm["events"] == second["storms"][name]["events"]
-        assert storm["events"] > 0
-
-
-@pytest.mark.bench
-def test_cluster_bench_smoke():
-    """The storm bench: vectorized engine >= 5x the per-client reference.
-
-    Also asserts that the batch storm runs the full population and
-    finishes its migration, and that wall-clock percentile columns are
-    present.
-    """
-    from repro.bench.cluster_bench import MIN_BATCH_SPEEDUP, run_cluster_bench
-
-    payload = run_cluster_bench(smoke=True, repeats=2)
-    storms = payload["storms"]
-    assert set(storms) == {"per_client_storm", "batch_storm"}
-    batch = storms["batch_storm"]
-    assert batch["events"] > 0
-    assert batch["population"] == payload["spec"]["population"]
-    assert storms["per_client_storm"]["population"] == payload["reference_population"]
-    assert batch["migration_finished_at"] is not None, (
-        "the storm must complete its in-flight migration"
-    )
-    for storm in storms.values():
-        assert set(storm["wall"]) == {"p50", "p95", "p99", "best", "repeats"}
-        assert set(storm["latency"]) == {"p50", "p95", "p99"}
-        assert storm["capped_arrivals"] == 0
-    assert payload["speedup_batch_vs_per_client"] >= MIN_BATCH_SPEEDUP, (
-        "vectorized workload engine below the {}x floor: {}x".format(
-            MIN_BATCH_SPEEDUP, payload["speedup_batch_vs_per_client"]
-        )
-    )

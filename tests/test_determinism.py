@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.bench.sweep import canonical_json
+from repro.experiments.sweep import canonical_json
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.experiments import common, registry

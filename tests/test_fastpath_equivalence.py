@@ -22,7 +22,7 @@ import importlib
 import pytest
 
 from repro import fastpath
-from repro.bench.sweep import canonical_json
+from repro.experiments.sweep import canonical_json
 from repro.experiments import ExperimentResult, common, registry
 
 #: One cell per migration approach, crossing scenario boundaries.
@@ -301,8 +301,8 @@ def test_vacuum_visits_candidates_not_the_heap(monkeypatch):
 def _storm_payload(mode, seed):
     """One small population storm on a 6-node multi-AZ cluster.
 
-    ``mode``: ``per_client`` / ``batch`` — the two driving shapes
-    ``repro bench`` measures, at equivalence scale.
+    ``mode``: ``per_client`` / ``batch`` — the two arrival drivers, at
+    equivalence scale.
     """
     from repro.cluster.cluster import Cluster
     from repro.config import ClusterConfig, TierProfiles

@@ -1,4 +1,4 @@
-"""Units for the storm-scale arrival machinery behind ``repro bench``.
+"""Units for the storm-scale arrival machinery (``repro.workloads.batch``).
 
 :class:`repro.workloads.batch.ArrivalSchedule` is the vectorized population
 arrival generator. The properties that make the batch and per-client
