@@ -15,7 +15,6 @@
 """
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.control_plane import MigrationController
 from repro.cluster.coordinator import Session
 from repro.cluster.hashing import HashRange, consistent_hash, split_hash_space
 from repro.cluster.node import Node
@@ -25,7 +24,6 @@ __all__ = [
     "Cluster",
     "HashPartitioner",
     "HashRange",
-    "MigrationController",
     "Node",
     "Session",
     "ShardId",

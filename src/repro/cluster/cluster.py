@@ -40,14 +40,10 @@ class Cluster:
         self.sim = Simulator(seed=self.config.seed)
         topology = self.config.topology
         if topology is None:
-            # Degenerate one-rack topology from the flat network numbers:
-            # the uncontended constant-delay model, byte-identical to the
-            # pre-topology network.
-            net = self.config.network
-            topology = Topology.single(LinkProfile(net.base_latency, net.bandwidth))
-        self.network = Network.from_topology(
-            self.sim, topology, config=self.config.network
-        )
+            # Degenerate one-rack topology priced by the rack profile.
+            tiers = self.config.tiers
+            topology = Topology.single(LinkProfile(tiers.rack_latency, tiers.rack_bandwidth))
+        self.network = Network(self.sim, topology)
         self.network.set_class_cap(MIGRATION_CLASS, self.config.pump_share)
         if self.config.timestamp_scheme == "gts":
             self.oracle = GtsOracle(self.sim, self.network, CONTROL_PLANE)

@@ -566,17 +566,6 @@ class ShardReplicaGroup:
     # ------------------------------------------------------------------
     # Migration handover (Remus / wait-and-remaster)
     # ------------------------------------------------------------------
-    def in_sync_follower(self, node_id):
-        """True if ``node_id`` hosts a live follower that has applied the
-        whole group log (the near-free wait-and-remaster precondition)."""
-        replica = self.replica_on(node_id)
-        return (
-            replica is not None
-            and replica.replica_id != self.leader_id
-            and not self.replica_down(replica)
-            and replica.next_index >= len(self.log)
-        )
-
     def drain(self):
         """Generator: wait until the pump has handled the leader's whole WAL
         (every record it consumed is in the group log) and every live

@@ -63,10 +63,6 @@ class ShardMapCache:
             return True
         return False
 
-    @property
-    def read_through_shards(self):
-        return frozenset(self._read_through)
-
     def is_read_through(self, shard_id):
         return shard_id in self._read_through
 

@@ -9,7 +9,6 @@ determine every qualitative result in the evaluation — are preserved.
 
 from dataclasses import dataclass, field
 
-from repro.sim.network import NetworkConfig
 from repro.sim.topology import LinkProfile, Topology
 
 # ----------------------------------------------------------------------
@@ -124,13 +123,13 @@ class ClusterConfig:
     clock_skew: float = 0.0  # max absolute physical skew per node (DTS)
     replay_parallelism: int = 18  # §4.1: parallel apply threads
     costs: CostModel = field(default_factory=CostModel)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    # Network topology. ``None`` is the degenerate case: one rack priced by
-    # the flat ``network`` numbers above — the uncontended constant-delay
-    # model, byte-identical to the pre-topology network. A multi-tier
+    # Network topology, the network's only description. ``None`` is the
+    # degenerate case: one rack priced by the ``tiers`` rack profile, with
+    # every message priced independently (uncontended). A multi-tier
     # :class:`~repro.sim.topology.Topology` (e.g. from ``make_topology``
     # with the ``tiers`` profiles) switches the network to contended
-    # fair-share trunks.
+    # fair-share trunks; an uncontended one still prices every message at
+    # its rack profile.
     topology: Topology | None = None
     tiers: TierProfiles = field(default_factory=TierProfiles)
     # Migration's share of any contended trunk (the "throttled pump" knob):

@@ -1,6 +1,6 @@
 """Migration framework: specs, statistics, the sequential plan runner."""
 
-from repro.cluster.shardmap import RESERVED_MIN_TS, SHARDMAP_SHARD
+from repro.cluster.shardmap import SHARDMAP_SHARD
 
 
 class MigrationStats:
@@ -186,11 +186,6 @@ class BaseMigration:
             if group is not None:
                 yield from group.rehome(self.dest, from_lsn=self._dest_wal_floor)
 
-    def cleanup_dest(self):
-        """Drop partially migrated data on the destination (failed runs)."""
-        for shard_id in self.shard_ids:
-            self.dest_node.drop_shard(shard_id)
-
     def active_writers_of_shards(self):
         """Active transactions that have written any migrating shard."""
         shard_set = set(self.shard_ids)
@@ -293,7 +288,3 @@ def consolidation_batches(cluster, source, table=None, group_size=2):
         dest = targets[(i // group_size) % len(targets)]
         batches.append((group, source, dest))
     return batches
-
-
-def reserved_min_ts():
-    return RESERVED_MIN_TS

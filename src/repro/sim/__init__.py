@@ -26,17 +26,11 @@ benchmark and storm drives it, and nothing subclasses it.
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, At, Event, Timeout
 from repro.sim.kernel import Simulator
-from repro.sim.network import BACKUP_CLASS, MIGRATION_CLASS, Network, NetworkConfig
+from repro.sim.network import BACKUP_CLASS, MIGRATION_CLASS, Network
 from repro.sim.process import Process, join
 from repro.sim.resources import CpuResource, Resource
 from repro.sim.rng import RngStream, SeedSequence
-from repro.sim.rpc import (
-    RetryPolicy,
-    RpcStats,
-    RpcTimeout,
-    reliable_roundtrip,
-    reliable_send,
-)
+from repro.sim.rpc import RetryPolicy, RpcStats, RpcTimeout, reliable_send
 from repro.sim.topology import LinkProfile, Topology, make_topology
 
 __all__ = [
@@ -50,7 +44,6 @@ __all__ = [
     "LinkProfile",
     "MIGRATION_CLASS",
     "Network",
-    "NetworkConfig",
     "Topology",
     "Process",
     "Resource",
@@ -64,6 +57,5 @@ __all__ = [
     "Timeout",
     "join",
     "make_topology",
-    "reliable_roundtrip",
     "reliable_send",
 ]

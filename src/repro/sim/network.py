@@ -3,12 +3,13 @@
 The network prices messages between named nodes under one of two cost
 models, selected by its :class:`~repro.sim.topology.Topology`:
 
-**Uncontended (single-rack)** — the original flat model: each message takes
-``base_latency`` plus a size-proportional transfer time, priced
-independently of every other message. This is the constant-delay fast path
-the clean-link RPC optimization (:mod:`repro.sim.rpc`) and the kernel
-benches rely on; a single-rack topology is byte-identical, event for event,
-to the pre-topology network.
+**Uncontended** — the flat model: each message takes the topology's
+``rack`` latency plus a size-proportional transfer time at the ``rack``
+bandwidth, priced independently of every other message. Every message is
+priced this way, even on a topology that spans several racks, AZs or
+regions (the storm's ten-AZ ``contended=False`` topology is one). The
+clean-link RPC optimization (:mod:`repro.sim.rpc`) waits on these arrivals
+directly.
 
 **Contended (multi-tier)** — every directed link is a shared resource. A
 sized message becomes a *transfer* on its path's governing trunk (see
@@ -49,7 +50,6 @@ tallied in ``messages_dropped``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.events import AllOf, Event
@@ -66,26 +66,6 @@ MIGRATION_CLASS = "migration"
 #: Traffic class of background bulk traffic (the backup-interference
 #: scenario). Uncapped by default: it competes at fair share.
 BACKUP_CLASS = "backup"
-
-
-@dataclass(slots=True)
-class NetworkConfig:
-    """Flat single-tier network cost model.
-
-    The canonical home of the single-tier numbers
-    (``ClusterConfig.network``) and of ``jitter``, which is a network-wide
-    knob rather than a per-tier one. A network itself is always built from
-    a :class:`Topology` (``Network.from_topology(sim, topology)``).
-
-    Attributes:
-        base_latency: one-way propagation + stack delay in seconds.
-        bandwidth: bytes per second for size-dependent transfer time.
-        jitter: max uniform extra delay in seconds (0 disables jitter).
-    """
-
-    base_latency: float = 0.0002
-    bandwidth: float = 1.25e9  # 10 Gbps in bytes/second
-    jitter: float = 0.0
 
 
 class LinkState:
@@ -132,20 +112,16 @@ class _LinkFlows:
 
 
 class Network:
-    """Delivers messages between named nodes on a shared simulator."""
+    """Delivers messages between named nodes on a shared simulator.
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        config: NetworkConfig | None = None,
-        *,
-        topology: Topology,
-    ) -> None:
-        if config is None:
-            rack = topology.profiles["rack"]
-            config = NetworkConfig(base_latency=rack.latency, bandwidth=rack.bandwidth)
+    The :class:`Topology` is the network's only description. An
+    uncontended network prices every message at the topology's ``rack``
+    profile, even when the topology places nodes in several racks, AZs or
+    regions; only a contended network routes messages onto tier trunks.
+    """
+
+    def __init__(self, sim: "Simulator", topology: Topology) -> None:
         self.sim = sim
-        self.config = config
         self.topology = topology
         self.contended = topology.contended
         self._rng = sim.rng("network")
@@ -153,13 +129,11 @@ class Network:
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
-        # Hot-path constants and the per-(src, dst) constant delay component
-        # (base latency + link extra latency), rebuilt when faults change.
-        # ``_fast_latency`` / ``_inv_bandwidth`` fold in a single-tier
-        # degrade; with no degrade they equal the config values exactly.
-        self._fast_latency = self.config.base_latency
-        self._inv_bandwidth = 1.0 / self.config.bandwidth
-        self._delay_cache: dict[tuple[str, str], float] = {}
+        # Uncontended pricing: the rack profile with a ``rack``-tier degrade
+        # folded in; with no degrade they equal the profile's floats exactly.
+        self._rack = topology.profiles["rack"]
+        self._fast_latency = self._rack.latency
+        self._inv_bandwidth = 1.0 / self._rack.bandwidth
         # Contention state: active trunks, per-class share caps, degrades.
         self._flows: dict[LinkKey, _LinkFlows] = {}
         self._class_caps: dict[str, float] = {}
@@ -168,22 +142,6 @@ class Network:
         #: at every re-share — the bandwidth-conservation property tests
         #: assert over this trace. ``None`` (the default) records nothing.
         self.flow_trace: list[tuple[float, LinkKey, tuple[float, ...]]] | None = None
-
-    @classmethod
-    def from_topology(
-        cls,
-        sim: "Simulator",
-        topology: Topology,
-        config: NetworkConfig | None = None,
-    ) -> "Network":
-        """Build a network from a declarative :class:`Topology`.
-
-        ``config`` (optional) supplies network-wide knobs that are not
-        per-tier — today just ``jitter``; its latency/bandwidth are only
-        used when the topology is single-rack, where they are the rack
-        profile by construction.
-        """
-        return cls(sim, config, topology=topology)
 
     # ------------------------------------------------------------------
     # Traffic classes (fair-share caps)
@@ -216,12 +174,7 @@ class Network:
     # Link fault state (chaos injection)
     # ------------------------------------------------------------------
     def link(self, a: str, b: str) -> LinkState:
-        """The mutable :class:`LinkState` of the unordered pair ``{a, b}``.
-
-        Handing out the mutable state may precede a fault injection, so the
-        precomputed per-pair delays are invalidated here.
-        """
-        self._delay_cache.clear()
+        """The mutable :class:`LinkState` of the unordered pair ``{a, b}``."""
         key = frozenset((a, b))
         if key not in self._links:
             self._links[key] = LinkState()
@@ -234,13 +187,6 @@ class Network:
     def heal_partition(self, a: str, b: str) -> None:
         self.link(a, b).partitioned = False
 
-    def is_partitioned(self, a: str, b: str) -> bool:
-        if a == b:
-            return False
-        key = frozenset((a, b))
-        state = self._links.get(key)
-        return state is not None and state.partitioned
-
     def set_loss(self, a: str, b: str, p: float) -> None:
         """Drop messages between ``a`` and ``b`` with probability ``p``."""
         self.link(a, b).loss = p
@@ -248,10 +194,6 @@ class Network:
     def set_extra_latency(self, a: str, b: str, extra: float) -> None:
         """Add ``extra`` seconds of one-way delay between ``a`` and ``b``."""
         self.link(a, b).extra_latency = extra
-
-    def clear_link_faults(self) -> None:
-        self._links.clear()
-        self._delay_cache.clear()
 
     # ------------------------------------------------------------------
     # Tier degrades (topology-aware faults)
@@ -264,9 +206,9 @@ class Network:
 
         ``bandwidth_factor=1.0, extra_latency=0.0`` heals the tier. On a
         contended network, in-flight transfers on matching trunks are
-        settled at their old rates and re-shared at the new bandwidth; on
-        an uncontended (single-rack) network only the ``rack`` tier exists
-        and the constant-delay pricing is rescaled.
+        settled at their old rates and re-shared at the new bandwidth; an
+        uncontended network prices every message at the ``rack`` profile,
+        so only a ``rack`` degrade changes its pricing.
         """
         if bandwidth_factor <= 0.0:
             raise ValueError(
@@ -277,13 +219,12 @@ class Network:
             self._degrade.pop(tier, None)
         else:
             self._degrade[tier] = (bandwidth_factor, extra_latency)
-        # Uncontended fast-path constants (single-rack: everything is
-        # "rack"-tier). Recomputed from the base config so healing restores
-        # the exact original floats.
+        # Uncontended pricing constants (everything is priced at the rack
+        # profile). Recomputed from the profile so healing restores the
+        # exact original floats.
         factor, extra = self._degrade.get("rack", (1.0, 0.0))
-        self._fast_latency = self.config.base_latency + extra
-        self._inv_bandwidth = 1.0 / (self.config.bandwidth * factor)
-        self._delay_cache.clear()
+        self._fast_latency = self._rack.latency + extra
+        self._inv_bandwidth = 1.0 / (self._rack.bandwidth * factor)
         # Contended trunks of the degraded tier re-share at the new rate.
         tier_factor, _ = self._degrade.get(tier, (1.0, 0.0))
         for flows in self._flows.values():
@@ -293,14 +234,6 @@ class Network:
             flows.bandwidth = flows.base_bandwidth * tier_factor
             if flows.transfers:
                 self._reallocate(flows)
-
-    def tier_degrade(self, tier: str) -> tuple[float, float]:
-        """The (bandwidth factor, extra latency) degrade of ``tier``."""
-        return self._degrade.get(tier, (1.0, 0.0))
-
-    def clear_tier_degrades(self) -> None:
-        for tier in list(self._degrade):
-            self.set_tier_degrade(tier)
 
     def link_is_clean(self, src: str, dst: str) -> bool:
         """True when no fault state can affect a message ``src -> dst``.
@@ -321,57 +254,9 @@ class Network:
         state = self._links.get(frozenset((src, dst)))
         return state is None or not state.faulty
 
-    def _link_state(self, src: str, dst: str) -> LinkState | None:
-        if src == dst:
-            return None
-        return self._links.get(frozenset((src, dst)))
-
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _constant_delay(self, src: str, dst: str) -> float:
-        """Precomputed size-independent delay component for ``src -> dst``
-        (base latency plus the link's extra latency), cached per pair until
-        the fault state changes."""
-        key = (src, dst)
-        cached = self._delay_cache.get(key)
-        if cached is None:
-            cached = self._fast_latency
-            state = self._link_state(src, dst)
-            if state is not None:
-                cached += state.extra_latency
-            self._delay_cache[key] = cached
-        return cached
-
-    def delay_for(self, src: str, dst: str, size: int = 0) -> float:
-        """One-way delay in seconds for a ``size``-byte message src -> dst.
-
-        On a contended network this is the *uncontended* delay — the
-        governing tier's latency plus the transfer time at full trunk
-        bandwidth — i.e. a lower bound that competing transfers stretch.
-        """
-        if src == dst:
-            return 0.0
-        if self.contended:
-            latency, inv_bandwidth = self._contended_price(src, dst)
-            delay = latency + size * inv_bandwidth
-        else:
-            delay = self._constant_delay(src, dst) + size * self._inv_bandwidth
-        if self.config.jitter > 0:
-            delay += self._rng.uniform(0.0, self.config.jitter)
-        return delay
-
-    def _contended_price(self, src: str, dst: str) -> tuple[float, float]:
-        """(latency, 1/bandwidth) of the governing trunk, degrades applied."""
-        tier, _key = self.topology.route(src, dst)
-        profile = self.topology.profiles[tier]
-        factor, extra = self._degrade.get(tier, (1.0, 0.0))
-        latency = profile.latency + extra
-        state = self._link_state(src, dst)
-        if state is not None:
-            latency += state.extra_latency
-        return latency, 1.0 / (profile.bandwidth * factor)
-
     def send(
         self, src: str, dst: str, size: int = 0, traffic_class: str | None = None
     ) -> Event:
@@ -381,52 +266,30 @@ class Network:
         fires — the message is gone; the sender must detect the loss with a
         timeout and retry (:func:`repro.sim.rpc.reliable_send`).
 
-        ``traffic_class`` only matters on contended networks, where it
-        selects the fair-share class the message's bytes are accounted
-        against (see :meth:`set_class_cap`).
+        An uncontended network prices the message at the rack profile:
+        ``latency (+ link extra) + size / bandwidth``. A contended one
+        streams its bytes as a transfer on the governing trunk, where
+        ``traffic_class`` selects the fair-share class the bytes are
+        accounted against (see :meth:`set_class_cap`).
         """
         self.messages_sent += 1
         self.bytes_sent += size
         sim = self.sim
         arrived = Event(sim)
-        if self.contended:
-            return self._send_contended(src, dst, size, traffic_class, arrived)
-        if not self._links:
-            # Fault-free fast path: no link lookups, no drop bookkeeping.
-            if src == dst:
-                sim.schedule(0.0, arrived.succeed_tail, None)
-                return arrived
-            delay = self._fast_latency + size * self._inv_bandwidth
-            if self.config.jitter > 0:
-                delay += self._rng.uniform(0.0, self.config.jitter)
-            sim.schedule(delay, arrived.succeed_tail, None)
-            return arrived
-        state = self._link_state(src, dst)
-        if state is not None and state.partitioned:
-            self.messages_dropped += 1
-            return arrived
-        if state is not None and state.loss > 0.0 and self._rng.random() < state.loss:
-            self.messages_dropped += 1
-            return arrived
-        sim.schedule(self.delay_for(src, dst, size), arrived.succeed_tail, None)
-        return arrived
-
-    # ------------------------------------------------------------------
-    # Contended delivery: fair-share trunks
-    # ------------------------------------------------------------------
-    def _send_contended(
-        self, src: str, dst: str, size: int, cls: str | None, arrived: Event
-    ) -> Event:
-        sim = self.sim
         if src == dst:
             sim.schedule(0.0, arrived.succeed_tail, None)
             return arrived
-        state = self._link_state(src, dst)
-        if state is not None and state.partitioned:
+        state = self._links.get(frozenset((src, dst))) if self._links else None
+        if state is not None and (
+            state.partitioned or (state.loss > 0.0 and self._rng.random() < state.loss)
+        ):
             self.messages_dropped += 1
             return arrived
-        if state is not None and state.loss > 0.0 and self._rng.random() < state.loss:
-            self.messages_dropped += 1
+        if not self.contended:
+            latency = self._fast_latency
+            if state is not None:
+                latency += state.extra_latency
+            sim.schedule(latency + size * self._inv_bandwidth, arrived.succeed_tail, None)
             return arrived
         tier, key = self.topology.route(src, dst)
         profile = self.topology.profiles[tier]
@@ -434,8 +297,6 @@ class Network:
         latency = profile.latency + extra
         if state is not None:
             latency += state.extra_latency
-        if self.config.jitter > 0:
-            latency += self._rng.uniform(0.0, self.config.jitter)
         if size <= 0:
             # No bytes to stream: pure latency, no trunk occupancy.
             sim.schedule(latency, arrived.succeed_tail, None)
@@ -446,10 +307,13 @@ class Network:
             flows.bandwidth = flows.base_bandwidth * factor
             self._flows[key] = flows
         self._settle(flows)
-        flows.transfers.append(_Transfer(size, latency, cls, arrived))
+        flows.transfers.append(_Transfer(size, latency, traffic_class, arrived))
         self._reallocate(flows)
         return arrived
 
+    # ------------------------------------------------------------------
+    # Contended delivery: fair-share trunks
+    # ------------------------------------------------------------------
     def _settle(self, flows: _LinkFlows) -> None:
         """Charge progress since the trunk's last re-share at the old rates."""
         now = self.sim.now
@@ -518,12 +382,6 @@ class Network:
             self.sim.schedule(transfer.latency, transfer.event.succeed_tail, None)
         else:
             transfer.event.succeed_tail(None)
-
-    def in_flight(self, src: str, dst: str) -> int:
-        """The number of transfers sharing the ``src -> dst`` trunk now."""
-        _tier, key = self.topology.route(src, dst)
-        flows = self._flows.get(key)
-        return len(flows.transfers) if flows is not None else 0
 
     # ------------------------------------------------------------------
     def roundtrip(

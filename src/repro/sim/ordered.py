@@ -68,9 +68,6 @@ class OrderedSet:
         # set & OrderedSet: keep our deterministic order, not the set's.
         return self.__and__(other)
 
-    def intersection(self, other) -> "OrderedSet":
-        return self.__and__(other)
-
     def __or__(self, other) -> "OrderedSet":
         result = self.copy()
         result.update(other)

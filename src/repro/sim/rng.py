@@ -83,11 +83,3 @@ class RngStream:
             return count
         value = self._random.gauss(mean, mean ** 0.5)
         return max(0, int(value + 0.5))
-
-    def nuround(self, value: float) -> int:
-        """Stochastic rounding: 2.3 becomes 3 with probability 0.3, else 2."""
-        base = int(value)
-        frac = value - base
-        if frac > 0 and self._random.random() < frac:
-            return base + 1
-        return base

@@ -136,39 +136,6 @@ def reliable_send(
         yield Timeout(policy.backoff(attempt))
 
 
-def reliable_roundtrip(
-    network: "Network",
-    src: str,
-    dst: str,
-    request_size: int = 0,
-    response_size: int = 0,
-    policy: RetryPolicy | None = None,
-    stats: "RpcStats | None" = None,
-    traffic_class: str | None = None,
-) -> Generator:
-    """Generator: request/response round trip with timeout + retry."""
-    policy = policy or DEFAULT_POLICY
-    if network.link_is_clean(src, dst):
-        # Fault-free fast path (the {src, dst} link state is unordered, so a
-        # clean check covers both legs of the round trip).
-        yield network.roundtrip(src, dst, request_size, response_size, traffic_class)
-        return 1
-    attempt = 0
-    while True:
-        attempt += 1
-        done = network.roundtrip(src, dst, request_size, response_size, traffic_class)
-        index, _value = yield AnyOf([done, Timeout(2 * policy.timeout)])
-        if index == 0:
-            return attempt
-        if stats is not None:
-            stats.rpc_timeouts += 1
-        if not policy.persistent and attempt >= policy.max_attempts:
-            raise RpcTimeout(src, dst, attempt)
-        if stats is not None:
-            stats.rpc_retries += 1
-        yield Timeout(policy.backoff(attempt))
-
-
 class RpcStats:
     """Cluster-wide RPC health counters (fed into chaos reports)."""
 

@@ -63,11 +63,11 @@ class Topology:
 
     Build one declaratively with :meth:`build` (regions → AZs → racks →
     nodes), or degenerately with :meth:`single` (one implicit rack — the
-    flat pre-topology network). ``contended`` selects the network's cost
-    model: ``False`` prices each message independently (the constant-delay
-    fast path), ``True`` makes every link a shared fair-share resource.
-    ``None`` resolves to contended exactly when the topology spans more
-    than one rack.
+    flat network). ``contended`` selects the network's cost model:
+    ``False`` prices each message independently at the ``rack`` profile,
+    whatever tier its path crosses; ``True`` makes every link a shared
+    fair-share resource priced by its governing tier. ``None`` resolves to
+    contended exactly when the topology spans more than one rack.
     """
 
     __slots__ = (
@@ -142,7 +142,7 @@ class Topology:
     ) -> "Topology":
         """The degenerate one-rack topology: every node (named or not) sits
         in one rack, and every message is an intra-rack message priced by
-        ``profile``. This is exactly the flat pre-topology network."""
+        ``profile``: the flat network."""
         profiles = {tier: profile for tier in TIERS}
         return cls({}, profiles, contended=contended, name=name)
 
@@ -166,10 +166,6 @@ class Topology:
     def tier(self, src: str, dst: str) -> str:
         """The governing tier of a ``src -> dst`` path (highest boundary)."""
         return self.route(src, dst)[0]
-
-    def profile_for(self, src: str, dst: str) -> LinkProfile:
-        """The link profile governing a ``src -> dst`` message."""
-        return self.profiles[self.route(src, dst)[0]]
 
     def route(self, src: str, dst: str) -> tuple[str, LinkKey]:
         """``(tier, link key)`` of a path — the contention domain it uses.

@@ -40,7 +40,6 @@ from repro.storage.snapshot import (
     creation_visible_fast,
     deletion_visible,
     deletion_visible_fast,
-    version_is_dead,
 )
 from repro.storage.tuples import ABORTED, TupleVersion
 
@@ -408,9 +407,6 @@ class HeapTable:
         COUNTERS.vacuum_chains_visited += len(candidates)
         COUNTERS.vacuum_versions_reclaimed += removed
         return removed
-
-    def is_dead(self, version):
-        return version_is_dead(version, self.clog)
 
     def clear(self):
         """Drop all data (used when cleaning up a migrated-away shard)."""

@@ -166,16 +166,3 @@ def deletion_visible(version, snapshot, clog):
         if not clog.prepare_wait_enabled:
             return False  # ablation: unsafely treat prepared as not deleted
         yield clog.wait_completion(version.xmax)
-
-
-def version_is_dead(version, clog):
-    """Non-blocking: True if this version was superseded by a *committed* txn
-    or created by an aborted one (used by MOCC validation and vacuum)."""
-    if version.cts_min is ABORTED:
-        return True
-    if version.xmax is not None and version.cts_max is not None:
-        return version.cts_max is not ABORTED
-    if clog.status(version.xmin) is TxnStatus.ABORTED:
-        version.cts_min = ABORTED
-        return True
-    return version.xmax is not None and clog.status(version.xmax) is TxnStatus.COMMITTED

@@ -395,9 +395,6 @@ class NodeTxnManager:
             raise
         participant.shard_locks.add(shard_id)
 
-    def shard_write_locker(self, shard_id):
-        return self.shard_locks.write_holder(shard_id)
-
     # ------------------------------------------------------------------
     # Local 2PC halves
     # ------------------------------------------------------------------

@@ -2,23 +2,42 @@
 
 import pytest
 
+from repro.config import TierProfiles
 from repro.sim import (
     LinkProfile,
     Network,
-    NetworkConfig,
     RetryPolicy,
     RpcTimeout,
     Simulator,
     Topology,
 )
-from repro.sim.rpc import PERSISTENT_POLICY, reliable_roundtrip, reliable_send
+from repro.sim.rpc import PERSISTENT_POLICY, reliable_send
+
+#: The flat network's one profile: every message is priced at it.
+FLAT = LinkProfile(0.0002, 1.25e9)
 
 
-def make_network(seed=0, **kwargs):
+def make_network(seed=0, contended=False):
+    """``(sim, network, profile)``; ``profile`` prices an ``n1 -> n2`` message.
+
+    The flat network is one uncontended rack. The contended one puts ``n1``
+    and ``n2`` in two AZs, so their messages stream over the inter-AZ trunk
+    at the ``region`` profile.
+    """
     sim = Simulator(seed=seed)
-    config = NetworkConfig(**kwargs)
-    topology = Topology.single(LinkProfile(config.base_latency, config.bandwidth))
-    return sim, Network.from_topology(sim, topology, config=config)
+    if not contended:
+        return sim, Network(sim, Topology.single(FLAT)), FLAT
+    profiles = TierProfiles().as_profiles()
+    topology = Topology.build(
+        {"region-1": {"az-1": {"rack-1": ["n1"]}, "az-2": {"rack-1": ["n2"]}}}, profiles
+    )
+    network = Network(sim, topology)
+    assert network.contended
+    return sim, network, profiles["region"]
+
+
+#: Link faults must behave the same under both cost models.
+COST_MODELS = (False, True)
 
 
 def wait_for(sim, event, record, key):
@@ -33,12 +52,12 @@ def wait_for(sim, event, record, key):
 # roundtrip = two composed sends (the accounting regression)
 # ----------------------------------------------------------------------
 def test_roundtrip_matches_two_sends_accounting():
-    sim_a, net_a = make_network()
+    sim_a, net_a, _profile = make_network()
     times = {}
     wait_for(sim_a, net_a.roundtrip("n1", "n2", 100, 300), times, "roundtrip")
     sim_a.run()
 
-    sim_b, net_b = make_network()
+    sim_b, net_b, _profile = make_network()
 
     def two_sends():
         yield net_b.send("n1", "n2", 100)
@@ -52,41 +71,44 @@ def test_roundtrip_matches_two_sends_accounting():
     assert net_a.bytes_sent == net_b.bytes_sent == 400
     assert times["roundtrip"] == pytest.approx(times["two_sends"])
     assert times["roundtrip"] == pytest.approx(
-        net_a.delay_for("n1", "n2", 100) + net_a.delay_for("n2", "n1", 300)
+        FLAT.latency + 100 / FLAT.bandwidth + FLAT.latency + 300 / FLAT.bandwidth
     )
 
 
 def test_roundtrip_response_leg_sees_directional_faults():
     # A latency spike on the link delays both legs of the round trip.
-    sim, net = make_network()
-    net.set_extra_latency("n1", "n2", 0.01)
-    times = {}
-    wait_for(sim, net.roundtrip("n1", "n2", 0, 0), times, "rt")
-    sim.run()
-    assert times["rt"] == pytest.approx(2 * (net.config.base_latency + 0.01))
+    for contended in COST_MODELS:
+        sim, net, profile = make_network(contended=contended)
+        net.set_extra_latency("n1", "n2", 0.01)
+        times = {}
+        wait_for(sim, net.roundtrip("n1", "n2", 0, 0), times, "rt")
+        sim.run()
+        assert times["rt"] == pytest.approx(2 * (profile.latency + 0.01)), contended
 
 
 # ----------------------------------------------------------------------
 # Link faults
 # ----------------------------------------------------------------------
 def test_partition_blocks_and_heal_restores():
-    sim, net = make_network()
-    net.partition("n1", "n2")
-    times = {}
-    wait_for(sim, net.send("n1", "n2", 10), times, "dropped")
-    sim.run(until=1.0)
-    assert "dropped" not in times
-    assert net.messages_dropped == 1
+    for contended in COST_MODELS:
+        sim, net, profile = make_network(contended=contended)
+        net.partition("n1", "n2")
+        times = {}
+        wait_for(sim, net.send("n1", "n2", 10), times, "dropped")
+        sim.run(until=1.0)
+        assert "dropped" not in times
+        assert net.messages_dropped == 1
 
-    net.heal_partition("n1", "n2")
-    wait_for(sim, net.send("n1", "n2", 10), times, "delivered")
-    sim.run(until=2.0)
-    assert times["delivered"] == pytest.approx(1.0 + net.delay_for("n1", "n2", 10))
+        net.heal_partition("n1", "n2")
+        wait_for(sim, net.send("n1", "n2", 10), times, "delivered")
+        sim.run(until=2.0)
+        expected = 1.0 + profile.latency + 10 / profile.bandwidth
+        assert times["delivered"] == pytest.approx(expected), contended
 
 
 def test_loss_is_deterministic_per_seed():
-    def drop_pattern(seed):
-        sim, net = make_network(seed=seed)
+    def drop_pattern(seed, contended):
+        sim, net, _profile = make_network(seed=seed, contended=contended)
         net.set_loss("n1", "n2", 0.5)
         pattern = []
         for _ in range(32):
@@ -95,21 +117,26 @@ def test_loss_is_deterministic_per_seed():
             pattern.append(net.messages_dropped > before)
         return pattern
 
-    assert drop_pattern(7) == drop_pattern(7)
-    assert drop_pattern(7) != drop_pattern(8)
+    for contended in COST_MODELS:
+        assert drop_pattern(7, contended) == drop_pattern(7, contended)
+        assert drop_pattern(7, contended) != drop_pattern(8, contended)
+    # One RNG draw per message on a lossy link, whatever the cost model.
+    assert drop_pattern(7, False) == drop_pattern(7, True)
 
 
 def test_self_messages_ignore_link_faults():
-    sim, net = make_network()
-    net.partition("n1", "n1")
-    times = {}
-    wait_for(sim, net.send("n1", "n1", 10), times, "self")
-    sim.run()
-    assert times["self"] == 0.0
+    for contended in COST_MODELS:
+        sim, net, _profile = make_network(contended=contended)
+        net.partition("n1", "n1")
+        times = {}
+        wait_for(sim, net.send("n1", "n1", 10), times, "self")
+        sim.run()
+        assert times["self"] == 0.0, contended
+        assert net.messages_dropped == 0
 
 
 # ----------------------------------------------------------------------
-# reliable_send / reliable_roundtrip
+# reliable_send
 # ----------------------------------------------------------------------
 def run_rpc(sim, generator):
     proc = sim.spawn(generator)
@@ -119,13 +146,13 @@ def run_rpc(sim, generator):
 
 
 def test_reliable_send_single_attempt_when_healthy():
-    sim, net = make_network()
+    sim, net, _profile = make_network()
     attempts = run_rpc(sim, reliable_send(net, "n1", "n2", 10))
     assert attempts == 1
 
 
 def test_reliable_send_retries_through_loss():
-    sim, net = make_network(seed=3)
+    sim, net, _profile = make_network(seed=3)
     net.set_loss("n1", "n2", 1.0)  # drop everything until the link heals
 
     def healer():
@@ -141,7 +168,7 @@ def test_reliable_send_retries_through_loss():
 
 
 def test_reliable_send_raises_after_budget_under_partition():
-    sim, net = make_network()
+    sim, net, _profile = make_network()
     net.partition("n1", "n2")
     policy = RetryPolicy(timeout=0.01, max_attempts=3)
     proc = sim.spawn(reliable_send(net, "n1", "n2", 10, policy=policy))
@@ -153,7 +180,7 @@ def test_reliable_send_raises_after_budget_under_partition():
 
 
 def test_persistent_send_survives_until_heal():
-    sim, net = make_network()
+    sim, net, _profile = make_network()
     net.partition("n1", "n2")
 
     def healer():
@@ -166,22 +193,6 @@ def test_persistent_send_survives_until_heal():
     )
     assert attempts > 1
     assert sim.now >= 2.0
-
-
-def test_reliable_roundtrip_retries_then_succeeds():
-    sim, net = make_network()
-    net.partition("n1", "n2")
-
-    def healer():
-        yield 0.3
-        net.heal_partition("n1", "n2")
-
-    sim.spawn(healer())
-    policy = RetryPolicy(timeout=0.05, max_attempts=50)
-    attempts = run_rpc(
-        sim, reliable_roundtrip(net, "n1", "n2", 10, 10, policy=policy)
-    )
-    assert attempts > 1
 
 
 # ----------------------------------------------------------------------

@@ -522,7 +522,7 @@ def run_program(sim_cls, program, stops=(), joiner=join):
     flight skips the join (``commit()`` starts with ``check_doomed()``)."""
     sim = sim_cls()
     cpus = [CpuResource(sim, 1, "c1", bin_width=0.5), CpuResource(sim, 2, "c2", bin_width=0.5)]
-    net = Network.from_topology(sim, Topology.single(LinkProfile(0.25, 4.0)))
+    net = Network(sim, Topology.single(LinkProfile(0.25, 4.0)))
     shared = [sim.event("e{}".format(i)) for i in range(3)]
     trace = []
     procs = []

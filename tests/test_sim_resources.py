@@ -9,7 +9,6 @@ from repro.sim import (
     Interrupt,
     LinkProfile,
     Network,
-    NetworkConfig,
     Resource,
     SimulationError,
     Simulator,
@@ -19,11 +18,18 @@ from repro.sim import (
 from tests.test_sim_kernel import Counting, NeverInline
 
 
-def flat_network(sim, config=None):
-    """An uncontended single-rack network priced by flat ``config`` numbers."""
-    config = config or NetworkConfig()
-    topology = Topology.single(LinkProfile(config.base_latency, config.bandwidth))
-    return Network.from_topology(sim, topology, config=config)
+def flat_network(sim, latency=0.0002, bandwidth=1.25e9):
+    """An uncontended single-rack network priced by one link profile."""
+    return Network(sim, Topology.single(LinkProfile(latency, bandwidth)))
+
+
+def arrival_times(sim, events):
+    """Run ``sim`` to completion; the virtual time each event fired."""
+    times = []
+    for event in events:
+        event.add_callback(lambda _ev: times.append(sim.now))
+    sim.run()
+    return times
 
 
 def test_resource_grants_up_to_capacity_then_queues():
@@ -139,19 +145,19 @@ def test_cpu_usage_between_average():
 def test_network_local_send_is_free():
     sim = Simulator()
     net = flat_network(sim)
-    assert net.delay_for("n1", "n1", size=10**9) == 0.0
+    assert arrival_times(sim, [net.send("n1", "n1", size=10**9)]) == [0.0]
 
 
 def test_network_delay_scales_with_size():
     sim = Simulator()
-    net = flat_network(sim, NetworkConfig(base_latency=0.001, bandwidth=1000.0))
-    assert net.delay_for("a", "b", size=0) == pytest.approx(0.001)
-    assert net.delay_for("a", "b", size=1000) == pytest.approx(1.001)
+    net = flat_network(sim, latency=0.001, bandwidth=1000.0)
+    times = arrival_times(sim, [net.send("a", "b", size=0), net.send("a", "b", size=1000)])
+    assert times == [pytest.approx(0.001), pytest.approx(1.001)]
 
 
 def test_network_send_delivers_after_delay():
     sim = Simulator()
-    net = flat_network(sim, NetworkConfig(base_latency=0.5, bandwidth=1e9))
+    net = flat_network(sim, latency=0.5, bandwidth=1e9)
     arrival = []
 
     def sender():
@@ -165,7 +171,7 @@ def test_network_send_delivers_after_delay():
 
 def test_network_roundtrip_is_two_legs():
     sim = Simulator()
-    net = flat_network(sim, NetworkConfig(base_latency=0.25, bandwidth=1e9))
+    net = flat_network(sim, latency=0.25, bandwidth=1e9)
     arrival = []
 
     def caller():
@@ -180,7 +186,7 @@ def test_network_roundtrip_is_two_legs():
 
 def test_network_broadcast_waits_for_all():
     sim = Simulator()
-    net = flat_network(sim, NetworkConfig(base_latency=0.1, bandwidth=1e9))
+    net = flat_network(sim, latency=0.1, bandwidth=1e9)
     arrival = []
 
     def caller():

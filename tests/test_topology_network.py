@@ -16,7 +16,6 @@ Covers the redesigned network surface end to end:
 """
 
 import hashlib
-import warnings
 
 import pytest
 
@@ -43,7 +42,7 @@ def two_az_network(sim):
         {"r1": {"az1": {"rk1": ["a", "b"]}, "az2": {"rk2": ["c", "d"]}}},
         _PROFILES,
     )
-    return Network.from_topology(sim, topology)
+    return Network(sim, topology)
 
 
 def drain(sim):
@@ -111,16 +110,6 @@ def test_topology_to_dict_is_json_shaped():
     assert payload["name"] == "multi_az"
     assert payload["contended"] is True
     assert payload["profiles"]["region"]["bandwidth"] == 1000.0
-
-
-# ----------------------------------------------------------------------
-# Construction
-# ----------------------------------------------------------------------
-def test_from_topology_does_not_warn():
-    sim = Simulator(seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        two_az_network(sim)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from repro.sim import Simulator
 from repro.txn.locks import RowLockTable, SharedExclusiveLockTable
 from repro.txn.timestamps import DtsOracle, GtsOracle
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.topology import LinkProfile, Topology
 
 
-def flat_network(sim, config=None):
-    config = config or NetworkConfig()
-    topology = Topology.single(LinkProfile(config.base_latency, config.bandwidth))
-    return Network.from_topology(sim, topology, config=config)
+def flat_network(sim, latency=0.0002, bandwidth=1.25e9):
+    return Network(sim, Topology.single(LinkProfile(latency, bandwidth)))
 
 
 @pytest.fixture
@@ -235,7 +233,7 @@ def test_dts_carry_is_observe_of_the_senders_peek(steps):
 
 
 def test_gts_is_globally_monotonic_and_costs_roundtrip(sim):
-    network = flat_network(sim, NetworkConfig(base_latency=0.1, bandwidth=1e9))
+    network = flat_network(sim, latency=0.1, bandwidth=1e9)
     oracle = GtsOracle(sim, network, "cp")
     results = []
 
