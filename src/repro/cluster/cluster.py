@@ -28,6 +28,7 @@ from repro.sim.rpc import (
 from repro.sim.topology import LinkProfile, Topology
 from repro.txn.errors import RpcAbort, TransactionError
 from repro.txn.timestamps import DtsOracle, GtsOracle
+from repro.txn.transaction import TxnState
 
 CONTROL_PLANE = "control-plane"
 
@@ -269,6 +270,9 @@ class Cluster:
         self.active_txns[txn.tid] = txn
 
     def finish_txn(self, txn, committed, reason=None):
+        """Every transaction's one exit: set its final state, leave the
+        registry, book the outcome and wake whoever waits on it."""
+        txn.state = TxnState.COMMITTED if committed else TxnState.ABORTED
         self.active_txns.pop(txn.tid, None)
         latency = (
             self.sim.now - txn.begin_time if txn.begin_time is not None else 0.0
@@ -293,6 +297,20 @@ class Cluster:
             return event
         self._quiesce_waiters.append((pending, event))
         return event
+
+    def wait_out(self, before_ts):
+        """Generator: wait until no user transaction that began before
+        ``before_ts`` is still running (one that begins meanwhile under an
+        older snapshot is waited for too)."""
+        while True:
+            old = [
+                txn.tid
+                for txn in self.active_txns.values()
+                if not txn.is_shadow and txn.start_ts < before_ts
+            ]
+            if not old:
+                return
+            yield self.wait_for_txns(old)
 
     def _check_quiesce(self):
         done = []
@@ -372,7 +390,6 @@ class Cluster:
         node.fail()
         self.metrics.mark("node_failed:{}".format(node_id))
         from repro.txn.errors import MigrationAbort
-        from repro.txn.transaction import TxnState
 
         for txn in self.snapshot_active_txns():
             participant = txn.participant(node_id)
@@ -384,8 +401,6 @@ class Cluster:
                     "node {} failed during execution".format(node_id), txn_id=txn.tid
                 )
                 txn.doom(exc)
-                if txn.process is not None:
-                    txn.process.interrupt(exc)
 
         def promote():
             yield failover_time
@@ -424,18 +439,11 @@ class Cluster:
         schema = self.tables[table]
         result = {}
         for shard_id in schema.shard_ids():
-            owner = self.shard_owners[shard_id]
-            node = self.nodes[owner]
-            heap = node.heap_for(shard_id)
+            heap = self.nodes[self.shard_owners[shard_id]].heap_for(shard_id)
             for key in list(heap.keys()):
-                version = heap.latest_committed_or_locked(key)
-                if version is None:
-                    continue
-                if node.clog.status(version.xmin).value != "committed":
-                    continue
-                if version.xmax is not None and node.clog.status(version.xmax).value == "committed":
-                    continue
-                result[key] = version.value
+                version = heap.committed_version(key)
+                if version is not None:
+                    result[key] = version.value
         return result
 
     def run(self, until=None):

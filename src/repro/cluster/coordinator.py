@@ -64,7 +64,9 @@ class Session:
             raise TransactionError("commit in state {}".format(txn.state), txn_id=txn.tid)
         writers = [p for p in txn.participants.values() if p.writes]
         if not writers:
-            self._finish_read_only(txn)
+            self._commit_readers(txn, txn.start_ts)
+            txn.commit_ts = txn.start_ts
+            self.cluster.finish_txn(txn, committed=True)
             return txn.start_ts
 
         txn.state = TxnState.PREPARING
@@ -83,8 +85,7 @@ class Session:
         yield from join(
             self.sim, [self._commit_one(txn, p, commit_ts) for p in writers], "commit"
         )
-        self._finish_read_only_participants(txn, commit_ts, exclude={p.node_id for p in writers})
-        txn.state = TxnState.COMMITTED
+        self._commit_readers(txn, commit_ts)
         self.cluster.finish_txn(txn, committed=True)
         return commit_ts
 
@@ -104,27 +105,14 @@ class Session:
                     self.node_id, participant.node_id, _RPC_SIZE, persistent=True
                 )
             yield from node.manager.local_abort(txn)
-        txn.state = TxnState.ABORTED
         self.cluster.finish_txn(txn, committed=False, reason=reason)
 
-    def _finish_read_only(self, txn):
+    def _commit_readers(self, txn, commit_ts):
+        """Commit every participant that wrote nothing: no 2PC leg."""
         for participant in txn.participants.values():
-            node = self.cluster.nodes[participant.node_id]
-            node.clog.set_committed(participant.xid, txn.start_ts)
-            node.manager._release_locks(participant)
-            node.manager.discard_active(participant.xid)
-        txn.commit_ts = txn.start_ts
-        txn.state = TxnState.COMMITTED
-        self.cluster.finish_txn(txn, committed=True)
-
-    def _finish_read_only_participants(self, txn, commit_ts, exclude):
-        for participant in txn.participants.values():
-            if participant.node_id in exclude:
-                continue
-            node = self.cluster.nodes[participant.node_id]
-            node.clog.set_committed(participant.xid, commit_ts)
-            node.manager._release_locks(participant)
-            node.manager.discard_active(participant.xid)
+            if not participant.writes:
+                manager = self.cluster.nodes[participant.node_id].manager
+                manager.commit_read_only(participant, commit_ts)
 
     def _prepare_one(self, txn, participant):
         """Prepare one participant; returns (ok, ack_ts) / (False, error)."""

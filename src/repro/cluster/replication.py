@@ -174,17 +174,9 @@ class ShardReplicaGroup:
         heap = node.heap_for(self.shard_id)
         rows = []
         for key in heap.sorted_keys():
-            version = heap.latest_committed_or_locked(key)
-            if version is None:
-                continue
-            if node.clog.status(version.xmin).value != "committed":
-                continue
-            if (
-                version.xmax is not None
-                and node.clog.status(version.xmax).value == "committed"
-            ):
-                continue
-            rows.append((key, version.value))
+            version = heap.committed_version(key)
+            if version is not None:
+                rows.append((key, version.value))
         return rows
 
     def _start_pump(self, from_lsn):
@@ -493,8 +485,6 @@ class ShardReplicaGroup:
                     "leader of {} failed over".format(self.shard_id), txn_id=txn.tid
                 )
                 txn.doom(exc)
-                if txn.process is not None:
-                    txn.process.interrupt(exc)
 
     def _catch_up(self, replica):
         """Generator: locally apply every group-log entry the replica has

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.experiments import registry
 from repro.experiments.common import build_cluster, build_ycsb, measure, migrate_and_settle
+from repro.migration.base import spread_batches
 
 
 @dataclass
@@ -47,18 +48,6 @@ class LoadBalancingConfig:
             cpu_read=self.op_cost,
             cpu_write=self.op_cost * 1.5,
         )
-
-
-def balancing_batches(cluster, hot_node, hot_shards, migrate_fraction, group_size):
-    """Spread ``migrate_fraction`` of the hot shards over the other nodes."""
-    to_move = hot_shards[: int(len(hot_shards) * migrate_fraction)]
-    targets = [n for n in cluster.node_ids() if n != hot_node]
-    batches = []
-    for i in range(0, len(to_move), group_size):
-        group = to_move[i : i + group_size]
-        dest = targets[(i // group_size) % len(targets)]
-        batches.append((group, hot_node, dest))
-    return batches
 
 
 @registry.register(
@@ -96,9 +85,10 @@ def _load_balancing(approach, config):
     pool.start()
     cluster.run(until=config.warmup)
 
-    batches = balancing_batches(
-        cluster, hot_node, workload.hot_shards, config.migrate_fraction, config.group_size
-    )
+    # Spread migrate_fraction of the hot shards over the other nodes.
+    hot_shards = workload.hot_shards
+    to_move = hot_shards[: int(len(hot_shards) * config.migrate_fraction)]
+    batches = spread_batches(cluster, to_move, hot_node, config.group_size)
     plan, end = migrate_and_settle(cluster, approach, "load_balancing", batches, config, pool)
     result = measure(cluster, approach, "load_balancing", config, "ycsb", end)
     mig_start, mig_end = result.migration_window

@@ -1,7 +1,7 @@
 """Continuous safety checking under fault injection.
 
 The checker is a background process that inspects cluster state every
-``interval`` simulated seconds and records violations of the invariants that
+``INTERVAL`` simulated seconds and records violations of the invariants that
 must survive any combination of faults and recoveries:
 
 * **single owner** — every shard has exactly one live owning node, and the
@@ -19,13 +19,16 @@ must survive any combination of faults and recoveries:
   committed increments (:meth:`final_check`).
 
 Transient in-flight states are exempted with a *suspect/confirm* scheme: a
-condition only becomes a violation after it persists for ``grace`` seconds,
+condition only becomes a violation after it persists for ``GRACE`` seconds,
 and checks that migrations legitimately perturb are skipped while the
 supervisor reports a migration or recovery in flight.
 """
 
 from repro.cluster.shardmap import BOOTSTRAP_XID, SHARDMAP_SHARD
 from repro.storage.clog import TxnStatus
+
+INTERVAL = 0.25  # simulated seconds between sweeps
+GRACE = 2.0  # how long a suspect condition may persist before it counts
 
 
 class InvariantViolation(AssertionError):
@@ -35,12 +38,10 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Background safety checker."""
 
-    def __init__(self, cluster, supervisor=None, interval=0.25, grace=2.0):
+    def __init__(self, cluster, supervisor=None):
         self.cluster = cluster
         self.sim = cluster.sim
         self.supervisor = supervisor
-        self.interval = interval
-        self.grace = grace
         self.violations = []  # (time, description)
         self.checks_run = 0
         self._suspects = {}  # suspect key -> first time seen
@@ -49,7 +50,7 @@ class InvariantChecker:
     def run(self):
         """Generator: check forever (detached background process)."""
         while True:
-            yield self.interval
+            yield INTERVAL
             self.check_once()
 
     def check_once(self):
@@ -270,7 +271,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _suspect(self, key, description):
         first = self._suspects.setdefault(key, self.sim.now)
-        if self.sim.now - first >= self.grace:
+        if self.sim.now - first >= GRACE:
             self._violate(description)
             del self._suspects[key]
 

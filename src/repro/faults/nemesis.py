@@ -9,20 +9,20 @@ recorded both on the nemesis timeline and as a metrics mark
 from the ordinary metrics stream.
 """
 
+PHASE_WAIT = 8.0  # how long a phase-targeted fault waits for its phase (sim s)
+
 
 class Nemesis:
     """Injects a fault plan into a running cluster."""
 
-    def __init__(self, cluster, plan, supervisor=None, phase_wait=8.0):
+    def __init__(self, cluster, plan, supervisor=None):
         """``supervisor`` is the :class:`MigrationSupervisor` whose in-flight
         migration ``crash_migration`` faults target; without one those faults
-        are no-ops. ``phase_wait`` bounds how long a phase-targeted crash
-        polls for its phase before giving up."""
+        are no-ops."""
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan
         self.supervisor = supervisor
-        self.phase_wait = phase_wait
         self.timeline = []  # (time, description)
 
     def run(self):
@@ -69,7 +69,7 @@ class Nemesis:
         the 2PC stale-epoch retry path; follower crashes exercise quorum
         commit with a degraded group and catch-up on heal. A ``phase`` on
         the fault delays the crash until a supervised migration enters that
-        phase (bounded by ``phase_wait``) — how soaks land a replica crash
+        phase (bounded by ``PHASE_WAIT``) — how soaks land a replica crash
         exactly mid-copy or mid-propagation."""
         from repro.cluster.shard import ShardId
 
@@ -79,7 +79,7 @@ class Nemesis:
 
             if self.supervisor.current_phase() != fault.phase:
                 yield AnyOf(
-                    [self.supervisor.phase_event(fault.phase), Timeout(self.phase_wait)]
+                    [self.supervisor.phase_event(fault.phase), Timeout(PHASE_WAIT)]
                 )
         shard_id = ShardId(*fault.shard)
         group = self.cluster.replication.group_for(shard_id)
@@ -168,10 +168,10 @@ class Nemesis:
             return
         if fault.phase is not None and supervisor.current_phase() != fault.phase:
             # Phases can be far shorter than any poll interval; wait on the
-            # supervisor's phase-entry event (bounded by phase_wait).
-            yield AnyOf([supervisor.phase_event(fault.phase), Timeout(self.phase_wait)])
+            # supervisor's phase-entry event (bounded by PHASE_WAIT).
+            yield AnyOf([supervisor.phase_event(fault.phase), Timeout(PHASE_WAIT)])
         else:
-            deadline = self.sim.now + self.phase_wait
+            deadline = self.sim.now + PHASE_WAIT
             while supervisor.current is None and self.sim.now < deadline:
                 yield 0.05
         reason = "nemesis crash"

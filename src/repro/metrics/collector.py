@@ -126,7 +126,7 @@ class MetricsCollector:
         index = min(len(latencies) - 1, int(q * len(latencies)))
         return latencies[index]
 
-    def downtime(self, label=None, start=0.0, end=None, resolution=0.1, min_window=0.3):
+    def downtime(self, label=None, start=0.0, end=None, min_window=0.3):
         """Longest and total zero-throughput windows for ``label``.
 
         A window counts as downtime if no transaction with the label commits
@@ -136,7 +136,7 @@ class MetricsCollector:
         if end is None:
             end = self.sim.now
         times = sorted(r.time for r in self._select(self.commits, label, start, end))
-        return downtime_windows(times, start, end, resolution, min_window)
+        return downtime_windows(times, start, end, min_window)
 
     def abort_ratio(self, label=None, start=None, end=None, kind=None):
         """aborted / (aborted + committed), counting retries as attempts."""

@@ -30,14 +30,12 @@ def moving_average(series, window):
     return smoothed
 
 
-def downtime_windows(commit_times, start, end, resolution=0.1, min_window=0.3):
+def downtime_windows(commit_times, start, end, min_window=0.3):
     """(longest_gap, total_downtime) between consecutive commits.
 
-    Gaps shorter than ``min_window`` are ignored (normal scheduling jitter).
-    ``resolution`` is subtracted from each gap to avoid counting the
-    quantisation of the commit stream itself.
+    Gaps shorter than ``min_window`` are ignored (normal scheduling jitter);
+    a longer gap counts in full.
     """
-    del resolution
     if end <= start:
         return 0.0, 0.0
     boundaries = [start] + list(commit_times) + [end]

@@ -20,8 +20,10 @@ The paper's contribution and every baseline it evaluates against:
   read-only redistribution (used in ablations, §6);
 - :mod:`repro.migration.recovery` — crash recovery of in-flight migrations
   (§3.7);
-- :mod:`repro.migration.supervisor` — self-healing plan execution: watchdog,
-  crash recovery, bounded retries, graceful degradation (chaos harness).
+- :mod:`repro.migration.supervisor` — self-healing plan execution
+  (:class:`MigrationSupervisor`, run with ``supervisor.run()`` where
+  ``run_plan`` would go): watchdog, crash recovery, bounded retries,
+  graceful degradation (chaos harness).
 """
 
 from repro.migration.base import Migration, MigrationPlan, MigrationStats, run_plan
@@ -30,11 +32,7 @@ from repro.migration.recovery import crash_migration, recover_migration
 from repro.migration.remus import RemusMigration
 from repro.migration.squall import SquallMigration
 from repro.migration.stop_and_copy import StopAndCopyMigration
-from repro.migration.supervisor import (
-    MigrationSupervisor,
-    SupervisorConfig,
-    run_supervised_plan,
-)
+from repro.migration.supervisor import MigrationSupervisor
 from repro.migration.wait_and_remaster import WaitAndRemasterMigration
 
 APPROACHES = {
@@ -55,10 +53,8 @@ __all__ = [
     "RemusMigration",
     "SquallMigration",
     "StopAndCopyMigration",
-    "SupervisorConfig",
     "WaitAndRemasterMigration",
     "crash_migration",
     "recover_migration",
     "run_plan",
-    "run_supervised_plan",
 ]

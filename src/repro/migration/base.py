@@ -277,14 +277,18 @@ class Migration:
         return run_plan(cluster, plan)
 
 
-def consolidation_batches(cluster, source, table=None, group_size=2):
-    """Batches that empty ``source``, spreading shards over the other nodes
-    round-robin (the cluster consolidation scenario, §4.4)."""
-    shards = cluster.shards_on_node(source, table=table)
+def spread_batches(cluster, shards, source, group_size):
+    """Batches that move ``shards`` off ``source`` in groups of
+    ``group_size``, spread over the other nodes round-robin."""
     targets = [n for n in cluster.node_ids() if n != source]
-    batches = []
-    for i in range(0, len(shards), group_size):
-        group = shards[i : i + group_size]
-        dest = targets[(i // group_size) % len(targets)]
-        batches.append((group, source, dest))
-    return batches
+    return [
+        (shards[i : i + group_size], source, targets[(i // group_size) % len(targets)])
+        for i in range(0, len(shards), group_size)
+    ]
+
+
+def consolidation_batches(cluster, source, table=None, group_size=2):
+    """Batches that empty ``source`` (the cluster consolidation scenario,
+    §4.4)."""
+    shards = cluster.shards_on_node(source, table=table)
+    return spread_batches(cluster, shards, source, group_size)

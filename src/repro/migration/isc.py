@@ -2,8 +2,9 @@
 
 The paper implements lock-and-abort and wait-and-remaster with the *same*
 snapshot copying, update propagation and parallel apply protocols as Remus
-(§4.2); they differ only in how ownership is transferred. This mixin holds
-the two shared phases.
+(§4.2); they differ only in how ownership is transferred. This base class
+holds the shared phases and the one run skeleton; each subclass supplies its
+``_phase_ownership_transfer`` and ``_finish``.
 """
 
 from repro.migration.base import BaseMigration
@@ -21,6 +22,31 @@ class IscMigration(BaseMigration):
         self.propagation = None
         self.snapshot_ts = None
         self.copy_tasks = []
+
+    def run(self):
+        # STAR-style asymmetric path (shared ISC machinery): shards whose
+        # replication group already has a member on the destination are
+        # handed over with a pure remastering handshake — no copy, no
+        # propagation. Only the rest pays for the full transfer.
+        rest = yield from self.remaster_prepositioned()
+        if not rest:
+            return
+        yield from self.phase_snapshot_copy()
+        yield from self.phase_async_propagation()
+        yield from self._phase_ownership_transfer()
+        yield from self._finish()
+
+    def wait_on_the_fly(self):
+        """Generator: wait for every running user transaction, booking the
+        wait as sync wait."""
+        stats = self.stats
+        ongoing = [
+            txn.tid for txn in self.cluster.snapshot_active_txns() if not txn.is_shadow
+        ]
+        stats.sync_waits += len(ongoing)
+        wait_start = self.sim.now
+        yield self.cluster.wait_for_txns(ongoing)
+        stats.sync_wait_total += self.sim.now - wait_start
 
     # ------------------------------------------------------------------
     # Prepositioned destinations (STAR-style asymmetric availability)
@@ -66,15 +92,7 @@ class IscMigration(BaseMigration):
         stats.phase_start(self.sim, "ownership_transfer")
         self.cluster.close_routing_gate()
         try:
-            ongoing = [
-                txn.tid
-                for txn in self.cluster.snapshot_active_txns()
-                if not txn.is_shadow
-            ]
-            stats.sync_waits += len(ongoing)
-            wait_start = self.sim.now
-            yield self.cluster.wait_for_txns(ongoing)
-            stats.sync_wait_total += self.sim.now - wait_start
+            yield from self.wait_on_the_fly()
             # The group feed is the propagation pipeline here: drain it so
             # the destination replica holds every committed change.
             for shard_id in self.shard_ids:

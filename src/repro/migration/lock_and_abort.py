@@ -59,15 +59,6 @@ class _WriteGate:
 class LockAndAbortMigration(IscMigration):
     name = "lock_and_abort"
 
-    def run(self):
-        rest = yield from self.remaster_prepositioned()
-        if not rest:
-            return
-        yield from self.phase_snapshot_copy()
-        yield from self.phase_async_propagation()
-        yield from self._phase_ownership_transfer()
-        yield from self._finish()
-
     def _phase_ownership_transfer(self):
         stats = self.stats
         stats.phase_start(self.sim, "ownership_transfer")
@@ -84,8 +75,6 @@ class LockAndAbortMigration(IscMigration):
                     "killed by lock-and-abort ownership transfer", txn_id=txn.tid
                 )
                 txn.doom(exc)
-                if txn.process is not None:
-                    txn.process.interrupt(exc)
                 stats.txns_aborted_by_migration += 1
                 victims.append(txn.tid)
             else:
@@ -117,16 +106,7 @@ class LockAndAbortMigration(IscMigration):
         yield  # pragma: no cover - keeps this a generator like its peers
 
     def _deferred_cleanup(self):
-        tm_cts = self.stats.tm_commit_ts
-        while True:
-            old = [
-                txn.tid
-                for txn in self.cluster.snapshot_active_txns()
-                if not txn.is_shadow and txn.start_ts < tm_cts
-            ]
-            if not old:
-                break
-            yield self.cluster.wait_for_txns(old)
+        yield from self.cluster.wait_out(self.stats.tm_commit_ts)
         for shard_id in self.shard_ids:
             self.cluster.remove_access_hook(shard_id, self._gate)
         yield from self.teardown_propagation()

@@ -34,7 +34,20 @@ from repro.sim.ordered import OrderedSet
 from repro.sim.resources import Resource
 from repro.storage.wal import WalRecordKind, WalTailer
 from repro.txn.errors import RpcAbort, SerializationFailure, TransactionError
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.transaction import Transaction
+
+
+def end_shadow(cluster, dest_node, shadow, commit_ts=None):
+    """Generator: a shadow transaction's one ending on the destination.
+
+    With ``commit_ts`` the shadow commits at its source's commit timestamp;
+    without one it rolls back. Either way it then leaves the registry."""
+    if commit_ts is None:
+        yield from dest_node.manager.local_abort(shadow)
+    else:
+        yield from dest_node.manager.local_commit(shadow, commit_ts)
+        shadow.commit_ts = commit_ts
+    cluster.finish_txn(shadow, committed=commit_ts is not None)
 
 
 class _InflightApply:
@@ -133,10 +146,7 @@ class Propagation:
                 if participant is None:
                     continue
                 if manager.force_abort_participant(participant):
-                    from repro.txn.transaction import TxnState
-
-                    shadow.state = TxnState.ABORTED
-                    self.cluster.active_txns.pop(shadow.tid, None)
+                    self.cluster.finish_txn(shadow, committed=False)
 
     def _spawn_task(self, generator, name):
         task = self.sim.spawn(generator, name=name)
@@ -368,26 +378,19 @@ class Propagation:
             yield from self._transfer_cost(records)
             shadow = self._make_shadow(records[0].start_ts)
             yield from self._replay_ops(shadow, ops)
-            yield from self.dest_node.manager.local_commit(shadow, commit_ts)
-            shadow.commit_ts = commit_ts
-            shadow.state = TxnState.COMMITTED
-            self.cluster.finish_txn(shadow, committed=True)
+            yield from end_shadow(self.cluster, self.dest_node, shadow, commit_ts)
         except Interrupt:
             # Migration torn down mid-replay: roll the shadow back so its
             # locks are released.
             if shadow is not None and not shadow.finished:
-                yield from self.dest_node.manager.local_abort(shadow)
-                shadow.state = TxnState.ABORTED
-                self.cluster.finish_txn(shadow, committed=False)
+                yield from end_shadow(self.cluster, self.dest_node, shadow)
         except RpcAbort as exc:
             # Destination unreachable after bounded retries: wound the
             # pipeline — the supervisor crashes and recovers the migration,
             # whose repair pass re-copies the changes this task dropped.
             self.wounded = exc
             if shadow is not None and not shadow.finished:
-                yield from self.dest_node.manager.local_abort(shadow)
-                shadow.state = TxnState.ABORTED
-                self.cluster.finish_txn(shadow, committed=False)
+                yield from end_shadow(self.cluster, self.dest_node, shadow)
         except TransactionError as exc:  # pragma: no cover - consistency bug
             raise AssertionError(
                 "async replay must never conflict: {!r}".format(exc)
@@ -444,16 +447,12 @@ class Propagation:
             if isinstance(exc, RpcAbort):
                 self.wounded = exc
             if shadow is not None and not shadow.finished:
-                yield from self.dest_node.manager.local_abort(shadow)
-                shadow.state = TxnState.ABORTED
-                self.cluster.finish_txn(shadow, committed=False)
+                yield from end_shadow(self.cluster, self.dest_node, shadow)
         except SerializationFailure:
             # WW-conflict with a destination transaction: abort the shadow
             # and tell the source to abort too (both sides roll back).
             self.stats.ww_conflicts += 1
-            yield from self.dest_node.manager.local_abort(shadow)
-            shadow.state = TxnState.ABORTED
-            self.cluster.finish_txn(shadow, committed=False)
+            yield from end_shadow(self.cluster, self.dest_node, shadow)
             ack = False
         finally:
             # One cleanup path for every outcome — validated, WW-conflicted,
@@ -504,10 +503,7 @@ class Propagation:
             # source CLOG outcome — never an orphaned PREPARED entry.
             self._validated[xid] = (shadow, entry_done)
             return
-        yield from self.dest_node.manager.local_commit(shadow, commit_ts)
-        shadow.commit_ts = commit_ts
-        shadow.state = TxnState.COMMITTED
-        self.cluster.finish_txn(shadow, committed=True)
+        yield from end_shadow(self.cluster, self.dest_node, shadow, commit_ts)
         self._finish_task(entry, done)
 
     def _rollback_prepared_shadow(self, xid, shadow, entry_done):
@@ -517,7 +513,5 @@ class Propagation:
         except Interrupt:
             self._validated[xid] = (shadow, entry_done)
             return
-        yield from self.dest_node.manager.local_abort(shadow)
-        shadow.state = TxnState.ABORTED
-        self.cluster.finish_txn(shadow, committed=False)
+        yield from end_shadow(self.cluster, self.dest_node, shadow)
         self._finish_task(entry, done)

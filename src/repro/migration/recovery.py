@@ -17,9 +17,9 @@ the paper describes:
    data is still missing, then the source copy is dropped.
 """
 
+from repro.migration.propagation import end_shadow
 from repro.storage.clog import TxnStatus
 from repro.txn.errors import MigrationAbort
-from repro.txn.transaction import TxnState
 
 
 def crash_migration(migration):
@@ -68,7 +68,6 @@ def _resolve_tm(cluster, migration, tm_txn, tm_committed):
             yield from node.manager.local_commit(tm_txn, tm_txn.commit_ts)
         else:
             yield from node.manager.local_abort(tm_txn)
-    tm_txn.state = TxnState.COMMITTED if tm_committed else TxnState.ABORTED
     cluster.finish_txn(tm_txn, committed=tm_committed)
 
 
@@ -90,16 +89,13 @@ def recover_migration(cluster, migration, residual_shadows=None):
             continue
         if dest_node.clog.status(participant.xid) is not TxnStatus.PREPARED:
             continue
-        source_status = source_node.clog.status(source_xid)
-        if source_status is TxnStatus.COMMITTED:
+        commit_ts = None
+        if source_node.clog.status(source_xid) is TxnStatus.COMMITTED:
             commit_ts = source_node.clog.commit_ts(source_xid)
             yield from cluster.rpc_send(
                 dest_node.node_id, source_node.node_id, 64, persistent=True
             )
-            yield from dest_node.manager.local_commit(shadow, commit_ts)
-        else:
-            yield from dest_node.manager.local_abort(shadow)
-        cluster.active_txns.pop(shadow.tid, None)
+        yield from end_shadow(cluster, dest_node, shadow, commit_ts)
 
     # Step 2: resolve T_m (2PC recovery). T_m committed iff it entered its
     # second phase, i.e. a commit timestamp was assigned — the assignment may

@@ -113,15 +113,7 @@ class RemusMigration(IscMigration):
         self.cluster.clear_cache_read_through(self.shard_ids)
         # Existing transactions (start_ts < T_m.commitTS) run to completion on
         # the source under MOCC; newly arriving ones are already diverted.
-        while True:
-            old = [
-                txn.tid
-                for txn in self.cluster.snapshot_active_txns()
-                if not txn.is_shadow and txn.start_ts < tm_cts
-            ]
-            if not old:
-                break
-            yield self.cluster.wait_for_txns(old)
+        yield from self.cluster.wait_out(tm_cts)
         stats.phase_end(self.sim, "dual_execution")
 
     def _finish(self):

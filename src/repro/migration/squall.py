@@ -228,15 +228,7 @@ class SquallMigration(BaseMigration):
         yield  # pragma: no cover - keeps this a generator like its peers
 
     def _deferred_cleanup(self):
-        while True:
-            old = [
-                txn.tid
-                for txn in self.cluster.snapshot_active_txns()
-                if not txn.is_shadow and txn.start_ts < self.tm_commit_ts
-            ]
-            if not old:
-                break
-            yield self.cluster.wait_for_txns(old)
+        yield from self.cluster.wait_out(self.tm_commit_ts)
         for shard_id in self.shard_ids:
             self.cluster.remove_access_hook(shard_id, self)
         self.cleanup_source()

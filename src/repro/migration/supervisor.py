@@ -9,11 +9,11 @@ a watchdog per migration:
 * a **crashed** migration (interrupted, or killed by an exception) is put
   through standard crash recovery (§3.7: ``crash_migration`` +
   ``recover_migration``);
-* a **stalled** migration — no observable progress for ``stall_timeout``
+* a **stalled** migration — no observable progress for ``STALL_TIMEOUT``
   simulated seconds, or a propagation pipeline wounded by an RPC failure —
   is treated exactly like a crash;
 * a migration recovered as ``rolled_back`` is **retried** with capped
-  exponential backoff; after ``max_retries`` failed attempts the batch is
+  exponential backoff; after ``MAX_RETRIES`` failed attempts the batch is
   skipped (recorded in the plan stats) and the plan degrades gracefully
   instead of wedging;
 * a migration recovered as ``completed`` (T_m had committed) needs no retry —
@@ -25,31 +25,24 @@ The supervisor emits the same plan-level metric marks as ``run_plan``
 so recovery timelines can be read straight out of the metrics.
 """
 
-from dataclasses import dataclass
-
 from repro.migration.recovery import crash_migration, recover_migration
 
-
-@dataclass
-class SupervisorConfig:
-    """Watchdog and retry knobs (simulated seconds)."""
-
-    check_interval: float = 0.1  # watchdog poll period
-    stall_timeout: float = 3.0  # no progress for this long => crash it
-    grace: float = 0.4  # settle time between crash and recovery
-    max_retries: int = 3  # rolled-back batch retry budget
-    retry_backoff: float = 0.25  # base delay before retrying a batch
-    retry_backoff_cap: float = 2.0
+# Watchdog and retry timing, in simulated seconds.
+CHECK_INTERVAL = 0.1  # watchdog poll period
+STALL_TIMEOUT = 3.0  # no progress for this long => crash it
+GRACE = 0.4  # settle time between crash and recovery
+MAX_RETRIES = 3  # rolled-back batch retry budget
+RETRY_BACKOFF = 0.25  # base delay before retrying a batch
+RETRY_BACKOFF_CAP = 2.0
 
 
 class MigrationSupervisor:
     """Run a :class:`~repro.migration.base.MigrationPlan` under supervision."""
 
-    def __init__(self, cluster, plan, config=None):
+    def __init__(self, cluster, plan):
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan
-        self.config = config or SupervisorConfig()
         self.current = None  # in-flight migration, for the nemesis
         self.current_proc = None
         self.events = []  # (time, description) recovery timeline
@@ -105,7 +98,6 @@ class MigrationSupervisor:
         return self.plan.stats
 
     def _run_batch(self, shard_ids, source, dest):
-        cfg = self.config
         attempt = 0
         while True:
             pending = [
@@ -136,21 +128,20 @@ class MigrationSupervisor:
                     return
                 continue  # shards scattered by an election: move the rest
             attempt += 1
-            if attempt > cfg.max_retries:
+            if attempt > MAX_RETRIES:
                 self.plan.stats.batches_skipped += 1
                 self.cluster.metrics.mark("batch_skipped")
                 self._note("batch {} -> {} skipped after {} attempts".format(
                     pending, dest, attempt))
                 return
             self.plan.stats.migration_retries += 1
-            yield min(cfg.retry_backoff_cap, cfg.retry_backoff * (2 ** (attempt - 1)))
+            yield min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** (attempt - 1)))
 
     def _supervise(self, migration):
         """Generator: run one migration under the watchdog.
 
         Returns "ok" (clean finish), "completed" or "rolled_back" (the
         recovery outcome after a crash/stall)."""
-        cfg = self.config
         proc = self.sim.spawn(
             self._guarded_run(migration), name="supervised-{}".format(migration.name)
         )
@@ -160,7 +151,7 @@ class MigrationSupervisor:
         last_progress = self.sim.now
         try:
             while not proc.finished:
-                yield cfg.check_interval
+                yield CHECK_INTERVAL
                 if proc.finished:
                     break
                 prop = getattr(migration, "propagation", None)
@@ -171,13 +162,13 @@ class MigrationSupervisor:
                 if sig != last_sig:
                     last_sig = sig
                     last_progress = self.sim.now
-                elif self.sim.now - last_progress >= cfg.stall_timeout:
+                elif self.sim.now - last_progress >= STALL_TIMEOUT:
                     proc.interrupt(
                         "stalled for {:.2f}s".format(self.sim.now - last_progress)
                     )
                     break
             while not proc.finished:
-                yield cfg.check_interval  # let a just-delivered interrupt land
+                yield CHECK_INTERVAL  # let a just-delivered interrupt land
         finally:
             self.current = None
             self.current_proc = None
@@ -188,7 +179,7 @@ class MigrationSupervisor:
         self._note("migration crashed: {}".format(cause))
         self.cluster.metrics.mark("migration_crash")
         residual = crash_migration(migration)
-        yield cfg.grace  # let straggler 2PC workers resolve before recovery
+        yield GRACE  # let straggler 2PC workers resolve before recovery
         outcome = yield from recover_migration(self.cluster, migration, residual)
         migration.stats.crash_recoveries += 1
         self.cluster.metrics.mark("migration_recovered:{}".format(outcome))
@@ -229,11 +220,3 @@ class MigrationSupervisor:
 
     def _note(self, description):
         self.events.append((self.sim.now, description))
-
-
-def run_supervised_plan(cluster, plan, config=None):
-    """Generator: drop-in, fault-tolerant replacement for
-    :func:`~repro.migration.base.run_plan`."""
-    supervisor = MigrationSupervisor(cluster, plan, config=config)
-    result = yield from supervisor.run()
-    return result

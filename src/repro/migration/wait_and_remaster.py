@@ -18,34 +18,13 @@ from repro.migration.isc import IscMigration
 class WaitAndRemasterMigration(IscMigration):
     name = "wait_and_remaster"
 
-    def run(self):
-        # STAR-style asymmetric path (shared ISC machinery): shards whose
-        # replication group already has a member on the destination are
-        # handed over with a pure remastering handshake — no copy, no
-        # propagation. Only the rest pays for the full transfer.
-        rest = yield from self.remaster_prepositioned()
-        if not rest:
-            return
-        yield from self.phase_snapshot_copy()
-        yield from self.phase_async_propagation()
-        yield from self._phase_ownership_transfer()
-        yield from self._finish()
-
     def _phase_ownership_transfer(self):
         stats = self.stats
         stats.phase_start(self.sim, "ownership_transfer")
         self.cluster.close_routing_gate()
         try:
             # Wait for every on-the-fly transaction (unknown write sets).
-            ongoing = [
-                txn.tid
-                for txn in self.cluster.snapshot_active_txns()
-                if not txn.is_shadow
-            ]
-            stats.sync_waits += len(ongoing)
-            wait_start = self.sim.now
-            yield self.cluster.wait_for_txns(ongoing)
-            stats.sync_wait_total += self.sim.now - wait_start
+            yield from self.wait_on_the_fly()
             # Nothing is running: replay the final updates, then remaster.
             yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
             yield from self.propagation.drain()

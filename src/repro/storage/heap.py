@@ -251,6 +251,16 @@ class HeapTable:
             version = version.older
         return None
 
+    def committed_version(self, key):
+        """The key's committed live version (or None): the newest surviving
+        version, created by a committed transaction and not deleted by one."""
+        version = self.latest_committed_or_locked(key)
+        if version is None or self.clog.status(version.xmin) is not TxnStatus.COMMITTED:
+            return None
+        if version.xmax is not None and self.clog.status(version.xmax) is TxnStatus.COMMITTED:
+            return None
+        return version
+
     # ------------------------------------------------------------------
     # Snapshot scan (for migration snapshot copying, §3.2)
     # ------------------------------------------------------------------

@@ -103,12 +103,6 @@ class NodeTxnManager:
         self._next_xid += 1
         return self._next_xid
 
-    def discard_active(self, xid) -> None:
-        """Drop ``xid`` from the active set (resolved out-of-band, e.g. the
-        read-only fast commit), invalidating epoch-tagged snapshots."""
-        self.active_xids.discard(xid)
-        self.active_epoch += 1
-
     def active_xid_set(self) -> frozenset:
         """Frozenset view of the active xids, cached per epoch."""
         cached = self._active_set_cache
@@ -466,10 +460,7 @@ class NodeTxnManager:
         self.wal.append(WalRecord(kind, xid=participant.xid, commit_ts=commit_ts))
         yield from self.flush_wal()
         self.clog.set_committed(participant.xid, commit_ts)
-        self._release_locks(participant)
-        self.active_xids.discard(participant.xid)
-        self.active_epoch += 1
-        self._first_change_lsn.pop(participant.xid, None)
+        self._retire(participant)
         for hook in list(self._commit_hooks):
             yield from hook.after_commit(txn, participant, commit_ts)
 
@@ -494,10 +485,7 @@ class NodeTxnManager:
             TxnStatus.PREPARED,
         ):
             self.clog.set_aborted(participant.xid)
-        self._release_locks(participant)
-        self.active_xids.discard(participant.xid)
-        self.active_epoch += 1
-        self._first_change_lsn.pop(participant.xid, None)
+        self._retire(participant)
         for hook in list(self._commit_hooks):
             yield from hook.after_abort(txn, participant)
 
@@ -511,11 +499,23 @@ class NodeTxnManager:
         if self.clog.status(participant.xid) is not TxnStatus.IN_PROGRESS:
             return False
         self.clog.set_aborted(participant.xid)
+        self._retire(participant)
+        return True
+
+    def commit_read_only(self, participant: "Participant", commit_ts: int) -> None:
+        """Commit a participant that wrote nothing: no WAL record, no flush
+        and no hooks, only its CLOG entry and retirement."""
+        self.clog.set_committed(participant.xid, commit_ts)
+        self._retire(participant)
+
+    def _retire(self, participant):
+        """Release the participant's locks, then drop its xid from the
+        active set (invalidating epoch-tagged snapshots) and forget its
+        first change."""
         self._release_locks(participant)
         self.active_xids.discard(participant.xid)
         self.active_epoch += 1
         self._first_change_lsn.pop(participant.xid, None)
-        return True
 
     def _release_locks(self, participant):
         for shard_id, key in list(participant.row_locks):

@@ -144,9 +144,12 @@ class Transaction:
         return self.state in (TxnState.COMMITTED, TxnState.ABORTED)
 
     def doom(self, exc: BaseException) -> None:
-        """Mark the transaction for abort at its next safe point."""
+        """Mark the transaction for abort at its next safe point and
+        interrupt its owning process, so a blocked wait ends now too."""
         if self.doomed is None and not self.finished:
             self.doomed = exc
+        if self.process is not None:
+            self.process.interrupt(exc)
 
     def check_doomed(self) -> None:
         if self.doomed is not None:

@@ -125,8 +125,6 @@ def test_batch_ingest_retries_until_committed(cluster):
 
                 exc = MigrationAbort("synthetic kill", txn_id=txn.tid)
                 txn.doom(exc)
-                if txn.process is not None:
-                    txn.process.interrupt(exc)
 
     cluster.spawn(saboteur())
     cluster.run(until=30.0)

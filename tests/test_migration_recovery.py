@@ -151,8 +151,13 @@ def test_crash_after_tm_recovers_under_live_workload():
     assert not crashes, crashes
 
 
-def test_residual_prepared_shadow_committed_iff_source_committed():
-    """Prepared shadows take the same action as their source transaction."""
+def _recover_residual_shadow(source_commits):
+    """Crash a Remus migration while a validated shadow awaits its source's
+    decision, then recover; ``source_commits`` picks whether the source is
+    already committing or still waiting for its validation ack."""
+    from repro.migration.supervisor import GRACE
+    from repro.txn.transaction import TxnState
+
     cluster, workload = build()
     shard = cluster.shards_on_node("node-1", table="ycsb")[0]
     keys = sorted(cluster.nodes["node-1"].heap_for(shard).keys())
@@ -164,7 +169,7 @@ def test_residual_prepared_shadow_committed_iff_source_committed():
     outcome = {}
 
     def writer():
-        txn = yield from session.begin(label="writer")
+        txn = outcome["txn"] = yield from session.begin(label="writer")
         yield from session.update(txn, "ycsb", keys[0], {"f0": "recovered"})
         yield 0.8  # stay open across the sync barrier
         try:
@@ -175,22 +180,49 @@ def test_residual_prepared_shadow_committed_iff_source_committed():
                 yield from session.abort(txn)
             outcome["committed"] = False
 
+    def crash_point():
+        if not migration.propagation._validated:
+            return False
+        return not source_commits or outcome["txn"].state is TxnState.COMMITTING
+
     proc = cluster.spawn(migration.run(), name="migration")
     cluster.spawn(writer())
-    # Crash right after T_m commits; the writer may hold a prepared shadow.
     while migration.stats.tm_commit_ts is None and not proc.finished:
         cluster.run(until=cluster.sim.now + 0.02)
-    cluster.run(until=cluster.sim.now + 2.0)  # let the writer commit
-    if not proc.finished:
-        proc.interrupt("crash")
+    while not crash_point() and not proc.finished:
+        cluster.sim.step()
+    assert not proc.finished
+    proc.interrupt("crash")
     residual = crash_migration(migration)
+    # Let straggler 2PC workers settle first, as the supervisor does.
+    cluster.run(until=cluster.sim.now + GRACE)
     recover(cluster, migration, residual)
-    # Whatever happened, the committed value is consistent on the new owner.
-    dump = cluster.dump_table("ycsb")
-    if outcome.get("committed"):
-        assert dump[keys[0]] == {"f0": "recovered"}
-    else:
-        assert dump[keys[0]] == {"f0": keys[0]}
+    return cluster, keys[0], outcome["committed"], residual
+
+
+def test_residual_prepared_shadow_committed_iff_source_committed():
+    """Prepared shadows take the same action as their source transaction,
+    and end like every other transaction: finished, out of the registry.
+
+    Once the crashed source still waits for its validation ack (it is
+    terminated, so the shadow rolls back), once it is already committing
+    (the shadow commits at the source's commit timestamp)."""
+    for source_commits in (False, True):
+        cluster, key, committed, residual = _recover_residual_shadow(source_commits)
+        assert residual, "no prepared shadow left for recovery to resolve"
+        assert committed is source_commits
+        # The committed value is consistent on the new owner.
+        dump = cluster.dump_table("ycsb")
+        if committed:
+            assert dump[key] == {"f0": "recovered"}
+        else:
+            assert dump[key] == {"f0": key}
+        dest_clog = cluster.nodes["node-2"].clog
+        for shadow, _entry in residual.values():
+            status = dest_clog.status(shadow.participant("node-2").xid)
+            assert shadow.finished
+            assert shadow.state.value == status.value
+            assert shadow.tid not in cluster.active_txns
 
 
 def test_lossy_destination_mid_replay_wounds_and_recovers():

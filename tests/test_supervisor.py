@@ -6,8 +6,6 @@ from repro.migration import (
     MigrationPlan,
     MigrationSupervisor,
     RemusMigration,
-    SupervisorConfig,
-    run_supervised_plan,
 )
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -32,7 +30,7 @@ def test_clean_plan_behaves_like_run_plan():
     cluster, workload = build()
     shards = cluster.shards_on_node("node-1", table="ycsb")[:2]
     plan = MigrationPlan(RemusMigration, [(shards, "node-1", "node-2")])
-    proc = cluster.spawn(run_supervised_plan(cluster, plan))
+    proc = cluster.spawn(MigrationSupervisor(cluster, plan).run())
     cluster.run(until=30.0)
     stats = proc.result()
     assert stats.crash_recoveries == 0
@@ -49,9 +47,7 @@ def test_crash_mid_copy_recovers_and_retries_to_completion():
     pool.start()
     shard = cluster.shards_on_node("node-1", table="ycsb")[0]
     plan = MigrationPlan(RemusMigration, [([shard], "node-1", "node-2")])
-    supervisor = MigrationSupervisor(
-        cluster, plan, SupervisorConfig(grace=0.2, retry_backoff=0.1)
-    )
+    supervisor = MigrationSupervisor(cluster, plan)
     proc = cluster.spawn(supervisor.run())
 
     def nemesis():
@@ -80,9 +76,7 @@ def test_unreachable_destination_degrades_batch_without_hanging():
     cluster.network.partition("node-1", "node-2")  # never healed
     shard = cluster.shards_on_node("node-1", table="ycsb")[0]
     plan = MigrationPlan(RemusMigration, [([shard], "node-1", "node-2")])
-    supervisor = MigrationSupervisor(
-        cluster, plan, SupervisorConfig(grace=0.1, retry_backoff=0.1, max_retries=2)
-    )
+    supervisor = MigrationSupervisor(cluster, plan)
     proc = cluster.spawn(supervisor.run())
     cluster.run(until=60.0)
     stats = proc.result()  # finished: degraded, not wedged
