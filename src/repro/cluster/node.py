@@ -113,12 +113,10 @@ class Node:
         Used for initial data loading and for the streaming snapshot install
         on a migration destination (§3.2), where the copied tuples must be
         visible to any destination transaction starting after the snapshot.
-        The bootstrap transaction is committed, so the rows are no vacuum
-        candidates until something updates or deletes them.
+        The rows belong to the bootstrap transaction, so the heap keeps them
+        frozen (no version, no vacuum candidate) until something writes them.
         """
-        heap = self.heap_for(shard_id)
-        for key, value in items:
-            heap.put_version(key, value, BOOTSTRAP_XID, committed=True)
+        self.heap_for(shard_id).bulk_install(items)
 
     # ------------------------------------------------------------------
     # Vacuum
@@ -138,6 +136,8 @@ class Node:
             horizon = self.cluster.vacuum_horizon()
             for heap in list(self._heaps.values()):
                 heap.vacuum(horizon)
+            # A propagation started now would read from here (§3.3).
+            self.wal.recycle(self.manager.oldest_active_change_lsn())
 
     def __repr__(self):
         return "Node({!r})".format(self.node_id)

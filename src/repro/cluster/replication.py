@@ -575,7 +575,7 @@ class ShardReplicaGroup:
                 continue
             return
 
-    def rehome(self, dest, from_lsn=0):
+    def rehome(self, dest, from_lsn):
         """Generator: epoch-bumped leadership handover to ``dest`` after a
         migration. The old leader stays in the group as a follower; if the
         destination was not a member it joins fully caught up (the data

@@ -17,13 +17,11 @@ when a newer committed version becomes visible.
 
 from repro.cluster.shard import ShardId
 from repro.storage.clog import TxnStatus
+from repro.storage.tuples import BOOTSTRAP_XID, RESERVED_MIN_TS  # re-exported
 
 # The shard map replica is addressed like a shard so that T_m can update it
 # through the ordinary transaction manager on each node.
 SHARDMAP_SHARD = ShardId("__shardmap__", 0)
-
-BOOTSTRAP_XID = -1  # reserved xid for rows installed at table creation
-RESERVED_MIN_TS = 0  # reserved minimal commit timestamp (visible to everyone)
 
 
 class ShardMapCache:

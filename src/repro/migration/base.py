@@ -114,6 +114,13 @@ class BaseMigration:
                 raise ValueError(
                     "shard {!r} not on source {!r}".format(shard_id, source)
                 )
+        # Replicated shards still waiting for that pump: the destination's
+        # WAL is not recycled past the floor until none is left.
+        self._rehome_pending = {
+            s for s in self.shard_ids if cluster.replication.is_replicated(s)
+        }
+        if self._rehome_pending:
+            cluster.nodes[dest].wal.hold(self, self._dest_wal_floor)
 
     @property
     def source_node(self):
@@ -171,7 +178,9 @@ class BaseMigration:
 
         Replicated shards are kept: after the epoch-bumped handover the old
         leader stays in the replication group as a follower, so its copy is
-        live state, not junk."""
+        live state, not junk. The migration is over: its hold on the
+        destination's WAL goes too."""
+        self.release_dest_wal()
         for shard_id in self.shard_ids:
             if self.cluster.replication.is_replicated(shard_id):
                 continue
@@ -185,6 +194,13 @@ class BaseMigration:
             group = self.cluster.replication.group_for(shard_id)
             if group is not None:
                 yield from group.rehome(self.dest, from_lsn=self._dest_wal_floor)
+                self._rehome_pending.discard(shard_id)
+        if not self._rehome_pending:
+            self.release_dest_wal()
+
+    def release_dest_wal(self):
+        """Let the destination recycle its WAL past ``_dest_wal_floor``."""
+        self.dest_node.wal.release(self)
 
     def active_writers_of_shards(self):
         """Active transactions that have written any migrating shard."""

@@ -37,19 +37,6 @@ from repro.txn.errors import RpcAbort, SerializationFailure, TransactionError
 from repro.txn.transaction import Transaction
 
 
-def end_shadow(cluster, dest_node, shadow, commit_ts=None):
-    """Generator: a shadow transaction's one ending on the destination.
-
-    With ``commit_ts`` the shadow commits at its source's commit timestamp;
-    without one it rolls back. Either way it then leaves the registry."""
-    if commit_ts is None:
-        yield from dest_node.manager.local_abort(shadow)
-    else:
-        yield from dest_node.manager.local_commit(shadow, commit_ts)
-        shadow.commit_ts = commit_ts
-    cluster.finish_txn(shadow, committed=commit_ts is not None)
-
-
 class _InflightApply:
     """One replay/validation task's ordering state."""
 
@@ -100,7 +87,7 @@ class Propagation:
         # Insertion-ordered: a crash teardown interrupts these in spawn
         # order, keeping the teardown timeline deterministic (SIM003).
         self._tasks = OrderedSet()  # in-flight replay/resolution processes
-        self._shadows = []  # every shadow txn created by this pipeline
+        self._shadows = OrderedSet()  # this pipeline's unfinished shadow txns
         self._pump_process = None
         self._apply_gate = None  # armed while the snapshot copy is running
         self.pending_records = 0  # records in caches/in-flight (bookkeeping)
@@ -139,14 +126,28 @@ class Propagation:
             # (e.g. crashed) while holding locks. Prepared shadows survive —
             # they are the residue recovery resolves by source outcome.
             manager = self.dest_node.manager
-            for shadow in self._shadows:
-                if shadow.finished:
-                    continue
+            for shadow in list(self._shadows):
                 participant = shadow.participant(self.dest)
                 if participant is None:
                     continue
                 if manager.force_abort_participant(participant):
                     self.cluster.finish_txn(shadow, committed=False)
+                    self._shadows.discard(shadow)
+
+    def end_shadow(self, shadow, commit_ts=None):
+        """Generator: a shadow transaction's one ending on the destination.
+
+        With ``commit_ts`` the shadow commits at its source's commit
+        timestamp; without one it rolls back. Either way it then leaves the
+        registry and this pipeline."""
+        manager = self.dest_node.manager
+        if commit_ts is None:
+            yield from manager.local_abort(shadow)
+        else:
+            yield from manager.local_commit(shadow, commit_ts)
+            shadow.commit_ts = commit_ts
+        self.cluster.finish_txn(shadow, committed=commit_ts is not None)
+        self._shadows.discard(shadow)
 
     def _spawn_task(self, generator, name):
         task = self.sim.spawn(generator, name=name)
@@ -320,7 +321,7 @@ class Propagation:
         shadow.is_shadow = True
         shadow.begin_time = self.sim.now
         self.cluster.register_txn(shadow)
-        self._shadows.append(shadow)
+        self._shadows.add(shadow)
         self.stats.shadow_txns += 1
         return shadow
 
@@ -378,19 +379,19 @@ class Propagation:
             yield from self._transfer_cost(records)
             shadow = self._make_shadow(records[0].start_ts)
             yield from self._replay_ops(shadow, ops)
-            yield from end_shadow(self.cluster, self.dest_node, shadow, commit_ts)
+            yield from self.end_shadow(shadow, commit_ts)
         except Interrupt:
             # Migration torn down mid-replay: roll the shadow back so its
             # locks are released.
             if shadow is not None and not shadow.finished:
-                yield from end_shadow(self.cluster, self.dest_node, shadow)
+                yield from self.end_shadow(shadow)
         except RpcAbort as exc:
             # Destination unreachable after bounded retries: wound the
             # pipeline — the supervisor crashes and recovers the migration,
             # whose repair pass re-copies the changes this task dropped.
             self.wounded = exc
             if shadow is not None and not shadow.finished:
-                yield from end_shadow(self.cluster, self.dest_node, shadow)
+                yield from self.end_shadow(shadow)
         except TransactionError as exc:  # pragma: no cover - consistency bug
             raise AssertionError(
                 "async replay must never conflict: {!r}".format(exc)
@@ -447,12 +448,12 @@ class Propagation:
             if isinstance(exc, RpcAbort):
                 self.wounded = exc
             if shadow is not None and not shadow.finished:
-                yield from end_shadow(self.cluster, self.dest_node, shadow)
+                yield from self.end_shadow(shadow)
         except SerializationFailure:
             # WW-conflict with a destination transaction: abort the shadow
             # and tell the source to abort too (both sides roll back).
             self.stats.ww_conflicts += 1
-            yield from end_shadow(self.cluster, self.dest_node, shadow)
+            yield from self.end_shadow(shadow)
             ack = False
         finally:
             # One cleanup path for every outcome — validated, WW-conflicted,
@@ -503,7 +504,7 @@ class Propagation:
             # source CLOG outcome — never an orphaned PREPARED entry.
             self._validated[xid] = (shadow, entry_done)
             return
-        yield from end_shadow(self.cluster, self.dest_node, shadow, commit_ts)
+        yield from self.end_shadow(shadow, commit_ts)
         self._finish_task(entry, done)
 
     def _rollback_prepared_shadow(self, xid, shadow, entry_done):
@@ -513,5 +514,5 @@ class Propagation:
         except Interrupt:
             self._validated[xid] = (shadow, entry_done)
             return
-        yield from end_shadow(self.cluster, self.dest_node, shadow)
+        yield from self.end_shadow(shadow)
         self._finish_task(entry, done)

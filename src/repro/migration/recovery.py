@@ -17,7 +17,6 @@ the paper describes:
    data is still missing, then the source copy is dropped.
 """
 
-from repro.migration.propagation import end_shadow
 from repro.storage.clog import TxnStatus
 from repro.txn.errors import MigrationAbort
 
@@ -95,7 +94,7 @@ def recover_migration(cluster, migration, residual_shadows=None):
             yield from cluster.rpc_send(
                 dest_node.node_id, source_node.node_id, 64, persistent=True
             )
-        yield from end_shadow(cluster, dest_node, shadow, commit_ts)
+        yield from migration.propagation.end_shadow(shadow, commit_ts)
 
     # Step 2: resolve T_m (2PC recovery). T_m committed iff it entered its
     # second phase, i.e. a commit timestamp was assigned — the assignment may
@@ -127,6 +126,7 @@ def recover_migration(cluster, migration, residual_shadows=None):
             if cluster.shard_owner(shard_id) != owner:
                 cluster.record_ownership(shard_id, owner)
         cluster.clear_cache_read_through(migration.shard_ids)
+        migration.release_dest_wal()  # given up: a retry is a new migration
         return "rolled_back"
 
     # Step 3: T_m committed — the destination owns the shards. Continue the

@@ -9,7 +9,22 @@ mechanism behind the paper's Figure 10 throughput dip).
 
 A chain is linked newest first through ``TupleVersion.older``, as
 PostgreSQL's ``t_ctid`` links a HOT chain, and the table maps each key to
-its newest version. Vacuum and ``remove_version`` relink survivors in place
+its newest version.
+
+Frozen rows: a row the bootstrap transaction installs (:meth:`bulk_install`:
+bulk loads and every migration install) is mapped to its bare value, not to
+a version. It stands for one version created by ``BOOTSTRAP_XID`` at
+``RESERVED_MIN_TS`` and never deleted, so it is visible to every snapshot,
+its chain length is 1 and a read traverses one version: the read paths
+(``read``, ``visible_version``, ``scan_visible_fast``, ``committed_version``,
+``chain_length``) answer it as such without storing anything, handing out a
+transient version where they return one. The row *materializes*, in its own
+dict slot so that key order never moves, only where a caller may change the
+version: ``latest_committed_or_locked`` (writers, replication apply,
+Squall), ``chain`` (vacuum, ``remove_version``, invariant checks) and a
+``put_version`` over it. On the hot paths the frozen test is an inline
+``type(head) is TupleVersion``. No code outside this module knows whether a
+row is frozen. Vacuum and ``remove_version`` relink survivors in place
 (``_relink``); an unlinked version keeps its ``older`` link, so a reader
 parked on it in a prepare-wait walks on, skipping at worst versions
 reclaimed below the horizon, which never exceeds an active reader's
@@ -41,7 +56,14 @@ from repro.storage.snapshot import (
     deletion_visible,
     deletion_visible_fast,
 )
-from repro.storage.tuples import ABORTED, TupleVersion
+from repro.storage.tuples import ABORTED, BOOTSTRAP_XID, RESERVED_MIN_TS, TupleVersion
+
+
+def _frozen_version(key, value):
+    """The one version a frozen row stands for (hint already stamped)."""
+    version = TupleVersion(key, value, BOOTSTRAP_XID)
+    version.cts_min = RESERVED_MIN_TS
+    return version
 
 
 class HeapTable:
@@ -73,9 +95,12 @@ class HeapTable:
         return self._chains.keys()
 
     def chain(self, key):
-        """Fresh list of ``key``'s versions, newest first (empty if unknown)."""
+        """Fresh list of ``key``'s versions, newest first (empty if unknown).
+        Materializes a frozen row."""
         versions = []
         version = self._chains.get(key)
+        if type(version) is not TupleVersion and version is not None:
+            version = self._chains[key] = _frozen_version(key, version)
         while version is not None:
             versions.append(version)
             version = version.older
@@ -83,7 +108,9 @@ class HeapTable:
 
     def chain_length(self, key):
         head = self._chains.get(key)
-        return 0 if head is None else head.count
+        if type(head) is TupleVersion:
+            return head.count
+        return 0 if head is None else 1
 
     @property
     def key_count(self):
@@ -133,17 +160,40 @@ class HeapTable:
         the caller passes ``committed=True``, vouching that ``xmin`` is
         already COMMITTED in this node's CLOG: such a version carries no
         ``xmax`` and can only turn into garbage through a later
-        :meth:`mark_deleted`, which enrols the key itself. Bulk loads use
-        it so that set-up pays nothing for rows that are never updated.
+        :meth:`mark_deleted`, which enrols the key itself. The shard map
+        rows and :meth:`bulk_install` over an existing chain use it. Over a
+        frozen row, the new version goes on top of the row's own.
         """
         head = self._chains.get(key)
-        if head is None and self._sorted_keys is not None:
-            insort(self._sorted_keys, key)
+        if head is None:
+            if self._sorted_keys is not None:
+                insort(self._sorted_keys, key)
+        elif type(head) is not TupleVersion:
+            head = _frozen_version(key, head)
         version = self._chains[key] = TupleVersion(key, value, xmin, None, head)
         self.version_count += 1
         if not committed:
             self._vacuum_candidates[key] = None
         return version
+
+    def bulk_install(self, items):
+        """Install ``(key, value)`` rows created by the bootstrap transaction.
+
+        A new key becomes a frozen row. A key that already has a chain, and
+        a ``None`` value (which a frozen slot cannot tell from a missing
+        key), get a version as :meth:`put_version` with ``committed=True``
+        makes it: on top of the chain, and no vacuum candidate.
+        """
+        chains = self._chains
+        sorted_keys = self._sorted_keys
+        for key, value in items:
+            if value is None or key in chains:
+                self.put_version(key, value, BOOTSTRAP_XID, committed=True)
+                continue
+            chains[key] = value
+            if sorted_keys is not None:
+                insort(sorted_keys, key)
+            self.version_count += 1
 
     def mark_deleted(self, version, xmax):
         """Stamp ``version`` as superseded/deleted by transaction ``xmax``."""
@@ -189,6 +239,8 @@ class HeapTable:
         try:
             start_ts = snapshot.start_ts
             version = self._chains.get(key)
+            if type(version) is not TupleVersion and version is not None:
+                version = _frozen_version(key, version)
             while version is not None:
                 traversed += 1
                 hint = version.cts_min
@@ -225,6 +277,11 @@ class HeapTable:
 
     def read(self, key, snapshot):
         """Generator returning (value_or_None, versions_traversed)."""
+        head = self._chains.get(key)
+        if type(head) is not TupleVersion and head is not None:
+            COUNTERS.visibility_checks += 1
+            COUNTERS.visibility_versions += 1
+            return head, 1
         version, traversed = yield from self.visible_version(key, snapshot)
         if version is None:
             return None, traversed
@@ -235,9 +292,12 @@ class HeapTable:
 
         This is the version an updater contends on after acquiring the row
         lock: it is either committed, prepared or belongs to the lock holder.
+        Materializes a frozen row: the caller may stamp the version.
         """
         clog = self.clog
         version = self._chains.get(key)
+        if type(version) is not TupleVersion and version is not None:
+            version = self._chains[key] = _frozen_version(key, version)
         while version is not None:
             hint = version.cts_min
             if hint is None:
@@ -254,6 +314,9 @@ class HeapTable:
     def committed_version(self, key):
         """The key's committed live version (or None): the newest surviving
         version, created by a committed transaction and not deleted by one."""
+        head = self._chains.get(key)
+        if type(head) is not TupleVersion:
+            return None if head is None else _frozen_version(key, head)
         version = self.latest_committed_or_locked(key)
         if version is None or self.clog.status(version.xmin) is not TxnStatus.COMMITTED:
             return None
@@ -285,6 +348,8 @@ class HeapTable:
         traversed = 0
         outcome = None
         version = self._chains.get(key)
+        if type(version) is not TupleVersion and version is not None:
+            version = _frozen_version(key, version)
         while version is not None:
             traversed += 1
             hint = version.cts_min

@@ -28,7 +28,20 @@ PostgreSQL's ``t_ctid`` links a HOT chain: each version points to the
 next-older one through ``older``, and the heap keeps only the newest (the
 *head*). The head's ``count`` is the chain's length; on any other version
 it is stale and never read.
+
+Rows installed by the bootstrap transaction (:data:`BOOTSTRAP_XID`,
+committed at :data:`RESERVED_MIN_TS` in every node's CLOG) are *frozen*, as
+PostgreSQL freezes tuples older than every snapshot: the heap stores such a
+row as its bare value and builds its one version only when a caller may
+change it (see :mod:`repro.storage.heap`).
 """
+
+#: Reserved xid of the bootstrap transaction, which owns the rows installed
+#: at table creation, by bulk loads and by migration snapshot installs.
+BOOTSTRAP_XID = -1
+#: Reserved minimal commit timestamp of the bootstrap transaction: its rows
+#: are visible to every snapshot.
+RESERVED_MIN_TS = 0
 
 
 class _AbortedHint:

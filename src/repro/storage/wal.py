@@ -9,6 +9,17 @@ everything the protocols need: row changes, 2PC prepare ("validation
 records"), plain commit/abort and the resolution records for prepared
 transactions.
 
+Recycling: the log keeps its records from a base LSN up, and every LSN stays
+absolute, so cursors, watermarks and :attr:`Wal.tail_lsn` never shift. The
+node's vacuum pass calls :meth:`Wal.recycle`, which drops the records no
+reader can reach any more, as PostgreSQL recycles segments behind each
+replication slot's ``restart_lsn``. The floor is the lowest of the first
+change of the node's oldest active transaction (where a propagation started
+now would begin), every live tailer's ``handled_lsn`` and every
+:meth:`Wal.hold` (a migration holding its destination's WAL for the
+replicated shards' post-handover pump). :meth:`Wal.record` raises on a
+recycled LSN rather than return another record.
+
 Group commit: concurrent committers on one node whose flushes would
 complete at the same instant share a single flush completion event through
 :class:`FlushCoalescer` (PostgreSQL's commit_delay-free group commit — the
@@ -131,6 +142,9 @@ class Wal:
         self.sim = sim
         self.node_id = node_id
         self._records = []
+        self._base_lsn = 0  # LSN of _records[0]: everything below is recycled
+        self._tailers = {}  # live tailers (insertion-ordered set)
+        self._holds = {}  # holder -> the lowest LSN it still needs
         self._appended = None  # event armed while a tailer waits at the tail
         self.flush_group = FlushCoalescer(sim)
         # Per-shard routing index for the tailers: built lazily on the
@@ -147,11 +161,11 @@ class Wal:
     @property
     def tail_lsn(self):
         """LSN that the *next* appended record will receive."""
-        return len(self._records)
+        return self._base_lsn + len(self._records)
 
     def append(self, record):
         """Assign the next LSN to ``record`` and append it. Returns the LSN."""
-        record.lsn = lsn = len(self._records)
+        record.lsn = lsn = self._base_lsn + len(self._records)
         self._records.append(record)
         if self._route_change is not None:
             if record.kind.is_change:
@@ -165,6 +179,49 @@ class Wal:
             armed, self._appended = self._appended, None
             armed.succeed(None)
         return record.lsn
+
+    def record(self, lsn):
+        """The record at ``lsn``; raises :class:`LookupError` if recycled."""
+        index = lsn - self._base_lsn
+        if index < 0:
+            raise LookupError(
+                "WAL record {} on {!r} was recycled (oldest kept: {})".format(
+                    lsn, self.node_id, self._base_lsn
+                )
+            )
+        return self._records[index]
+
+    def hold(self, holder, lsn):
+        """Keep every record from ``lsn`` on until :meth:`release`."""
+        self._holds[holder] = lsn
+
+    def release(self, holder):
+        self._holds.pop(holder, None)
+
+    def recycle(self, floor):
+        """Drop the records below ``floor``, but none that a live tailer has
+        not handled yet or a hold still needs. Returns how many went.
+
+        The routing index loses the same LSNs, and each live tailer's
+        cursor into a shortened route moves down with it.
+        """
+        for tailer in self._tailers:
+            floor = min(floor, tailer.handled_lsn)
+        for lsn in self._holds.values():
+            floor = min(floor, lsn)
+        drop = min(floor, self.tail_lsn) - self._base_lsn
+        if drop <= 0:
+            return 0
+        del self._records[:drop]
+        self._base_lsn += drop
+        if self._route_change is not None:
+            for route in (self._route_control, *self._route_change.values()):
+                cut = bisect_left(route, self._base_lsn)
+                if cut:
+                    del route[:cut]
+                    for tailer in self._tailers:
+                        tailer._route_cut(route, cut)
+        return drop
 
     def routing_index(self):
         """The (change-by-shard, control) LSN routing index, built lazily."""
@@ -210,9 +267,16 @@ class WalTailer:
       A skipped record has none, so it counts as handled once consumed; a
       routed record counts once ``handle(record)`` returns. Whoever asks
       "has X happened" must read this one.
+
+    A tailer holds the WAL's recycling back to its :attr:`handled_lsn` from
+    construction (an owner may build it before the loop first resumes)
+    until :meth:`run` exits. Building one from a recycled LSN raises: the
+    routing index no longer lists what was there, so the loop would skip it.
     """
 
     def __init__(self, wal, shard_ids, from_lsn, cpu, cost_per_record, batch):
+        if from_lsn < wal._base_lsn:
+            wal.record(from_lsn)  # raises
         self.wal = wal
         self.shard_ids = sorted(shard_ids)
         self.cpu = cpu
@@ -220,6 +284,15 @@ class WalTailer:
         self.batch = batch
         self._consumed_lsn = from_lsn
         self.handled_lsn = from_lsn
+        self._routes = []  # the routing-index lists run() follows
+        self._cursors = []  # per route: index of its next unconsumed LSN
+        wal._tailers[self] = None
+
+    def _route_cut(self, route, cut):
+        """``route`` lost its first ``cut`` LSNs, all consumed: follow it."""
+        for index, followed in enumerate(self._routes):
+            if followed is route:
+                self._cursors[index] -= cut
 
     @property
     def lag(self):
@@ -231,20 +304,21 @@ class WalTailer:
         each routed record in LSN order and ``on_handled`` after every move
         of :attr:`handled_lsn`."""
         wal = self.wal
-        records = wal._records
         cpu = self.cpu
         batch = self.batch
         charge = self.cost_per_record * batch
         since_charge = 0
         change_index, control_index = wal.routing_index()
-        routes = [control_index]
+        routes = self._routes
+        routes.append(control_index)
         for shard_id in self.shard_ids:
             route = change_index.get(shard_id)
             if route is None:
                 # Share the live list so appends after this point land in it.
                 route = change_index[shard_id] = []
             routes.append(route)
-        cursors = [bisect_left(route, self._consumed_lsn) for route in routes]
+        cursors = self._cursors
+        cursors.extend(bisect_left(route, self._consumed_lsn) for route in routes)
         try:
             while True:
                 if self._consumed_lsn >= wal.tail_lsn:
@@ -275,8 +349,10 @@ class WalTailer:
                 if since_charge >= batch:
                     yield cpu.use(charge)
                     since_charge = 0
-                handle(records[next_lsn])
+                handle(wal.record(next_lsn))
                 self.handled_lsn = next_lsn + 1
                 on_handled()
         except Interrupt:
             return
+        finally:
+            del wal._tailers[self]

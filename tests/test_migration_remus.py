@@ -197,3 +197,19 @@ def test_remus_consecutive_migrations_drain_a_node():
     assert proc.finished
     assert cluster.shards_on_node("node-1", table="ycsb") == []
     assert len(cluster.dump_table("ycsb")) == workload.config.num_tuples
+
+
+def test_remus_propagation_lets_finished_shadows_go():
+    """The pipeline keeps a shadow transaction only while it can still need
+    the crash sweep: once replayed and ended, it is let go."""
+    cluster, workload = build(num_tuples=6000, num_clients=12)
+    pool = workload.make_clients()
+    pool.start()
+    cluster.run(until=1.0)
+    shard = cluster.shards_on_node("node-1", table="ycsb")[0]
+    plan = migrate_one(cluster, [shard], "node-1", "node-2")
+    pool.stop()
+    cluster.run(until=12.0)
+    (migration,) = plan.migrations
+    assert migration.stats.shadow_txns > 0
+    assert [s for s in migration.propagation._shadows if s.finished] == []

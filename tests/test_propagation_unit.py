@@ -330,6 +330,14 @@ def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
         return seen["expects"]
 
     mocc._expects_validation = probe
+    shadows = []
+    make_shadow = prop._make_shadow
+
+    def recording_make_shadow(*args, **kwargs):
+        shadows.append(make_shadow(*args, **kwargs))
+        return shadows[-1]
+
+    prop._make_shadow = recording_make_shadow
     schema = cluster.tables["t"]
     key = next(k for k in range(1000, 2000) if schema.shard_for_key(k) == shard)
     session = cluster.session("node-1")
@@ -346,7 +354,8 @@ def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
     assert seen["straddled"], "the charge did not straddle the PREPARE"
     assert seen["expects"] and stats.sync_waits == 1  # the source waited for the ack
     assert seen["committed_at"] > 0.05 + 0.01  # ... which cannot precede the charge
-    assert [shadow.state for shadow in prop._shadows] == [TxnState.COMMITTED]
+    assert [shadow.state for shadow in shadows] == [TxnState.COMMITTED]
+    assert not prop._shadows  # a finished shadow is let go
     assert cluster.nodes["node-2"].heap_for(shard).latest_committed_or_locked(key).value == {
         "v": "new"
     }

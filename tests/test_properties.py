@@ -15,7 +15,7 @@ from repro.metrics.series import bin_series, downtime_windows, moving_average
 from repro.sim import Simulator
 from repro.storage import Clog, HeapTable, Snapshot, TxnStatus
 from repro.storage.snapshot import UNDECIDED
-from repro.storage.tuples import ABORTED
+from repro.storage.tuples import ABORTED, BOOTSTRAP_XID, RESERVED_MIN_TS, TupleVersion
 from repro.txn.timestamps import HybridLogicalClock, decode_hlc, encode_hlc
 from repro.workloads.zipf import ZipfGenerator
 
@@ -200,19 +200,30 @@ _FATE = st.tuples(
         min_size=1,
         max_size=6,
     ),
+    st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads):
+def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads, preload):
     """Mixed-fate chains — creators and deleters COMMITTED, ABORTED,
     IN_PROGRESS or PREPARED, with the reader's own writes among them — read
     repeatedly, so later reads trust the hints earlier ones stamped, while
     in-doubt writers settle in between. Every answer matches the CLOG-only
     reader: ``visible_version`` (version and chain positions walked, or a
     prepare-wait), ``latest_committed_or_locked``, and
-    ``scan_visible_fast`` whenever it decides without a fallback."""
+    ``scan_visible_fast`` whenever it decides without a fallback.
+
+    With ``preload`` the chain is built over a bootstrap row, frozen until
+    the first ``put_version`` on it, and a second bootstrap row stays
+    frozen: its reads must answer as its one implied version would."""
     sim = Simulator()
     clog = Clog(sim)
     heap = HeapTable(sim, clog)
+    frozen = None
+    if preload:
+        clog.begin(BOOTSTRAP_XID)
+        clog.set_committed(BOOTSTRAP_XID, RESERVED_MIN_TS)
+        heap.bulk_install([("k", "loaded"), ("f", "frozen")])
+        frozen = [TupleVersion("f", "frozen", BOOTSTRAP_XID)]
     for xid in range(_XIDS):
         clog.begin(xid)
     for (status, commit_ts), xid in zip(fates, range(1, _XIDS)):
@@ -239,6 +250,20 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads):
             (v for v in chain if clog.status(v.xmin) is not TxnStatus.ABORTED), None
         )
         assert heap.latest_committed_or_locked("k") is latest
+        if frozen is not None:
+            (expected_version, expected_n) = _clog_only_read(frozen, snapshot, clog)
+            for version, traversed in (
+                _first_step(heap.visible_version("f", snapshot)),
+                (heap.scan_visible_fast("f", snapshot), 1),
+            ):
+                if version is UNDECIDED:
+                    continue
+                assert traversed == expected_n == heap.chain_length("f") == 1
+                assert (version.key, version.value, version.xmin, version.xmax) == (
+                    expected_version.key, expected_version.value,
+                    expected_version.xmin, expected_version.xmax,
+                )
+            assert _first_step(heap.read("f", snapshot)) == ("frozen", 1)
         if settle is not None and settle[0] != 0 and not clog.is_finished(settle[0]):
             xid, commit = settle
             if commit:
@@ -343,10 +368,17 @@ def _reference_sweep(heap, horizon_ts, hints):
     return removed
 
 
+def _peek_chain(heap, key):
+    """``key``'s chain as (xmin, xmax) pairs, newest first, read without
+    materializing a frozen row: that is one bootstrap version, not deleted."""
+    head = heap._chains.get(key)
+    if head is None or type(head) is TupleVersion:
+        return [(v.xmin, v.xmax) for v in heap.chain(key)]
+    return [(BOOTSTRAP_XID, None)]
+
+
 def _chains_of(heap):
-    return [
-        (key, [(v.xmin, v.xmax) for v in heap.chain(key)]) for key in heap.keys()
-    ]
+    return [(key, _peek_chain(heap, key)) for key in heap.keys()]
 
 
 _PICK = st.integers(min_value=0, max_value=2)
@@ -387,11 +419,15 @@ class _HeapUnderTest:
         self.heap.sorted_keys()  # switch the incremental key index on
         self.slots = {}
         self.next_xid = 1
-        if preload:  # a bulk load: committed rows that are no candidates
+        if preload == "committed":  # committed rows that are no candidates
             self.clog.begin(0)
             self.clog.set_committed(0, 0)
             for key in range(self.KEYS):
                 self.heap.put_version(key, "v", 0, committed=True)
+        elif preload == "bootstrap":  # a bulk load: frozen until written
+            self.clog.begin(BOOTSTRAP_XID)
+            self.clog.set_committed(BOOTSTRAP_XID, RESERVED_MIN_TS)
+            self.heap.bulk_install((key, "v") for key in range(self.KEYS))
 
     def _xid(self, slot, fresh=False):
         xid = self.slots.get(slot)
@@ -449,7 +485,7 @@ class _HeapUnderTest:
 
 @given(
     st.lists(st.tuples(_HEAP_OPS, st.none() | _HORIZON), min_size=8, max_size=40),
-    st.booleans(),
+    st.sampled_from([None, "committed", "bootstrap"]),
     st.booleans(),
 )
 @settings(max_examples=500, deadline=None)
@@ -458,13 +494,17 @@ def test_candidate_vacuum_equals_whole_heap_sweep(steps, preload, reference_hint
     physical removals, horizons that hold and then move, hint bits stamped
     by scans in between — visiting only the candidates reclaims exactly
     what sweeping every chain does. Most steps vacuum right after their
-    operation, so keys keep leaving the set and must find their way back."""
+    operation, so keys keep leaving the set and must find their way back.
+    A ``bootstrap`` preload starts the subject's rows frozen: the checks
+    read them without materializing, so each stays frozen until a write,
+    ``put``, ``mark`` or ``remove`` touches it (the oracle's sweep
+    materializes every row of the reference)."""
     subject, reference = _HeapUnderTest(preload), _HeapUnderTest(preload)
 
     def assert_counts_match_links():
         for heap in (subject.heap, reference.heap):
             for key in range(_HeapUnderTest.KEYS):
-                assert heap.chain_length(key) == len(heap.chain(key))
+                assert heap.chain_length(key) == len(_peek_chain(heap, key))
 
     for op, horizon in list(steps) + [(("scan", 0, 1), 9)]:
         assert subject.apply(op) == reference.apply(op)

@@ -213,6 +213,57 @@ def test_remus_rehomes_group_onto_nonmember_dest():
     assert not cluster.sim.failed_processes
 
 
+def test_rehomed_pump_reads_the_held_dest_wal_across_recycles():
+    """The destination recycles its WAL on every vacuum pass while the
+    migration runs; the migration's hold at ``_dest_wal_floor`` keeps every
+    record the post-handover pump starts from, and goes with the handover."""
+    COUNTERS.reset()
+    cluster = Cluster(ClusterConfig(num_nodes=4, seed=0, vacuum_interval=0.002))
+    cluster.create_table(TABLE, num_shards=NUM_SHARDS, tuple_size=64)
+    # Rows past NUM_KEYS are never written: they only lengthen the copy, so
+    # vacuum passes fall inside the migration.
+    cluster.bulk_load(TABLE, [(k, {"n": 0}) for k in range(3000)])
+    cluster.enable_replication(TABLE, n_followers=2)
+    cluster.start_vacuum_daemons()
+    state = {"running": True, "committed": 0}
+    run_clients(cluster, state)
+    cluster.run(until=0.3)
+    shard_id = cluster.shards_on_node("node-1", table=TABLE)[0]
+    group = cluster.replication.group_for(shard_id)
+    members = {r.node_id for r in group.replicas}
+    dest = min(n for n in cluster.node_ids() if n not in members)
+    dest_wal = cluster.nodes[dest].wal
+    migration = RemusMigration(cluster, [shard_id], "node-1", dest)
+    assert dest_wal._holds == {migration: migration._dest_wal_floor}
+    held_recycles = []
+    recycle = dest_wal.recycle
+
+    def recording_recycle(floor):
+        if migration in dest_wal._holds:
+            held_recycles.append(floor)
+        dropped = recycle(floor)
+        assert dest_wal._base_lsn <= migration._dest_wal_floor or not dest_wal._holds
+        return dropped
+
+    dest_wal.recycle = recording_recycle
+    proc = cluster.spawn(migration.run(), name="migration")
+    cluster.run(until=1.0)
+    assert proc.finished
+    proc.result()
+    state["running"] = False
+    cluster.run(until=cluster.sim.now + 1.5)
+    assert group.leader_node_id == dest and group.epoch == 2
+    assert not dest_wal._holds
+    # Some pass ran while the destination's WAL held records above the
+    # floor that nothing else needed, and recycling went past it afterwards.
+    assert max(held_recycles) > migration._dest_wal_floor
+    assert dest_wal._base_lsn > migration._dest_wal_floor
+    assert_group_converged(group)
+    total = sum(row["n"] for row in cluster.dump_table(TABLE).values())
+    assert total == state["committed"]
+    assert not cluster.sim.failed_processes
+
+
 def test_member_dest_takes_remaster_path_and_stays_consistent():
     """Regression: a Remus migration onto a node that already hosts a
     follower replica must NOT snapshot-copy/propagate into that heap (the
