@@ -6,8 +6,7 @@ over hash-ordered containers in protocol paths, raw network sends that hang
 under partitions — silently breaks the reproduction's core guarantee. The
 rules in :mod:`repro.analysis.rules` encode those hazards as static checks;
 :mod:`repro.analysis.engine` runs them over the tree, honouring per-line
-``# simlint: ignore[RULE]`` suppressions and a JSON baseline of accepted
-pre-existing findings.
+``# simlint: ignore[RULE]`` suppressions.
 
 :mod:`repro.analysis.simrace` extends the catalogue with yield-point race
 rules (SIM101–SIM104): check-then-act across a yield, leaked resource
@@ -18,7 +17,6 @@ event settles — evaluated on the yield-aware control-flow graphs of
 Entry point: ``repro lint`` (see :mod:`repro.analysis.cli`).
 """
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import (
     LintConfig,
     analyze_paths,
@@ -34,8 +32,5 @@ __all__ = [
     "Violation",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "default_config",
-    "load_baseline",
-    "write_baseline",
 ]

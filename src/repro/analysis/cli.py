@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import analyze_paths, default_config
 from repro.analysis.rules import RULES
 
@@ -32,17 +31,6 @@ def add_lint_arguments(parser) -> None:
         help="print per-rule finding counts (text/github) or embed them (json)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline of accepted findings (see --write-baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -63,31 +51,11 @@ def run_lint(args, stdout=None, stderr=None) -> int:
     for error in errors:
         print("error: {}".format(error), file=err)
 
-    if args.write_baseline:
-        write_baseline(violations, args.write_baseline)
-        print(
-            "wrote baseline with {} finding(s) to {}".format(
-                len(violations), args.write_baseline
-            ),
-            file=out,
-        )
-        return 0
-
-    accepted = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print("error: cannot load baseline: {}".format(exc), file=err)
-            return 2
-        violations, accepted = apply_baseline(violations, baseline)
-
     stats = rule_stats(violations) if args.stats else None
 
     if args.fmt == "json":
         document = {
             "violations": [v.to_dict() for v in violations],
-            "baselined": len(accepted),
             "errors": errors,
             "ok": not violations and not errors,
         }
@@ -104,8 +72,6 @@ def run_lint(args, stdout=None, stderr=None) -> int:
             for code, count in sorted(stats.items()):
                 print("{}  {:>4}".format(code, count), file=out)
         summary = "simlint: {} finding(s)".format(len(violations))
-        if accepted:
-            summary += ", {} baselined".format(len(accepted))
         if errors:
             summary += ", {} file error(s)".format(len(errors))
         print(summary, file=out)

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 class Violation:
     """One rule hit, anchored to a file:line with the offending source text.
 
-    ``line_text`` (stripped) is part of the baseline fingerprint instead of
-    the line number so that unrelated edits above a baselined finding do not
-    resurrect it.
+    ``line_text`` (stripped) is part of the fingerprint instead of the line
+    number so that unrelated edits above a finding keep its identity.
     """
 
     rule: str

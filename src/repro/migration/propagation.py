@@ -18,10 +18,14 @@ validation-ok/fail ack is sent back to the blocked source transaction. The
 later commit (or rollback) record resolves the prepared shadow with the
 source transaction's commit timestamp.
 
-Replay is parallel across ``replay_parallelism`` slots, but transactions
-with overlapping write keys are chained in commit order (the paper's
-"transaction-level parallel apply approach based on SI by tracking timestamp
-order", §3.6).
+Replay is parallel across ``replay_parallelism`` slots — the paper's 18
+apply workers — but transactions with overlapping write keys are chained in
+commit order (the paper's "transaction-level parallel apply approach based
+on SI by tracking timestamp order", §3.6). The backlog is data: a task waits
+for the apply gate, its predecessors and a slot as a ``_Replay`` entry, and
+gets a process only once a slot is granted, so at most
+``replay_parallelism`` replay processes exist however long the snapshot
+copy keeps the backlog parked.
 """
 
 from bisect import bisect_right, insort
@@ -37,15 +41,52 @@ from repro.txn.errors import RpcAbort, SerializationFailure, TransactionError
 from repro.txn.transaction import Transaction
 
 
-class _InflightApply:
-    """One replay/validation task's ordering state."""
+_NEW = -1
+_GATED = -2
 
-    __slots__ = ("done", "min_lsn", "keys")
 
-    def __init__(self, done, min_lsn, keys):
-        self.done = done
-        self.min_lsn = min_lsn
+class _Replay:
+    """One source transaction's replay (async) or validation (sync).
+
+    Plain data while it waits for the apply gate, its predecessors and a
+    replay slot; a process exists only from the slot grant to its exit.
+    Calling the entry is its one wakeup — its first step, the gate's
+    release, a predecessor's finish, the slot grant and its process's
+    exit all call it. ``cursor`` is ``_NEW`` before the first step,
+    ``_GATED`` behind the apply gate, then the index of the next
+    predecessor to pass, and None once the entry was granted (or killed
+    before its grant). ``waiters`` holds the successor entries and
+    ``drain`` events its finish wakes; ``keys`` is None once it finished.
+    ``commit_ts`` is None for a validation.
+    """
+
+    __slots__ = (
+        "pipeline", "records", "xid", "commit_ts", "keys", "min_lsn",
+        "predecessors", "cursor", "waiters", "request", "process",
+    )
+
+    def __init__(self, pipeline, records, xid, commit_ts, keys, predecessors):
+        self.pipeline = pipeline
+        self.records = records
+        self.xid = xid
+        self.commit_ts = commit_ts
         self.keys = keys
+        self.min_lsn = min(r.lsn for r in records)
+        self.predecessors = predecessors
+        self.cursor = _NEW
+        self.waiters = None  # made on first demand
+        self.request = None  # the replay-slot acquire
+        self.process = None
+
+    def __call__(self, _event=None):
+        self.pipeline._advance(self)
+
+    def add_waiter(self, waiter):
+        """Have this entry's finish wake ``waiter``: an entry, or an event."""
+        if self.waiters is None:
+            self.waiters = [waiter]
+        else:
+            self.waiters.append(waiter)
 
 
 class Propagation:
@@ -72,10 +113,11 @@ class Propagation:
         )
         self.mocc = None  # set by enable_sync(); None => async mode
         self._caches = {}  # source xid -> [change records]
-        self._validated = {}  # source xid -> (shadow txn, inflight entry)
-        self.validation_started = OrderedSet()  # xids whose PREPARE spawned a task
-        self._inflight = OrderedSet()  # _InflightApply entries still replaying
-        self._key_tail = {}  # (shard, key) -> done event of last writer
+        self._validated = {}  # source xid -> (prepared shadow, its _Replay)
+        # Xids whose PREPARE started a validation, until their outcome record.
+        self.validation_started = OrderedSet()
+        self._inflight = OrderedSet()  # _Replay entries still replaying
+        self._key_tail = {}  # (shard, key) -> _Replay of the last writer
         self._slots = Resource(
             self.sim, capacity=cluster.config.replay_parallelism, name="replay"
         )
@@ -84,12 +126,12 @@ class Propagation:
         # fire in insertion order.
         self._applied_waiters = []
         self._waiter_seq = 0
-        # Insertion-ordered: a crash teardown interrupts these in spawn
+        # Insertion-ordered: a crash teardown kills these in creation
         # order, keeping the teardown timeline deterministic (SIM003).
-        self._tasks = OrderedSet()  # in-flight replay/resolution processes
+        self._tasks = OrderedSet()  # _Replay entries and resolution processes
         self._shadows = OrderedSet()  # this pipeline's unfinished shadow txns
         self._pump_process = None
-        self._apply_gate = None  # armed while the snapshot copy is running
+        self._applies_held = False  # the gate: True while the snapshot copy runs
         self.pending_records = 0  # records in caches/in-flight (bookkeeping)
         self.unreplayed_records = 0  # committed records not yet applied
         # Set when a transfer exhausted its RPC retry budget (partitioned /
@@ -107,20 +149,28 @@ class Propagation:
         )
 
     def stop(self, kill_tasks=False):
-        """Stop the send process; with ``kill_tasks`` also interrupt every
-        in-flight replay task (crash injection).
+        """Stop the send process; with ``kill_tasks`` also kill every
+        replay task (crash injection).
 
-        Interrupted tasks abort their shadow transactions (releasing locks
-        and replay slots), so a crashed migration leaves no residue behind —
-        recovery (§3.7) then resolves the already-prepared shadows. A normal
-        teardown keeps the tasks: in-flight shadow commits must complete or
-        committed source changes would be lost.
+        Interrupted processes abort their shadow transactions (releasing
+        locks and replay slots); an entry not yet granted owns no process,
+        so it stops waiting at once and gives its slot request and records
+        up in a slot of its own, in sweep order with the interrupts. A
+        crashed migration thus leaves no residue behind — recovery (§3.7)
+        then resolves the already-prepared shadows. A normal teardown keeps
+        the tasks: in-flight shadow commits must complete or committed
+        source changes would be lost.
         """
         if self._pump_process is not None and not self._pump_process.finished:
             self._pump_process.interrupt("propagation stopped")
         if kill_tasks:
             for task in list(self._tasks):
-                if not task.finished:
+                if type(task) is _Replay:
+                    if task.cursor is not None:
+                        self._kill_parked(task)
+                        continue
+                    task = task.process
+                if task is not None and not task.finished:
                     task.interrupt("propagation stopped")
             # Defensive sweep: abort shadows whose replay task already died
             # (e.g. crashed) while holding locks. Prepared shadows survive —
@@ -153,7 +203,6 @@ class Propagation:
         task = self.sim.spawn(generator, name=name)
         self._tasks.add(task)
         task.done_event.add_callback(lambda _ev: self._tasks.discard(task))
-        return task
 
     def enable_sync(self, mocc):
         """Switch to synchronous propagation (the sync barrier is set)."""
@@ -162,22 +211,24 @@ class Propagation:
     def hold_applies(self):
         """Buffer replay until the snapshot copy has installed the base rows
         (Figure 2: async execution starts after snapshot copying)."""
-        if self._apply_gate is None:
-            self._apply_gate = self.sim.event(name="apply-gate")
+        self._applies_held = True
 
     def release_applies(self):
-        if self._apply_gate is not None:
-            gate, self._apply_gate = self._apply_gate, None
-            gate.succeed(None)
-
-    def _wait_apply_gate(self):
-        if self._apply_gate is not None and not self._apply_gate.triggered:
-            yield self._apply_gate
+        """Wake the entries parked behind the gate, one slot each, in the
+        order they reached it (their creation order)."""
+        if self._applies_held:
+            self._applies_held = False
+            for task in self._tasks:
+                if type(task) is _Replay and task.cursor == _GATED:
+                    task.cursor = 0
+                    self.sim.schedule(0.0, task, None)
 
     def drain(self):
         """Generator: wait until every in-flight replay task completes."""
         while self._inflight:
-            yield next(iter(self._inflight)).done
+            finished = self.sim.event(name="apply-done")
+            next(iter(self._inflight)).add_waiter(finished)
+            yield finished
 
     # ------------------------------------------------------------------
     # Progress
@@ -235,7 +286,7 @@ class Propagation:
             return
         if kind is WalRecordKind.PREPARE:
             if self.mocc is not None and record.xid in self._caches:
-                self._start_validation(record.xid, record.start_ts)
+                self._start_validation(record.xid)
             return
         if kind in (WalRecordKind.COMMIT, WalRecordKind.COMMIT_PREPARED):
             self._on_commit(record.xid, record.commit_ts)
@@ -245,6 +296,8 @@ class Propagation:
             return
 
     def _on_commit(self, xid, commit_ts):
+        # The source is past MOCC's after_prepare, the set's only reader.
+        self.validation_started.discard(xid)
         if xid in self._validated:
             shadow, entry = self._validated.pop(xid)
             self._spawn_task(
@@ -260,9 +313,10 @@ class Propagation:
             self.pending_records -= len(records)
             return
         self.unreplayed_records += len(records)
-        self._start_async_apply(records, commit_ts)
+        self._enqueue(records, xid, commit_ts)
 
     def _on_abort(self, xid):
+        self.validation_started.discard(xid)
         records = self._caches.pop(xid, None)
         if records:
             self.pending_records -= len(records)
@@ -274,28 +328,119 @@ class Propagation:
             )
 
     # ------------------------------------------------------------------
-    # Replay task scheduling (commit-order chaining per key)
+    # The replay backlog: entries chained in commit order per key
     # ------------------------------------------------------------------
-    def _register_task(self, records):
+    def _enqueue(self, records, xid, commit_ts):
         # Deduplicate in record order (dict preserves insertion order): the
         # predecessor-wait and key-tail bookkeeping below must run in a
         # process-independent order, and set iteration is hash-ordered.
-        keys = list(dict.fromkeys((r.shard_id, r.key) for r in records))
-        predecessors = list(
-            dict.fromkeys(self._key_tail[k] for k in keys if k in self._key_tail)
+        keys = tuple(dict.fromkeys((r.shard_id, r.key) for r in records))
+        key_tail = self._key_tail
+        predecessors = tuple(
+            dict.fromkeys(key_tail[k] for k in keys if k in key_tail)
         )
-        done = self.sim.event(name="apply-done")
+        entry = _Replay(self, records, xid, commit_ts, keys, predecessors)
         for key in keys:
-            self._key_tail[key] = done
-        entry = _InflightApply(done, min(r.lsn for r in records), keys)
+            key_tail[key] = entry
         self._inflight.add(entry)
-        return entry, predecessors, done
+        self._tasks.add(entry)
+        self.sim.schedule(0.0, entry, None)
 
-    def _finish_task(self, entry, done):
+    def _advance(self, entry):
+        """The one pre-grant path: every wakeup of an entry lands here.
+
+        Each wait takes the slots a process parked on it would take (the
+        apply gate's release, a predecessor's finish, the slot grant, a
+        finished predecessor passed through ``take_tail_slot`` or a fresh
+        zero-delay slot), and the granted process starts in the grant's
+        slot (:meth:`Simulator.start_inline`) — so an entry's schedule is,
+        slot for slot, that of a process parked on the same waits.
+        """
+        cursor = entry.cursor
+        if cursor is None:  # past its grant, or killed before it
+            if entry.process is not None:  # the process exited
+                entry.process = None
+                self._tasks.discard(entry)
+            return
+        if cursor == _NEW:
+            if self._applies_held:
+                entry.cursor = _GATED
+                return
+            entry.cursor = cursor = 0
+        sim = self.sim
+        predecessors = entry.predecessors
+        while cursor < len(predecessors):
+            predecessor = predecessors[cursor]
+            entry.cursor = cursor = cursor + 1
+            if predecessor.keys is not None:  # still replaying
+                predecessor.add_waiter(entry)
+                return
+            if not sim.take_tail_slot():
+                sim.schedule(0.0, entry, None)
+                return
+        request = entry.request
+        if request is None:
+            entry.request = request = self._slots.acquire()
+            if not request.triggered:
+                request.add_callback(entry)
+                return
+            if not sim.take_tail_slot():
+                sim.schedule(0.0, entry, request)
+                return
+        entry.cursor = entry.request = None
+        name = "shadow-validate" if entry.commit_ts is None else "async-apply"
+        entry.process = sim.start_inline(
+            self._replay(entry, entry.records, entry.commit_ts), name=name
+        )
+        entry.process.done_event.add_callback(entry)
+
+    def _kill_parked(self, entry):
+        """Crash teardown of an entry not yet granted: stop its waits now,
+        and give its slot request and records up in a zero-delay slot of
+        its own (where an interrupt of a granted process lands)."""
+        cursor, entry.cursor = entry.cursor, None
+        if cursor > 0:
+            waiters = entry.predecessors[cursor - 1].waiters
+            if waiters is not None and entry in waiters:
+                waiters.remove(entry)
+        if entry.request is not None:
+            entry.request.remove_callback(entry)
+        self.sim.schedule(0.0, self._abandon, entry)
+
+    def _abandon(self, entry):
+        self._slots.cancel_acquire(entry.request)
+        entry.request = None
+        self._settle(entry)
+        self._tasks.discard(entry)
+
+    def _settle(self, entry, prepared=None):
+        """An entry's replay is over: applied, given up, or — ``prepared``
+        is then its shadow — validated and waiting for its resolution."""
+        count = len(entry.records)
+        self.pending_records -= count
+        self.unreplayed_records -= count
+        entry.records = None
+        entry.predecessors = ()
+        if prepared is None:
+            self._finish_task(entry)
+            return
+        # Changes are applied (prepared): keep the key chain until the
+        # resolution, but let the applied watermark advance past it.
         self._inflight.discard(entry)
-        done.succeed(None)
-        for key in entry.keys:
-            if self._key_tail.get(key) is done:
+        self._check_applied_waiters()
+        self._validated[entry.xid] = (prepared, entry)
+
+    def _finish_task(self, entry):
+        self._inflight.discard(entry)
+        keys, entry.keys = entry.keys, None
+        for waiter in entry.waiters or ():
+            if type(waiter) is _Replay:
+                self.sim.schedule(0.0, waiter, None)
+            else:
+                waiter.succeed(None)
+        entry.waiters = None
+        for key in keys:
+            if self._key_tail.get(key) is entry:
                 del self._key_tail[key]
         self._check_applied_waiters()
 
@@ -326,11 +471,11 @@ class Propagation:
         return shadow
 
     def _coalesce_changes(self, records):
-        """Resolve the per-record kind dispatch once, at scheduling time.
+        """Resolve the per-record kind dispatch once, at the slot grant.
 
         Returns the transaction's change vector: (bound manager method,
         positional args, size) per record, in record order — the replay
-        slot then applies it without re-branching on the record kind.
+        then applies it without re-branching on the record kind.
         """
         manager = self.dest_node.manager
         ops = []
@@ -355,130 +500,63 @@ class Propagation:
             stats.records_applied += 1
 
     # ------------------------------------------------------------------
-    # Async replay (commit-time shipping)
+    # A granted entry's process: async replay, or validation at prepare
     # ------------------------------------------------------------------
-    def _start_async_apply(self, records, commit_ts):
-        entry, predecessors, done = self._register_task(records)
-        ops = self._coalesce_changes(records)
-        self._spawn_task(
-            self._async_apply(records, commit_ts, entry, predecessors, done, ops),
-            name="async-apply",
-        )
-
-    def _async_apply(self, records, commit_ts, entry, predecessors, done, ops):
-        shadow = None
-        slot_request = None
-        holding_slot = False
-        try:
-            yield from self._wait_apply_gate()
-            for predecessor in predecessors:
-                yield predecessor
-            slot_request = self._slots.acquire()
-            yield slot_request
-            holding_slot = True
-            yield from self._transfer_cost(records)
-            shadow = self._make_shadow(records[0].start_ts)
-            yield from self._replay_ops(shadow, ops)
-            yield from self.end_shadow(shadow, commit_ts)
-        except Interrupt:
-            # Migration torn down mid-replay: roll the shadow back so its
-            # locks are released.
-            if shadow is not None and not shadow.finished:
-                yield from self.end_shadow(shadow)
-        except RpcAbort as exc:
-            # Destination unreachable after bounded retries: wound the
-            # pipeline — the supervisor crashes and recovers the migration,
-            # whose repair pass re-copies the changes this task dropped.
-            self.wounded = exc
-            if shadow is not None and not shadow.finished:
-                yield from self.end_shadow(shadow)
-        except TransactionError as exc:  # pragma: no cover - consistency bug
-            raise AssertionError(
-                "async replay must never conflict: {!r}".format(exc)
-            ) from exc
-        finally:
-            if holding_slot:
-                self._slots.release()
-            else:
-                # Interrupted at the acquire itself: the request may already
-                # have been granted (or still be queued) — either way it must
-                # not leak a replay slot.
-                self._slots.cancel_acquire(slot_request)
-            self.pending_records -= len(records)
-            self.unreplayed_records -= len(records)
-            self._finish_task(entry, done)
-
-    # ------------------------------------------------------------------
-    # Sync replay: validation at prepare, resolution at commit (§3.5.2)
-    # ------------------------------------------------------------------
-    def _start_validation(self, xid, start_ts):
+    def _start_validation(self, xid):
         self.validation_started.add(xid)
         records = self._caches.pop(xid)
         self.unreplayed_records += len(records)
-        entry, predecessors, done = self._register_task(records)
-        ops = self._coalesce_changes(records)
-        self._spawn_task(
-            self._validate(xid, start_ts, records, entry, predecessors, done, ops),
-            name="shadow-validate",
-        )
+        self._enqueue(records, xid, None)
 
-    def _validate(self, xid, start_ts, records, entry, predecessors, done, ops):
+    def _replay(self, entry, records, commit_ts):
+        """Generator: the process of a granted entry, which holds one
+        replay slot until its ``finally``. An async replay commits its
+        shadow at the source's commit timestamp; a validation (§3.5.2)
+        prepares it — a WW-conflict with a destination transaction aborts
+        both sides — and then acks the blocked source transaction."""
         shadow = None
-        slot_request = None
-        holding_slot = False
-        validated = False
         ack = None
         try:
-            yield from self._wait_apply_gate()
-            for predecessor in predecessors:
-                yield predecessor
-            slot_request = self._slots.acquire()
-            yield slot_request
-            holding_slot = True
-            shadow = self._make_shadow(start_ts)
+            if commit_ts is None:
+                shadow = self._make_shadow(records[0].start_ts)
             yield from self._transfer_cost(records)
-            yield from self._replay_ops(shadow, ops)
-            yield from self.dest_node.manager.local_prepare(shadow)
-            validated = True
-            ack = True
+            if shadow is None:
+                shadow = self._make_shadow(records[0].start_ts)
+            yield from self._replay_ops(shadow, self._coalesce_changes(records))
+            if commit_ts is None:
+                yield from self.dest_node.manager.local_prepare(shadow)
+                ack = True
+            else:
+                yield from self.end_shadow(shadow, commit_ts)
         except (Interrupt, RpcAbort) as exc:
-            # Migration torn down mid-validation (or the destination became
-            # unreachable): abort the shadow and fail the waiting source
-            # transaction (it is terminated by the crash handler, §3.7).
+            # Migration torn down mid-replay, or the destination unreachable
+            # after bounded retries (which wounds the pipeline: the
+            # supervisor crashes and recovers the migration, whose repair
+            # pass re-copies what this task dropped). Roll the shadow back
+            # so its locks are released; a waiting source transaction is
+            # failed by the crash handler (§3.7).
             if isinstance(exc, RpcAbort):
                 self.wounded = exc
             if shadow is not None and not shadow.finished:
                 yield from self.end_shadow(shadow)
-        except SerializationFailure:
-            # WW-conflict with a destination transaction: abort the shadow
-            # and tell the source to abort too (both sides roll back).
+        except TransactionError as exc:
+            if commit_ts is not None or not isinstance(exc, SerializationFailure):
+                raise AssertionError(  # pragma: no cover - consistency bug
+                    "replay must never conflict: {!r}".format(exc)
+                ) from exc
             self.stats.ww_conflicts += 1
             yield from self.end_shadow(shadow)
             ack = False
         finally:
-            # One cleanup path for every outcome — validated, WW-conflicted,
-            # interrupted, wounded, or an exception the handlers above never
-            # match: the replay slot and the task accounting must not depend
-            # on which way the try block exited. (The abort yields above sit
-            # before this block on purpose: an Interrupt landing in an abort
-            # wait used to skip the release and wedge drain() forever.)
-            if holding_slot:
-                self._slots.release()
-            else:
-                self._slots.cancel_acquire(slot_request)
-            self.pending_records -= len(records)
-            self.unreplayed_records -= len(records)
-            if validated:
-                # Changes are applied (prepared); keep the key chain until
-                # resolution but let the applied watermark advance past this
-                # transaction.
-                self._inflight.discard(entry)
-                self._check_applied_waiters()
-                self._validated[xid] = (shadow, (entry, done))
-            else:
-                self._finish_task(entry, done)
+            # One cleanup path for every outcome — applied, validated,
+            # WW-conflicted, interrupted, wounded, or an exception the
+            # handlers above never match. (The abort yields above sit
+            # before this block on purpose: an Interrupt landing in an
+            # abort wait must not skip the release and wedge drain().)
+            self._slots.release()
+            self._settle(entry, shadow if ack else None)
         if ack is not None:
-            yield from self._post_ack(self.mocc, xid, ok=ack)
+            yield from self._post_ack(self.mocc, entry.xid, ok=ack)
 
     def _post_ack(self, mocc, xid, ok):
         """Generator: deliver a validation outcome to the blocked source
@@ -492,8 +570,7 @@ class Propagation:
             return
         mocc.post_result(xid, ok=ok)
 
-    def _commit_prepared_shadow(self, xid, shadow, entry_done, commit_ts):
-        entry, done = entry_done
+    def _commit_prepared_shadow(self, xid, shadow, entry, commit_ts):
         try:
             # Decision delivery is persistent: the source outcome is final,
             # so it must reach the destination across any partition.
@@ -502,17 +579,16 @@ class Propagation:
             # Crash teardown mid-delivery: re-register the prepared shadow so
             # recovery (§3.7) finds it in the residue and resolves it by the
             # source CLOG outcome — never an orphaned PREPARED entry.
-            self._validated[xid] = (shadow, entry_done)
+            self._validated[xid] = (shadow, entry)
             return
         yield from self.end_shadow(shadow, commit_ts)
-        self._finish_task(entry, done)
+        self._finish_task(entry)
 
-    def _rollback_prepared_shadow(self, xid, shadow, entry_done):
-        entry, done = entry_done
+    def _rollback_prepared_shadow(self, xid, shadow, entry):
         try:
             yield from self.cluster.rpc_send(self.source, self.dest, 64, persistent=True)
         except Interrupt:
-            self._validated[xid] = (shadow, entry_done)
+            self._validated[xid] = (shadow, entry)
             return
         yield from self.end_shadow(shadow)
-        self._finish_task(entry, done)
+        self._finish_task(entry)

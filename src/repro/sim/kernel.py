@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-from repro.sim.process import Process
+from repro.sim.process import InlineProcess, Process
 from repro.sim.rng import RngStream, SeedSequence
 
 #: A scheduled call: ``[time, seq, callback, args]``. Ordered by
@@ -133,6 +133,17 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``; returns the Process."""
         return Process(self, generator, name=name)
+
+    def start_inline(self, generator: Generator, name: str = "") -> Process:
+        """Start a process whose first step runs now, inside this dispatch.
+
+        For a callback in *tail position* (as for :meth:`take_tail_slot`)
+        that runs in the slot where a process parked on the same wakeup
+        would have resumed: the new process takes that slot instead of a
+        spawn slot of its own, so ``_seq`` and every later dispatch are the
+        ones the parked process would have produced.
+        """
+        return InlineProcess(self, generator, name=name)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh pending :class:`Event` bound to this simulator."""

@@ -102,7 +102,11 @@ class Process:
         self._waiting_on = None  # the Event or _CompositeWait parked on
         self._pending_timer = None
         self._interrupt_pending = None
-        sim.schedule(0.0, self._resume, None, None)
+        self._start()
+
+    def _start(self):
+        """Take the first step from a zero-delay slot of its own."""
+        self.sim.schedule(0.0, self._resume, None, None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -296,6 +300,16 @@ class Process:
     def __repr__(self):
         state = "finished" if self.finished else "running"
         return "Process({!r}, {})".format(self.name, state)
+
+
+class InlineProcess(Process):
+    """A process whose first step runs inside the dispatch that creates it
+    (:meth:`Simulator.start_inline`), taking no slot of its own."""
+
+    __slots__ = ()
+
+    def _start(self):
+        self._resume(None, None)
 
 
 def join(sim, generators, name=""):

@@ -15,7 +15,7 @@ Shard (partition) locks model two things from the paper:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.sim.errors import SimulationError
 from repro.sim.ordered import OrderedSet
@@ -80,10 +80,6 @@ class RowLockTable:
         if queue is not None and not queue:
             del self._queues[key]
         del self._owners[key]
-
-    def release_all(self, owner, keys: Iterable[Hashable]) -> None:
-        for key in keys:
-            self.release(key, owner)
 
     def cancel_wait(self, key: Hashable, owner) -> None:
         """Drop ``owner``'s queued request for ``key`` (txn aborted while

@@ -197,7 +197,10 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
         # Tear the migration down while the shadow abort is suspended —
         # interrupt() lands at this generator's next yield, i.e. inside
         # the SerializationFailure handler of _validate.
-        task = next(t for t in prop._tasks if t.name == "shadow-validate")
+        task = next(
+            e.process for e in prop._tasks
+            if e.process is not None and e.process.name == "shadow-validate"
+        )
         task.interrupt("teardown mid-abort")
         yield 0.0
         yield from real_abort(txn)
@@ -360,3 +363,175 @@ def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
         "v": "new"
     }
     prop.stop()
+
+
+# ----------------------------------------------------------------------
+# The replay backlog is data: a process per slot, not per transaction
+# ----------------------------------------------------------------------
+def _hot_remus_migration(scan_per_tuple, num_clients):
+    """Write-only YCSB clients on two shards, and a Remus migration of
+    node-1's shard (not yet run) whose copy costs ``scan_per_tuple`` each."""
+    from repro.config import CostModel
+    from repro.migration import RemusMigration
+    from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
+
+    cluster = Cluster(
+        ClusterConfig(num_nodes=2, costs=CostModel(snapshot_scan_per_tuple=scan_per_tuple))
+    )
+    workload = YcsbWorkload(
+        cluster,
+        YcsbConfig(num_tuples=400, num_shards=2, num_clients=num_clients, tuple_size=256,
+                   think_time=0.002, read_ratio=0.0),
+    )
+    workload.create()
+    pool = workload.make_clients()
+    pool.start()
+    cluster.run(until=0.2)
+    shard = cluster.shards_on_node("node-1", table="ycsb")[0]
+    migration = RemusMigration(cluster, [shard], "node-1", "node-2")
+    return cluster, pool, migration, cluster.spawn(migration.run(), name="remus")
+
+
+def test_replay_processes_never_outnumber_the_replay_slots(monkeypatch):
+    """A snapshot copy that outlasts hundreds of commits to the migrating
+    shard parks every one of them behind the apply gate. Sampled at every
+    kernel step: no more than ``replay_parallelism`` replay or validation
+    processes are alive at once, and an entry that has not been granted a
+    slot owns no process. (Had every committed transaction its own
+    process, more than 600 would be alive at the end of the copy.)"""
+    from repro.sim.process import Process
+
+    replays = []
+    init = Process.__init__
+
+    def recording_init(self, sim, generator, name=""):
+        init(self, sim, generator, name)
+        if self.name in ("async-apply", "shadow-validate"):
+            replays.append(self)
+
+    monkeypatch.setattr(Process, "__init__", recording_init)
+    cluster, pool, migration, proc = _hot_remus_migration(2e-3, num_clients=4)
+    slots = cluster.config.replay_parallelism
+    peak = peak_parked = 0
+    while not proc.finished:
+        assert cluster.sim.step()
+        replays[:] = [p for p in replays if not p.finished]
+        peak = max(peak, len(replays))
+        assert len(replays) <= slots
+        prop = migration.propagation
+        if prop is not None:
+            parked = [
+                t for t in prop._tasks if not isinstance(t, Process) and t.cursor is not None
+            ]
+            assert all(entry.process is None for entry in parked)
+            peak_parked = max(peak_parked, len(parked))
+    pool.stop()
+    assert peak == slots and peak_parked > 500
+    assert migration.stats.shadow_txns > 600
+
+
+def test_validation_started_forgets_each_resolved_transaction():
+    """MOCC asks ``validation_started`` only about a source transaction
+    still preparing; its COMMIT or ABORT record retires the xid. After a
+    migration whose dual execution validated several transactions, the set
+    is empty (it kept every validated xid for the pipeline's lifetime)."""
+    cluster, pool, migration, proc = _hot_remus_migration(2e-4, num_clients=8)
+    cluster.sim.run_until_complete(proc, limit=30.0)
+    pool.stop()
+    assert migration.stats.sync_waits >= 5
+    assert not migration.propagation.validation_started
+
+
+def _commit_source_txn(cluster, xid, kind, key):
+    """A committed source transaction with one change, as the WAL shows it."""
+    shard = cluster.tables["t"].shard_ids()[0]
+    wal = cluster.nodes["node-1"].wal
+    wal.append(
+        WalRecord(kind, xid=xid, shard_id=shard, key=key, value={"v": xid},
+                  size=100, start_ts=1)
+    )
+    wal.append(WalRecord(WalRecordKind.COMMIT, xid=xid, commit_ts=100 + xid))
+
+
+def _park_behind_gate(prop, entries):
+    from repro.migration.propagation import _GATED
+
+    prop.hold_applies()
+    return lambda: len(entries) == 1 and entries[0].cursor == _GATED
+
+
+def _park_behind_predecessor(prop, entries):
+    return lambda: (
+        len(entries) == 2 and entries[0].process is not None and entries[1].cursor == 1
+    )
+
+
+def _park_on_slot_queue(prop, entries):
+    return lambda: (
+        len(entries) == 2 and entries[1].request is not None
+        and not entries[1].request.triggered
+    )
+
+
+def _granted_not_yet_run(prop, entries):
+    return lambda: (
+        len(entries) == 2 and entries[1].request is not None
+        and entries[1].request.triggered and entries[1].process is None
+    )
+
+
+@pytest.mark.parametrize(
+    "state",
+    [_park_behind_gate, _park_behind_predecessor, _park_on_slot_queue, _granted_not_yet_run],
+)
+def test_crash_sweep_clears_an_entry_in_every_pre_grant_state(state):
+    """``stop(kill_tasks=True)`` with the last committed transaction's entry
+    parked behind the apply gate, behind an unfinished predecessor, queued
+    on the slot ``Resource``, or granted a slot in this instant but not yet
+    run: afterwards no slot is held or queued, no record is counted,
+    nothing is in flight, ``drain()`` returns and no shadow is ACTIVE."""
+    from repro.migration.propagation import _Replay
+    from repro.txn.transaction import TxnState
+
+    cluster = Cluster(ClusterConfig(num_nodes=2, replay_parallelism=1))
+    cluster.create_table("t", num_shards=2, tuple_size=100)
+    prop, _stats = make_propagation(cluster)
+    shadows = []
+    make_shadow = prop._make_shadow
+
+    def recording_make_shadow(*args, **kwargs):
+        shadows.append(make_shadow(*args, **kwargs))
+        return shadows[-1]
+
+    prop._make_shadow = recording_make_shadow
+    entries = []
+    enqueue = prop._enqueue
+
+    def recording_enqueue(*args):
+        enqueue(*args)
+        entries.append(next(reversed(list(prop._inflight))))
+
+    prop._enqueue = recording_enqueue
+    reached = state(prop, entries)
+    prop.start()
+    _commit_source_txn(cluster, 1, WalRecordKind.INSERT, 2000)
+    if state is not _park_behind_gate:
+        same_key = state is _park_behind_predecessor
+        _commit_source_txn(
+            cluster, 2, WalRecordKind.UPDATE if same_key else WalRecordKind.INSERT,
+            2000 if same_key else 2001,
+        )
+    while not reached():
+        assert cluster.sim.now < 1.0 and cluster.sim.step()
+    assert type(entries[-1]) is _Replay and entries[-1].process is None
+    prop.stop(kill_tasks=True)
+    cluster.run(until=cluster.sim.now + 1.0)
+
+    assert prop._slots.in_use == 0 and prop._slots.queued == 0
+    assert prop.pending_records == prop.unreplayed_records == 0
+    assert not prop._inflight and not prop._tasks
+    drain = cluster.spawn(prop.drain())
+    cluster.run(until=cluster.sim.now + 0.1)
+    assert drain.finished
+    assert all(shadow.state is not TxnState.ACTIVE for shadow in shadows)
+    assert not cluster.sim.failed_processes

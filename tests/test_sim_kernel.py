@@ -509,12 +509,44 @@ def _spawn_and_join_all(sim, generators, name=""):
     return (yield AllOf([sim.spawn(generator, name) for generator in generators]))
 
 
-def run_program(sim_cls, program, stops=(), joiner=join):
+def _park_process(sim, event, generator, name):
+    """The reference for ``park``: a process parked on ``event`` from its
+    spawn slot on."""
+
+    def parked():
+        yield event
+        return (yield from generator)
+
+    sim.spawn(parked(), name)
+
+
+def _park_entry(sim, event, generator, name):
+    """``park`` as the replay backlog does it: data until ``event``. Its
+    first step takes the spawn slot; a triggered event is passed through
+    ``take_tail_slot`` or a fresh zero-delay slot, a pending one wakes it
+    in its own slot; the process starts inline in that slot."""
+
+    def start(_event=None):
+        sim.start_inline(generator, name)
+
+    def first_step():
+        if not event.triggered:
+            event.add_callback(start)
+        elif sim.take_tail_slot():
+            start()
+        else:
+            sim.schedule(0.0, start)
+
+    sim.schedule(0.0, first_step)
+
+
+def run_program(sim_cls, program, stops=(), joiner=join, parker=_park_process):
     """Interpret ``program`` (one op list per top-level process) on a fresh
     ``sim_cls`` and return everything an observer could tell two runs apart
     by — the dispatch trace ``(now, process, value)`` in execution order,
     the final ``_seq`` and clock, the CPUs' busy bins, slots and queues —
-    plus the number of heap pushes. ``joiner`` runs the ``joinone`` op.
+    plus the number of heap pushes. ``joiner`` runs the ``joinone`` op,
+    ``parker`` the ``park`` op (a child that waits for a shared event).
 
     ``joinone`` keeps ``join``'s one condition the way ``Session.commit``
     does: an ``interrupt`` spares a process inside a join (interrupts only
@@ -587,6 +619,8 @@ def run_program(sim_cls, program, stops=(), joiner=join):
                 return ("raised", str(exc))
             finally:
                 joining.discard(owner)
+        elif kind == "park":
+            parker(sim, shared[op[1]], body(name + "/k", op[2]), name + "/k")
         elif kind == "cancelled":
             sim.cancel(sim.schedule(op[1], trace.append, "never"))
         elif kind == "callback":
@@ -819,6 +853,45 @@ def test_succeed_inline_resumes_only_its_last_waiter_in_tail_position():
         sim.schedule(1.0, group.succeed_inline, None)
         sim.run()
         assert order == ["a1", "b1", "c1", "a2", "b2", "c2"] and sim._seq == 7
+
+
+_PARK_OP = st.tuples(st.just("park"), st.integers(0, 2), st.lists(_CHILD_OPS, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.one_of(_LEAF_OPS, _PARK_OP), max_size=6), min_size=1, max_size=4),
+    st.lists(_DELAYS, max_size=2),
+)
+def test_start_inline_takes_the_slot_of_a_parked_process_wakeup(program, stops):
+    """A waiting task kept as data whose process ``start_inline`` starts in
+    its wakeup's slot, against a process parked on the same event from its
+    spawn on: identical dispatch trace, ``_seq``, clock and CPU accounting
+    on either kernel, and never more heap pushes."""
+    for sim_cls in (Counting, NeverInline):
+        observed, pushes = run_program(sim_cls, program, stops, parker=_park_entry)
+        reference, reference_pushes = run_program(sim_cls, program, stops)
+        assert observed == reference
+        assert pushes <= reference_pushes
+
+
+def test_start_inline_runs_the_first_step_in_the_current_dispatch():
+    """Parked on a pending event, a process wakes in the slot ``succeed``
+    queues; the data-kept twin starts there, and a spawn would have taken
+    one slot more."""
+    program = [[("park", 0, [("ready",), ("sleep", 0.5)])], [("sleep", 1.0), ("fire", 0)]]
+    reference = run_program(Counting, program)[0]
+    assert run_program(Counting, program, parker=_park_entry)[0] == reference
+    woken = [now for now, name, *_ in reference[0] if name == "p0.0/k"]
+    assert woken == [1.0, 1.5]
+
+    def spawning_park(sim, event, generator, name):
+        def first_step():
+            event.add_callback(lambda _event: sim.spawn(generator, name))
+
+        sim.schedule(0.0, first_step)
+
+    assert run_program(Counting, program, parker=spawning_park)[0][1] == reference[1] + 1
 
 
 # Hand-made mutants of the rule: each must be caught.

@@ -2,8 +2,8 @@
 
 Each rule gets a minimal firing fixture and a near-miss that exercises the
 rule's discrimination (the thing a naive grep would get wrong). On top of
-that: suppression comments, path scoping, baseline round-trips, CLI exit
-codes, and the self-check that the repaired tree is clean.
+that: suppression comments, path scoping, CLI exit codes, and the
+self-check that the repaired tree is clean.
 """
 
 import json
@@ -14,10 +14,7 @@ from repro.analysis import (
     RULES,
     analyze_paths,
     analyze_source,
-    apply_baseline,
     default_config,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.engine import LintConfig, RuleScope
 from repro.cli import main as cli_main
@@ -333,54 +330,6 @@ def test_rule_catalogue_complete():
 
 
 # ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-FIXTURE_BAD = "import random\n\n\ndef f():\n    return random.random()\n"
-
-
-def test_baseline_round_trip(tmp_path):
-    bad = tmp_path / "proto.py"
-    bad.write_text(FIXTURE_BAD)
-    violations, errors = analyze_paths([str(bad)], root=str(tmp_path))
-    assert errors == []
-    assert len(violations) == 2  # the import and the attribute use
-
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(violations, str(baseline_file))
-    baseline = load_baseline(str(baseline_file))
-    fresh, accepted = apply_baseline(violations, baseline)
-    assert fresh == []
-    assert len(accepted) == 2
-
-
-def test_baseline_does_not_mask_new_violations(tmp_path):
-    bad = tmp_path / "proto.py"
-    bad.write_text(FIXTURE_BAD)
-    violations, _ = analyze_paths([str(bad)], root=str(tmp_path))
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(violations, str(baseline_file))
-
-    # A *second* copy of a baselined violation still fails: counts matter.
-    bad.write_text(FIXTURE_BAD + "\n\ndef g():\n    return random.random()\n")
-    violations, _ = analyze_paths([str(bad)], root=str(tmp_path))
-    fresh, accepted = apply_baseline(violations, load_baseline(str(baseline_file)))
-    assert len(accepted) == 2
-    assert len(fresh) == 1
-    assert fresh[0].rule == "SIM002"
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(json.dumps({"version": 99, "entries": {}}))
-    try:
-        load_baseline(str(baseline_file))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError for unknown baseline version")
-
-
-# ----------------------------------------------------------------------
 # CLI: repro lint
 # ----------------------------------------------------------------------
 def run_cli(*argv):
@@ -412,24 +361,6 @@ def test_cli_json_format(tmp_path, capsys):
     assert document["violations"][0]["fingerprint"]
 
 
-def test_cli_baseline_flow(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\n")
-    baseline = tmp_path / "baseline.json"
-    assert run_cli("lint", "--write-baseline", str(baseline), str(bad)) == 0
-    assert run_cli("lint", "--baseline", str(baseline), str(bad)) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-
-
-def test_cli_exit_two_on_bad_baseline(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\n")
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("not json at all")
-    assert run_cli("lint", "--baseline", str(garbage), str(bad)) == 2
-
-
 def test_cli_exit_one_on_syntax_error(tmp_path, capsys):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
@@ -444,7 +375,7 @@ def test_cli_list_rules(capsys):
 
 
 # ----------------------------------------------------------------------
-# The gate itself: the repaired tree is clean with an empty baseline.
+# The gate itself: the repaired tree is clean, and any finding fails.
 # ----------------------------------------------------------------------
 def test_repo_tree_is_clean():
     repo_root = pathlib.Path(__file__).resolve().parent.parent
