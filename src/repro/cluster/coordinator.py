@@ -12,6 +12,7 @@ sender's HLC onto the message, advancing the receiver (``oracle.carry``),
 so dependent transactions order correctly even under clock skew.
 """
 
+from repro.config import CLIENT_OVERHEAD, CPU_ROUTE, CPU_SHARDMAP_READ
 from repro.sim.process import join
 from repro.txn.errors import TransactionError
 from repro.txn.locks import SharedExclusiveLockTable
@@ -30,7 +31,6 @@ class Session:
         self.node_id = node_id
         self.sim = cluster.sim
         self.oracle = cluster.oracle
-        self.costs = cluster.config.costs
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -104,7 +104,7 @@ class Session:
                 yield from self.cluster.rpc_send(
                     self.node_id, participant.node_id, _RPC_SIZE, persistent=True
                 )
-            yield from node.manager.local_abort(txn)
+            node.manager.local_abort(txn)
         self.cluster.finish_txn(txn, committed=False, reason=reason)
 
     def _commit_readers(self, txn, commit_ts):
@@ -210,7 +210,7 @@ class Session:
                     txn, shard_id, SharedExclusiveLockTable.SHARED
                 )
         for shard_id in schema.shard_ids():
-            yield self.node.cpu.use(self.costs.client_overhead)
+            yield self.node.cpu.use(CLIENT_OVERHEAD)
             owner = yield from self._route(txn, shard_id)
             if self.cluster.replication.groups:
                 self.cluster.replication.on_route(txn, shard_id, owner)
@@ -246,7 +246,7 @@ class Session:
         # queues exactly where this process would have submitted it, without
         # waking the process in between (not use_run, which would hold the
         # slot across both and starve a charge queued between them).
-        yield node.cpu.use(self.costs.client_overhead, then=self.costs.cpu_route)
+        yield node.cpu.use(CLIENT_OVERHEAD, then=CPU_ROUTE)
         owner = self._cached_owner(txn, shard_id)
         if owner is None:
             owner = yield from self._read_owner(txn, shard_id)
@@ -297,7 +297,7 @@ class Session:
         (:meth:`_read_owner`): an MVCC read of the shard map table under the
         transaction's snapshot, inheriting prepare-wait on an in-flight T_m.
         """
-        yield self.node.cpu.use(self.costs.cpu_route)
+        yield self.node.cpu.use(CPU_ROUTE)
         owner = self._cached_owner(txn, shard_id)
         if owner is None:
             owner = yield from self._read_owner(txn, shard_id)
@@ -325,7 +325,7 @@ class Session:
         read_through = cache.is_read_through(shard_id)
         if read_through:
             cache.read_through_lookups += 1
-        yield node.cpu.use(self.costs.cpu_shardmap_read)
+        yield node.cpu.use(CPU_SHARDMAP_READ)
         owner, cts = yield from read_shard_owner(
             node.shardmap_heap, node.clog, shard_id, txn.plain_snapshot()
         )

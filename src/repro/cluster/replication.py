@@ -11,8 +11,8 @@ applies them to the follower's heap and acks; a prepare or commit is
 it, and 2PC on the coordinator waits for exactly that acknowledgement.
 
 Failover is lease-based and deterministic: a monitor probes the leader every
-``repl_lease_interval`` through the bounded RPC path, and after
-``repl_lease_timeout`` of silence elects the **lowest live replica id** as
+``REPL_LEASE_INTERVAL`` through the bounded RPC path, and after
+``REPL_LEASE_TIMEOUT`` of silence elects the **lowest live replica id** as
 the new leader (ScalienDB's rule). The election bumps the group *epoch*,
 fails in-flight quorum waits with :class:`~repro.txn.errors.StaleEpoch`
 (the coordinator aborts cleanly or re-routes the decision — never a double
@@ -26,11 +26,16 @@ the shard — which is also why ``wait_and_remaster`` onto an in-sync
 follower is near-free (the STAR-style asymmetric path).
 """
 
+from repro.config import CPU_APPLY
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.storage.wal import WalRecordKind, WalTailer
 from repro.txn.errors import ReplicaFailover, RpcAbort, StaleEpoch
 
+#: The lease monitor probes the leader this often, and after this much
+#: silence elects the lowest live replica id.
+REPL_LEASE_INTERVAL = 0.05
+REPL_LEASE_TIMEOUT = 0.2
 _PROBE_SIZE = 32  # heartbeat probe bytes
 _ACK_SIZE = 64  # follower ack / decision-relay bytes
 #: Protocol bytes per shipped message of WAL records, here and in
@@ -341,7 +346,7 @@ class ShardReplicaGroup:
         if records is None:
             records = entry.records or []
         node = self.cluster.nodes[replica.node_id]
-        yield node.cpu.use(self.costs.cpu_apply * max(1, len(records)))
+        yield node.cpu.use(CPU_APPLY * max(1, len(records)))
         local_xid = node.manager.allocate_local_xid()
         node.clog.begin(local_xid)
         heap = node.heap_for(self.shard_id)
@@ -394,7 +399,7 @@ class ShardReplicaGroup:
     # ------------------------------------------------------------------
     def _monitor(self):
         try:
-            interval = self.config.repl_lease_interval
+            interval = REPL_LEASE_INTERVAL
             silent = 0.0
             while True:
                 yield interval
@@ -413,7 +418,7 @@ class ShardReplicaGroup:
                 except RpcAbort:
                     pass  # a partitioned leader is a silent leader
                 silent += interval
-                if silent >= self.config.repl_lease_timeout:
+                if silent >= REPL_LEASE_TIMEOUT:
                     silent = 0.0
                     # Re-validate after the probe yield: the leader may have
                     # healed (or an election already replaced it) while the
@@ -560,7 +565,7 @@ class ShardReplicaGroup:
         """Generator: wait until the pump has handled the leader's whole WAL
         (every record it consumed is in the group log) and every live
         follower has applied the full group log."""
-        interval = self.config.repl_lease_interval
+        interval = REPL_LEASE_INTERVAL
         while True:
             leader_wal = self.cluster.nodes[self.leader_node_id].wal
             tailer = self._tailer

@@ -62,23 +62,27 @@ LINT_RULE_SCOPES: dict[str, dict[str, tuple[str, ...]]] = {
 }
 
 
+# Virtual-time costs (seconds) that no scenario varies.
+CPU_APPLY = 18e-6  # a follower applying one replicated change record
+CPU_ROUTE = 1e-6  # shard-map cache lookup
+CPU_SHARDMAP_READ = 10e-6  # MVCC read of the shard map table
+WAL_FLUSH = 80e-6  # synchronous WAL flush (commit / prepare)
+PULL_CHUNK_LATENCY = 0.02  # Squall: fetch + store one 8 MB chunk
+CLIENT_OVERHEAD = 10e-6  # per-statement client/parse overhead
+SPILL_RELOAD_PER_BATCH = 0.5e-3  # disk reload latency per 1k records
+
+
 @dataclass
 class CostModel:
-    """Virtual-time costs (seconds) for primitive database operations."""
+    """Virtual-time costs (seconds) for primitive database operations that
+    scenarios scale."""
 
     cpu_read: float = 15e-6  # MVCC point read, first version
     cpu_per_version: float = 3e-6  # each extra chain version traversed
     cpu_write: float = 25e-6  # insert/update/delete executed by a txn
-    cpu_apply: float = 18e-6  # replaying one propagated change record
-    cpu_route: float = 1e-6  # shard-map cache lookup
-    cpu_shardmap_read: float = 10e-6  # MVCC read of the shard map table
-    wal_flush: float = 80e-6  # synchronous WAL flush (commit / prepare)
     snapshot_scan_per_tuple: float = 4e-6  # snapshot copy scan + install
-    pull_chunk_latency: float = 0.02  # Squall: fetch + store one 8 MB chunk
-    client_overhead: float = 10e-6  # per-statement client/parse overhead
     cpu_propagate: float = 1e-6  # send-process CPU per WAL record scanned
     spill_threshold: int = 5000  # records before an update cache spills (§3.3)
-    spill_reload_per_batch: float = 0.5e-3  # disk reload latency per 1k records
 
 
 @dataclass
@@ -141,12 +145,6 @@ class ClusterConfig:
     # WAL records per CPU charge of a WAL tailer: both the migration send
     # process and a replication group's leader pump (§3.3).
     pump_batch_records: int = 64
-    # Per-shard replication groups (leader + N followers, WAL shipping,
-    # quorum-acked commit). The lease monitor declares a leader dead after
-    # repl_lease_timeout without a heartbeat and elects the lowest live
-    # replica id.
-    repl_lease_interval: float = 0.05
-    repl_lease_timeout: float = 0.2
     # Storm-scale workload knobs (repro.workloads.batch). The population
     # arrival generator models ``storm_population`` clients as Poisson
     # arrival batches drawn once per ``storm_arrival_tick`` seconds of

@@ -1,15 +1,13 @@
 """Measurement: throughput series, latency, aborts, downtime, CPU usage."""
 
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.series import bin_series, downtime_windows, moving_average
-from repro.metrics.report import render_multi_series, render_series, render_table
+from repro.metrics.series import bin_series, downtime_windows
+from repro.metrics.report import render_series, render_table
 
 __all__ = [
     "MetricsCollector",
     "bin_series",
     "downtime_windows",
-    "moving_average",
-    "render_multi_series",
     "render_series",
     "render_table",
 ]

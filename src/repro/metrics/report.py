@@ -43,26 +43,3 @@ def render_series(title, series, width=50, unit="", markers=None):
             "{:>8.1f}s {:>12.1f}{} |{}{}".format(time, value, unit, bar, " " + note if note else "")
         )
     return "\n".join(lines)
-
-
-def render_multi_series(title, labelled_series, bin_summary=None):
-    """Render several series side by side as columns for comparison."""
-    lines = [title]
-    if not labelled_series:
-        return title
-    labels = [label for label, _series in labelled_series]
-    lines.append("time(s)  " + "  ".join("{:>14}".format(l) for l in labels))
-    length = max(len(series) for _label, series in labelled_series)
-    for i in range(length):
-        row = []
-        time = None
-        for _label, series in labelled_series:
-            if i < len(series):
-                time = series[i][0]
-                row.append("{:>14.1f}".format(series[i][1]))
-            else:
-                row.append("{:>14}".format(""))
-        lines.append("{:>7.1f}  ".format(time if time is not None else 0.0) + "  ".join(row))
-    if bin_summary:
-        lines.append(bin_summary)
-    return "\n".join(lines)

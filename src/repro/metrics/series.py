@@ -1,4 +1,4 @@
-"""Time-series helpers: binning, smoothing, downtime detection."""
+"""Time-series helpers: binning and downtime detection."""
 
 
 def bin_series(points, bin_width, start, end):
@@ -15,19 +15,6 @@ def bin_series(points, bin_width, start, end):
         if 0 <= index < num_bins:
             totals[index] += weight
     return [(start + i * bin_width, totals[i] / bin_width) for i in range(num_bins)]
-
-
-def moving_average(series, window):
-    """Smooth a (time, value) series with a trailing window of ``window``
-    samples."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    smoothed = []
-    for i, (time, _value) in enumerate(series):
-        lo = max(0, i - window + 1)
-        chunk = [v for _t, v in series[lo : i + 1]]
-        smoothed.append((time, sum(chunk) / len(chunk)))
-    return smoothed
 
 
 def downtime_windows(commit_times, start, end, min_window=0.3):

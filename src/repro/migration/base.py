@@ -95,6 +95,10 @@ class BaseMigration:
     """
 
     name = "base"
+    propagation = None  # the ISC approaches' WAL propagation pipeline
+    # Remus's §3.5.1 ablation switches (constructor arguments there).
+    use_cache_read_through = True
+    cache_refresh_delay = 0.0
 
     def __init__(self, cluster, shard_ids, source, dest, catchup_threshold=64):
         self.cluster = cluster
@@ -137,7 +141,29 @@ class BaseMigration:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def update_shard_map(self, label="tm"):
+    def transfer_ownership(self, label="tm", guarded=True):
+        """Generator: every approach's one ownership flip — T_m, then the
+        new owner pushed into every coordinator cache; returns T_m's commit
+        timestamp. ``guarded`` transfers run under live transactions: a
+        bounded announcement (pre-T_m, an unreachable node just fails the
+        migration) puts the caches in read-through until the refresh lands
+        (§3.5.1). The refresh is persistent: a committed T_m is decided and,
+        like a 2PC decision, is retransmitted until every node hears it."""
+        if guarded:
+            yield from self.cluster.rpc_broadcast(self.source, 64)
+            if self.use_cache_read_through:
+                self.cluster.set_cache_read_through(self.shard_ids)
+        commit_ts = yield from self.update_shard_map(label)
+        if guarded and self.cache_refresh_delay:
+            yield self.cache_refresh_delay
+        yield from self.cluster.rpc_broadcast(self.source, 128, persistent=True)
+        for shard_id in self.shard_ids:
+            self.cluster.refresh_caches(shard_id, self.dest, commit_ts)
+        if guarded:
+            self.cluster.clear_cache_read_through(self.shard_ids)
+        return commit_ts
+
+    def update_shard_map(self, label):
         """Generator: run T_m — the distributed transaction that updates the
         shard map row for every migrating shard on every node, committed with
         2PC (§3.5.1). Returns T_m's commit timestamp.
@@ -163,15 +189,23 @@ class BaseMigration:
         self.stats.tm_commit_ts = commit_ts
         return commit_ts
 
-    def broadcast_cache_refresh(self, commit_ts):
-        """Generator: push the new owner into every coordinator cache.
-
-        Persistent delivery: T_m has committed, so the new ownership is a
-        decided fact — like a 2PC decision it is retransmitted until every
-        node hears it rather than ever being given up."""
-        yield from self.cluster.rpc_broadcast(self.source, 128, persistent=True)
+    def detached_cleanup(self, hook):
+        """Generator for a detached process that lets a migration end at
+        once (lock-and-abort, Squall): wait out the pre-T_m transactions,
+        drop the access ``hook``, tear down propagation where there is one,
+        drop the source copy."""
+        yield from self.cluster.wait_out(self.stats.tm_commit_ts)
         for shard_id in self.shard_ids:
-            self.cluster.refresh_caches(shard_id, self.dest, commit_ts)
+            self.cluster.remove_access_hook(shard_id, hook)
+        if self.propagation is not None:
+            yield from self.teardown_propagation()
+        self.cleanup_source()
+
+    def teardown_propagation(self):
+        """Generator: let replay drain, then stop the send process."""
+        yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
+        yield from self.propagation.drain()
+        self.propagation.stop()
 
     def cleanup_source(self):
         """Drop the migrated shards' data on the source node.

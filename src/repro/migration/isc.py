@@ -3,8 +3,8 @@
 The paper implements lock-and-abort and wait-and-remaster with the *same*
 snapshot copying, update propagation and parallel apply protocols as Remus
 (§4.2); they differ only in how ownership is transferred. This base class
-holds the shared phases and the one run skeleton; each subclass supplies its
-``_phase_ownership_transfer`` and ``_finish``.
+holds the shared phases, the one run skeleton and the common ending; each
+subclass supplies its ``_phase_ownership_transfer``.
 """
 
 from repro.migration.base import BaseMigration
@@ -19,7 +19,6 @@ class IscMigration(BaseMigration):
 
     def __init__(self, cluster, shard_ids, source, dest, **kwargs):
         super().__init__(cluster, shard_ids, source, dest, **kwargs)
-        self.propagation = None
         self.snapshot_ts = None
         self.copy_tasks = []
 
@@ -98,8 +97,7 @@ class IscMigration(BaseMigration):
             for shard_id in self.shard_ids:
                 group = self.cluster.replication.group_for(shard_id)
                 yield from group.drain()
-            tm_cts = yield from self.update_shard_map()
-            yield from self.broadcast_cache_refresh(tm_cts)
+            yield from self.transfer_ownership(guarded=False)
             yield from self.rehome_replicated_shards()
         finally:
             self.cluster.open_routing_gate()
@@ -152,8 +150,9 @@ class IscMigration(BaseMigration):
             yield CATCHUP_POLL
         self.stats.phase_end(self.sim, "async_propagation")
 
-    def teardown_propagation(self):
-        """Generator: let replay drain, then stop the send process."""
-        yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
-        yield from self.propagation.drain()
-        self.propagation.stop()
+    def _finish(self):
+        """Generator: drain and stop propagation, hand replicated shards'
+        leadership to the destination, drop the source copy."""
+        yield from self.teardown_propagation()
+        yield from self.rehome_replicated_shards()
+        self.cleanup_source()

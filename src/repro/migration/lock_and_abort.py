@@ -84,11 +84,7 @@ class LockAndAbortMigration(IscMigration):
         # Replay the remaining final updates before handing over ownership.
         yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
 
-        yield from self.cluster.rpc_broadcast(self.source, 64)
-        self.cluster.set_cache_read_through(self.shard_ids)
-        tm_cts = yield from self.update_shard_map()
-        yield from self.broadcast_cache_refresh(tm_cts)
-        self.cluster.clear_cache_read_through(self.shard_ids)
+        yield from self.transfer_ownership()
 
         # Transfer done: blocked writers wake up and abort.
         gate.release()
@@ -101,13 +97,6 @@ class LockAndAbortMigration(IscMigration):
         # migrations proceed back to back (which is why a long batch
         # transaction keeps dying on every transfer: the next one arrives
         # before the batch can finish, §4.4.1).
-        self.sim.spawn(self._deferred_cleanup(), name="lock-cleanup")
+        self.sim.spawn(self.detached_cleanup(self._gate), name="lock-cleanup")
         return
         yield  # pragma: no cover - keeps this a generator like its peers
-
-    def _deferred_cleanup(self):
-        yield from self.cluster.wait_out(self.stats.tm_commit_ts)
-        for shard_id in self.shard_ids:
-            self.cluster.remove_access_hook(shard_id, self._gate)
-        yield from self.teardown_propagation()
-        self.cleanup_source()

@@ -13,10 +13,9 @@ The hook also measures the added latency of synchronized source transactions
 """
 
 from repro.txn.errors import SerializationFailure
-from repro.txn.manager import CommitHook
 
 
-class MoccCoordinator(CommitHook):
+class MoccCoordinator:
     """Source-side MOCC state: validation result events + sync-wait stats."""
 
     def __init__(self, cluster, shard_ids, stats, propagation=None):

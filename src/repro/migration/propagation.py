@@ -31,6 +31,7 @@ copy keeps the backlog parked.
 from bisect import bisect_right, insort
 
 from repro.cluster.replication import MSG_OVERHEAD
+from repro.config import SPILL_RELOAD_PER_BATCH
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
@@ -192,7 +193,7 @@ class Propagation:
         registry and this pipeline."""
         manager = self.dest_node.manager
         if commit_ts is None:
-            yield from manager.local_abort(shadow)
+            manager.local_abort(shadow)
         else:
             yield from manager.local_commit(shadow, commit_ts)
             shadow.commit_ts = commit_ts
@@ -301,7 +302,7 @@ class Propagation:
         if xid in self._validated:
             shadow, entry = self._validated.pop(xid)
             self._spawn_task(
-                self._commit_prepared_shadow(xid, shadow, entry, commit_ts),
+                self._end_prepared_shadow(xid, shadow, entry, commit_ts),
                 name="shadow-commit",
             )
             return
@@ -323,7 +324,7 @@ class Propagation:
         if xid in self._validated:
             shadow, entry = self._validated.pop(xid)
             self._spawn_task(
-                self._rollback_prepared_shadow(xid, shadow, entry),
+                self._end_prepared_shadow(xid, shadow, entry),
                 name="shadow-rollback",
             )
 
@@ -455,7 +456,7 @@ class Propagation:
         total_bytes = MSG_OVERHEAD + sum(r.size for r in records)
         if len(records) > self.costs.spill_threshold:
             batches = len(records) // 1000 + 1
-            yield batches * self.costs.spill_reload_per_batch
+            yield batches * SPILL_RELOAD_PER_BATCH
         yield from self.cluster.rpc_send(
             self.source, self.dest, total_bytes, traffic_class=MIGRATION_CLASS
         )
@@ -570,7 +571,9 @@ class Propagation:
             return
         mocc.post_result(xid, ok=ok)
 
-    def _commit_prepared_shadow(self, xid, shadow, entry, commit_ts):
+    def _end_prepared_shadow(self, xid, shadow, entry, commit_ts=None):
+        """Generator: resolve a validated shadow as its source transaction
+        ended — commit at ``commit_ts``, or roll back without one."""
         try:
             # Decision delivery is persistent: the source outcome is final,
             # so it must reach the destination across any partition.
@@ -582,13 +585,4 @@ class Propagation:
             self._validated[xid] = (shadow, entry)
             return
         yield from self.end_shadow(shadow, commit_ts)
-        self._finish_task(entry)
-
-    def _rollback_prepared_shadow(self, xid, shadow, entry):
-        try:
-            yield from self.cluster.rpc_send(self.source, self.dest, 64, persistent=True)
-        except Interrupt:
-            self._validated[xid] = (shadow, entry)
-            return
-        yield from self.end_shadow(shadow)
         self._finish_task(entry)

@@ -9,7 +9,9 @@ the paper describes:
 2. T_m is resolved with ordinary 2PC recovery: committed iff it entered its
    second phase (here: a commit timestamp was assigned).
 3. Each prepared shadow transaction takes the same action as its source
-   transaction: commit with the source's commit timestamp, or roll back.
+   transaction: commit with the source's commit timestamp, or roll back. A
+   source still PREPARED is waited for, so the outcome is learned, not
+   presumed.
 4. If T_m did not commit, no transaction was ever diverted: the partially
    migrated data on the destination is dropped and the migration can be
    initiated again. If T_m committed, the destination owns the shards and
@@ -28,7 +30,7 @@ def crash_migration(migration):
     transactions blocked in their validation stage. Returns the residual
     prepared shadows for recovery to resolve.
     """
-    propagation = getattr(migration, "propagation", None)
+    propagation = migration.propagation
     if propagation is not None:
         propagation.stop(kill_tasks=True)
     for task in getattr(migration, "copy_tasks", []):
@@ -66,7 +68,7 @@ def _resolve_tm(cluster, migration, tm_txn, tm_committed):
         if tm_committed:
             yield from node.manager.local_commit(tm_txn, tm_txn.commit_ts)
         else:
-            yield from node.manager.local_abort(tm_txn)
+            node.manager.local_abort(tm_txn)
     cluster.finish_txn(tm_txn, committed=tm_committed)
 
 
@@ -88,6 +90,10 @@ def recover_migration(cluster, migration, residual_shadows=None):
             continue
         if dest_node.clog.status(participant.xid) is not TxnStatus.PREPARED:
             continue
+        # Learn the source's decision, never presume one: a source still
+        # PREPARED (its commit in flight) may yet commit.
+        if source_node.clog.status(source_xid) is TxnStatus.PREPARED:
+            yield source_node.clog.wait_completion(source_xid)
         commit_ts = None
         if source_node.clog.status(source_xid) is TxnStatus.COMMITTED:
             commit_ts = source_node.clog.commit_ts(source_xid)
@@ -100,7 +106,7 @@ def recover_migration(cluster, migration, residual_shadows=None):
     # second phase, i.e. a commit timestamp was assigned — the assignment may
     # have happened just before the crash, so the in-flight handle is
     # authoritative even when the migration never recorded tm_commit_ts.
-    tm_txn = getattr(migration, "_tm_txn", None)
+    tm_txn = migration._tm_txn
     tm_committed = migration.stats.tm_commit_ts is not None or (
         tm_txn is not None and tm_txn.commit_ts is not None
     )

@@ -52,7 +52,6 @@ class RemusMigration(IscMigration):
         post-T_m transaction be routed to the source by a stale entry."""
         super().__init__(cluster, shard_ids, source, dest, **kwargs)
         self.mocc = None
-        self.tm_commit_ts = None
         self.use_cache_read_through = use_cache_read_through
         self.cache_refresh_delay = cache_refresh_delay
 
@@ -98,19 +97,9 @@ class RemusMigration(IscMigration):
     def _phase_dual_execution(self):
         stats = self.stats
         stats.phase_start(self.sim, "dual_execution")
-        # Guard the window between T_m's commit and cache invalidation:
-        # migrating shards route through the shard map table (§3.5.1).
-        # Bounded: pre-T_m nothing is committed yet, so an unreachable node
-        # fails the migration for the supervisor to recover and retry.
-        yield from self.cluster.rpc_broadcast(self.source, 64)
-        if self.use_cache_read_through:
-            self.cluster.set_cache_read_through(self.shard_ids)
-        tm_cts = yield from self.update_shard_map()
-        self.tm_commit_ts = tm_cts
-        if self.cache_refresh_delay:
-            yield self.cache_refresh_delay
-        yield from self.broadcast_cache_refresh(tm_cts)
-        self.cluster.clear_cache_read_through(self.shard_ids)
+        # T_m.commitTS is the diversion barrier; the window between its
+        # commit and cache invalidation is guarded by read-through (§3.5.1).
+        tm_cts = yield from self.transfer_ownership()
         # Existing transactions (start_ts < T_m.commitTS) run to completion on
         # the source under MOCC; newly arriving ones are already diverted.
         yield from self.cluster.wait_out(tm_cts)
@@ -119,6 +108,4 @@ class RemusMigration(IscMigration):
     def _finish(self):
         self.mocc.active = False
         self.source_node.manager.remove_commit_hook(self.mocc)
-        yield from self.teardown_propagation()
-        yield from self.rehome_replicated_shards()
-        self.cleanup_source()
+        yield from super()._finish()

@@ -25,7 +25,7 @@ per tuple:
   flush. A writer that touches a chain *after* a run starts cannot reach
   PREPARED — the only state that makes a check block — inside that
   window, because ``local_prepare`` flushes the prepare record
-  (>= ``wal_flush``) before the CLOG shows PREPARED. Every inline verdict
+  (>= ``WAL_FLUSH``) before the CLOG shows PREPARED. Every inline verdict
   therefore equals the verdict a per-tuple check reaches at its own,
   slightly later instant;
 - a non-terminal writer (IN_PROGRESS or PREPARED) flushes the deferred
@@ -35,6 +35,7 @@ per tuple:
   and destination install lands at the per-tuple instant.
 """
 
+from repro.config import WAL_FLUSH
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
@@ -66,7 +67,7 @@ def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
     # Charge-run cap for the batched scan: the run's stale-check window must
     # stay within one WAL flush (see module docstring). A per-tuple charge
     # longer than a flush (or a free scan) leaves no room for a run.
-    charge_run = int(costs.wal_flush / scan_cost) if scan_cost > 0 else 0
+    charge_run = int(WAL_FLUSH / scan_cost) if scan_cost > 0 else 0
 
     copied = 0
     batch = []

@@ -20,6 +20,7 @@ Consequences reproduced from the paper:
 """
 
 from repro.cluster.hashing import consistent_hash
+from repro.config import PULL_CHUNK_LATENCY
 from repro.migration.base import BaseMigration
 from repro.sim.events import AllOf
 from repro.sim.network import MIGRATION_CLASS
@@ -81,7 +82,6 @@ class SquallMigration(BaseMigration):
             self.trackers[shard_id] = _ChunkTracker(
                 self.sim, shard_id, hash_range, num_chunks
             )
-        self.tm_commit_ts = None
 
     # ------------------------------------------------------------------
     def run(self):
@@ -93,12 +93,7 @@ class SquallMigration(BaseMigration):
         for shard_id in self.shard_ids:
             self.cluster.add_access_hook(shard_id, self)
         # Ownership flips immediately; missing data is pulled on demand.
-        yield from self.cluster.rpc_broadcast(self.source, 64)
-        self.cluster.set_cache_read_through(self.shard_ids)
-        tm_cts = yield from self.update_shard_map(label="squall_reconfig")
-        self.tm_commit_ts = tm_cts
-        yield from self.broadcast_cache_refresh(tm_cts)
-        self.cluster.clear_cache_read_through(self.shard_ids)
+        yield from self.transfer_ownership(label="squall_reconfig")
         stats.phase_end(self.sim, "reconfig")
 
         stats.phase_start(self.sim, "pulls")
@@ -109,7 +104,12 @@ class SquallMigration(BaseMigration):
         ]
         yield AllOf(workers)
         stats.phase_end(self.sim, "pulls")
-        yield from self._finish()
+        # The reconfiguration is done once every chunk has been pulled; the
+        # straggler handling (pre-flip transactions aborting on touch) and
+        # hook removal run detached, so consecutive migrations proceed back
+        # to back — Squall's consolidation completes much faster than the
+        # push approaches', as in the paper (§4.4.2).
+        self.sim.spawn(self.detached_cleanup(self), name="squall-cleanup")
 
     def _background_puller(self, shard_id):
         tracker = self.trackers[shard_id]
@@ -197,7 +197,7 @@ class SquallMigration(BaseMigration):
                     continue  # deleted row
                 moved.append((key, version.value))
             # Chunk transfer: storage I/O plus the wire.
-            yield self.cluster.config.costs.pull_chunk_latency
+            yield PULL_CHUNK_LATENCY
             size = sum(
                 self.cluster.tables[shard_id.table].tuple_size for _ in moved
             )
@@ -215,20 +215,3 @@ class SquallMigration(BaseMigration):
         finally:
             source_mgr.shard_locks.release(shard_id, lock_owner)
             done.succeed(None)
-
-    # ------------------------------------------------------------------
-    def _finish(self):
-        # The reconfiguration is done once every chunk has been pulled; the
-        # straggler handling (pre-flip transactions aborting on touch) and
-        # hook removal run detached, so consecutive migrations proceed back
-        # to back — Squall's consolidation completes much faster than the
-        # push approaches', as in the paper (§4.4.2).
-        self.sim.spawn(self._deferred_cleanup(), name="squall-cleanup")
-        return
-        yield  # pragma: no cover - keeps this a generator like its peers
-
-    def _deferred_cleanup(self):
-        yield from self.cluster.wait_out(self.tm_commit_ts)
-        for shard_id in self.shard_ids:
-            self.cluster.remove_access_hook(shard_id, self)
-        self.cleanup_source()

@@ -27,8 +27,7 @@ class StopAndCopyMigration(BaseMigration):
             yield from copy_group_snapshot(
                 self.cluster, self.shard_ids, self.source, self.dest, snapshot_ts, stats
             )
-            tm_cts = yield from self.update_shard_map()
-            yield from self.broadcast_cache_refresh(tm_cts)
+            yield from self.transfer_ownership(guarded=False)
         finally:
             self.cluster.open_routing_gate()
         self.cleanup_source()

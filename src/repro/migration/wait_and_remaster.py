@@ -28,13 +28,7 @@ class WaitAndRemasterMigration(IscMigration):
             # Nothing is running: replay the final updates, then remaster.
             yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
             yield from self.propagation.drain()
-            tm_cts = yield from self.update_shard_map()
-            yield from self.broadcast_cache_refresh(tm_cts)
+            yield from self.transfer_ownership(guarded=False)
         finally:
             self.cluster.open_routing_gate()
         stats.phase_end(self.sim, "ownership_transfer")
-
-    def _finish(self):
-        yield from self.teardown_propagation()
-        yield from self.rehome_replicated_shards()
-        self.cleanup_source()

@@ -23,15 +23,10 @@ class FastPathCounters:
     __slots__ = (
         "visibility_checks",
         "visibility_versions",
-        "visibility_probes",
-        "hint_stamps",
         "clog_slow_lookups",
         "snapshot_cache_hits",
         "snapshot_cache_misses",
-        "shared_snapshot_hits",
-        "shared_snapshot_misses",
         "wal_flushes",
-        "wal_flush_groups",
         "wal_flush_joins",
         "lock_fast_acquires",
         "lock_slow_acquires",
@@ -62,8 +57,7 @@ class FastPathCounters:
         out = {}
         if self.visibility_versions:
             # Every traversed version is at least one creation-visibility
-            # probe; only hint misses reach the CLOG. (``visibility_probes``
-            # counts just the fallback calls, so it cannot be the base.)
+            # probe; only hint misses reach the CLOG.
             out["hint_hit_ratio"] = round(
                 1.0 - self.clog_slow_lookups / self.visibility_versions, 4
             )

@@ -51,6 +51,11 @@ class RpcTimeout(SimulationError):
         self.attempts = attempts
 
 
+#: Retransmit backoff: doubles from the base per attempt, up to the cap.
+BACKOFF_BASE = 0.02
+BACKOFF_CAP = 0.5
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Timeout/retry discipline for one class of RPCs.
@@ -63,13 +68,11 @@ class RetryPolicy:
 
     timeout: float = 0.05
     max_attempts: int = 4
-    backoff_base: float = 0.02
-    backoff_cap: float = 0.5
     persistent: bool = False
 
     def backoff(self, attempt: int) -> float:
         """Delay before retransmit number ``attempt`` (1-based)."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+        return min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
 
 
 #: Default bounded policy: statements, prepares, propagation transfers.

@@ -89,7 +89,6 @@ def creation_visible_fast(version, snapshot, clog):
     """
     if snapshot.xid is not None and version.xmin == snapshot.xid:
         return True
-    COUNTERS.visibility_probes += 1
     hint = version.cts_min
     if hint is not None:
         if hint is ABORTED:
@@ -99,14 +98,12 @@ def creation_visible_fast(version, snapshot, clog):
     COUNTERS.clog_slow_lookups += 1
     if status is TxnStatus.ABORTED:
         version.cts_min = ABORTED
-        COUNTERS.hint_stamps += 1
         return False
     if status is TxnStatus.IN_PROGRESS:
         return False
     if status is TxnStatus.PREPARED:
         return UNDECIDED
     commit_ts = version.cts_min = clog.commit_ts(version.xmin)
-    COUNTERS.hint_stamps += 1
     return commit_ts <= snapshot.start_ts
 
 
@@ -119,7 +116,6 @@ def deletion_visible_fast(version, snapshot, clog):
         return False
     if snapshot.xid is not None and version.xmax == snapshot.xid:
         return True
-    COUNTERS.visibility_probes += 1
     hint = version.cts_max
     if hint is not None:
         if hint is ABORTED:
@@ -129,14 +125,12 @@ def deletion_visible_fast(version, snapshot, clog):
     COUNTERS.clog_slow_lookups += 1
     if status is TxnStatus.ABORTED:
         version.cts_max = ABORTED
-        COUNTERS.hint_stamps += 1
         return False
     if status is TxnStatus.IN_PROGRESS:
         return False
     if status is TxnStatus.PREPARED:
         return UNDECIDED
     commit_ts = version.cts_max = clog.commit_ts(version.xmax)
-    COUNTERS.hint_stamps += 1
     return commit_ts <= snapshot.start_ts
 
 

@@ -120,7 +120,6 @@ class FlushCoalescer:
             event = Event(self.sim)
             self._event = event
             self.sim.schedule(delay, self._close, event)
-            COUNTERS.wal_flush_groups += 1
         COUNTERS.wal_flush_joins += 1
         return self._event
 

@@ -8,15 +8,18 @@ a prepare/validation WAL record, mark PREPARED in the CLOG), COMMIT (commit
 record + flush, CLOG commit timestamp, release locks) and ABORT.
 
 Migration protocols plug in through *commit hooks*: objects registered with
-:meth:`add_commit_hook` whose generator methods run inside the local prepare
-and commit paths. Remus uses this for the sync barrier + MOCC validation wait
-(§3.4/§3.5.2) without the transaction layer knowing anything about migration.
+:meth:`add_commit_hook` whose ``after_prepare(txn, participant)`` generator
+runs once the prepare record is durable and the CLOG shows PREPARED. It may
+wait, or raise to doom the transaction. Remus uses this for the sync barrier
++ MOCC validation wait (§3.4/§3.5.2) without the transaction layer knowing
+anything about migration; commit and abort run no hooks.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.config import WAL_FLUSH
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.ordered import OrderedSet
@@ -32,27 +35,6 @@ if TYPE_CHECKING:
 
 class MissingRow(KeyError):
     """Update/delete targeted a row invisible to the transaction."""
-
-
-class CommitHook:
-    """Base class for protocol hooks into the local commit path."""
-
-    def after_prepare(self, txn, participant):
-        """Generator run after the prepare record is durable and the CLOG
-        shows PREPARED, before the coordinator may assign a commit ts.
-        May raise to doom the transaction (e.g. MOCC WW-conflict)."""
-        return
-        yield  # pragma: no cover
-
-    def after_commit(self, txn, participant, commit_ts):
-        """Generator run after the commit record is durable."""
-        return
-        yield  # pragma: no cover
-
-    def after_abort(self, txn, participant):
-        """Generator run after a local abort completes."""
-        return
-        yield  # pragma: no cover
 
 
 class NodeTxnManager:
@@ -127,9 +109,7 @@ class NodeTxnManager:
             and cached[0] == self.active_epoch
             and cached[1] == start_ts
         ):
-            COUNTERS.shared_snapshot_hits += 1
             return cached[2]
-        COUNTERS.shared_snapshot_misses += 1
         snapshot = Snapshot(start_ts, active_xids=self.active_xid_set())
         self._read_snapshot_cache = (self.active_epoch, start_ts, snapshot)
         return snapshot
@@ -141,10 +121,10 @@ class NodeTxnManager:
             )
         return self._row_locks[shard_id]
 
-    def add_commit_hook(self, hook: CommitHook) -> None:
+    def add_commit_hook(self, hook) -> None:
         self._commit_hooks.append(hook)
 
-    def remove_commit_hook(self, hook: CommitHook) -> None:
+    def remove_commit_hook(self, hook) -> None:
         if hook in self._commit_hooks:
             self._commit_hooks.remove(hook)
 
@@ -405,7 +385,7 @@ class NodeTxnManager:
         events while resuming the waiters in the identical order. A stalled
         device disables coalescing for the stall window — correctness of
         the stall loop stays with the simple per-flush path."""
-        delay = self.costs.wal_flush
+        delay = WAL_FLUSH
         COUNTERS.wal_flushes += 1
         if self.sim.now >= self.flush_stall_until:
             waitable = self.wal.flush_group.join(delay)
@@ -461,11 +441,10 @@ class NodeTxnManager:
         yield from self.flush_wal()
         self.clog.set_committed(participant.xid, commit_ts)
         self._retire(participant)
-        for hook in list(self._commit_hooks):
-            yield from hook.after_commit(txn, participant, commit_ts)
 
-    def local_abort(self, txn: "Transaction") -> Generator:
-        """Abort the local participant: CLOG abort + release locks.
+    def local_abort(self, txn: "Transaction") -> None:
+        """Abort the local participant: CLOG abort + release locks. No
+        wait: the abort record needs no flush.
 
         Version cleanup is logical (CLOG status), as in PostgreSQL; vacuum
         reclaims the junk versions later.
@@ -486,15 +465,13 @@ class NodeTxnManager:
         ):
             self.clog.set_aborted(participant.xid)
         self._retire(participant)
-        for hook in list(self._commit_hooks):
-            yield from hook.after_abort(txn, participant)
 
     def force_abort_participant(self, participant: "Participant") -> bool:
         """Synchronously abort an in-progress participant (crash teardown).
 
-        Unlike :meth:`local_abort` this skips the WAL record and commit
-        hooks — it models the state a crashed process leaves behind after
-        standard recovery has marked its transaction aborted.
+        Unlike :meth:`local_abort` this skips the WAL record — it models the
+        state a crashed process leaves behind after standard recovery has
+        marked its transaction aborted.
         """
         if self.clog.status(participant.xid) is not TxnStatus.IN_PROGRESS:
             return False
@@ -503,8 +480,8 @@ class NodeTxnManager:
         return True
 
     def commit_read_only(self, participant: "Participant", commit_ts: int) -> None:
-        """Commit a participant that wrote nothing: no WAL record, no flush
-        and no hooks, only its CLOG entry and retirement."""
+        """Commit a participant that wrote nothing: no WAL record and no
+        flush, only its CLOG entry and retirement."""
         self.clog.set_committed(participant.xid, commit_ts)
         self._retire(participant)
 

@@ -133,12 +133,6 @@ class Transaction:
     def wrote_anything(self) -> bool:
         return any(p.writes for p in self.participants.values())
 
-    def wrote_shards(self) -> OrderedSet:
-        shards = OrderedSet()
-        for participant in self.participants.values():
-            shards |= participant.wrote_shards
-        return shards
-
     @property
     def finished(self) -> bool:
         return self.state in (TxnState.COMMITTED, TxnState.ABORTED)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.shardmap import ShardMapCache
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import render_multi_series, render_series, render_table
+from repro.metrics.report import render_series, render_table
 from repro.sim import Simulator
 
 
@@ -113,14 +113,6 @@ def test_render_series_scales_bars():
 
 def test_render_series_empty():
     assert "(empty series)" in render_series("S", [])
-
-
-def test_render_multi_series_columns():
-    text = render_multi_series(
-        "M", [("a", [(0.0, 1.0), (1.0, 2.0)]), ("b", [(0.0, 3.0)])]
-    )
-    lines = text.splitlines()
-    assert len(lines) == 4  # title, header, two rows
 
 
 # ----------------------------------------------------------------------

@@ -151,11 +151,11 @@ def test_crash_after_tm_recovers_under_live_workload():
     assert not crashes, crashes
 
 
-def _recover_residual_shadow(source_commits):
+def _recover_residual_shadow(source_commits, settle):
     """Crash a Remus migration while a validated shadow awaits its source's
-    decision, then recover; ``source_commits`` picks whether the source is
-    already committing or still waiting for its validation ack."""
-    from repro.migration.supervisor import GRACE
+    decision, then recover after ``settle`` seconds; ``source_commits`` picks
+    whether the source is already committing or still waiting for its
+    validation ack."""
     from repro.txn.transaction import TxnState
 
     cluster, workload = build()
@@ -194,8 +194,8 @@ def _recover_residual_shadow(source_commits):
     assert not proc.finished
     proc.interrupt("crash")
     residual = crash_migration(migration)
-    # Let straggler 2PC workers settle first, as the supervisor does.
-    cluster.run(until=cluster.sim.now + GRACE)
+    if settle:
+        cluster.run(until=cluster.sim.now + settle)
     recover(cluster, migration, residual)
     return cluster, keys[0], outcome["committed"], residual
 
@@ -206,9 +206,16 @@ def test_residual_prepared_shadow_committed_iff_source_committed():
 
     Once the crashed source still waits for its validation ack (it is
     terminated, so the shadow rolls back), once it is already committing
-    (the shadow commits at the source's commit timestamp)."""
-    for source_commits in (False, True):
-        cluster, key, committed, residual = _recover_residual_shadow(source_commits)
+    (the shadow commits at the source's commit timestamp). Each case runs
+    after the supervisor's settle time and with no settle at all: recovery
+    must learn a still-PREPARED source's decision, never presume it."""
+    from repro.migration.supervisor import GRACE
+
+    cases = [(c, s) for c in (False, True) for s in (GRACE, 0.0)]
+    for source_commits, settle in cases:
+        cluster, key, committed, residual = _recover_residual_shadow(
+            source_commits, settle
+        )
         assert residual, "no prepared shadow left for recovery to resolve"
         assert committed is source_commits
         # The committed value is consistent on the new owner.

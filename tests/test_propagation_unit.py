@@ -191,21 +191,21 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
     heap.put_version(key, {"v": "dest"}, 777)
     node2.clog.set_committed(777, 100)
 
-    real_abort = node2.manager.local_abort
+    real_end = prop.end_shadow
 
-    def crash_mid_abort(txn):
+    def crash_mid_abort(shadow, commit_ts=None):
         # Tear the migration down while the shadow abort is suspended —
         # interrupt() lands at this generator's next yield, i.e. inside
-        # the SerializationFailure handler of _validate.
+        # the SerializationFailure handler of _replay.
         task = next(
             e.process for e in prop._tasks
             if e.process is not None and e.process.name == "shadow-validate"
         )
         task.interrupt("teardown mid-abort")
         yield 0.0
-        yield from real_abort(txn)
+        yield from real_end(shadow, commit_ts)
 
-    node2.manager.local_abort = crash_mid_abort
+    prop.end_shadow = crash_mid_abort
 
     cluster.nodes["node-1"].wal.append(
         WalRecord(
@@ -222,7 +222,7 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
         WalRecord(WalRecordKind.PREPARE, xid=950, start_ts=1)
     )
     cluster.run(until=1.0)
-    node2.manager.local_abort = real_abort
+    prop.end_shadow = real_end
 
     assert stats.ww_conflicts == 1
     # The leaked-slot bug: in_use stayed 1 forever and drain() wedged.

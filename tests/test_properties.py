@@ -11,7 +11,7 @@ from repro.cluster.hashing import (
     split_hash_space,
 )
 from repro.cluster.shard import HashPartitioner
-from repro.metrics.series import bin_series, downtime_windows, moving_average
+from repro.metrics.series import bin_series, downtime_windows
 from repro.sim import Simulator
 from repro.storage import Clog, HeapTable, Snapshot, TxnStatus
 from repro.storage.snapshot import UNDECIDED
@@ -551,22 +551,6 @@ def test_downtime_never_exceeds_window(times):
     assert 0.0 <= longest <= 100.0
     assert 0.0 <= total <= 100.0 + 1e-9
     assert longest <= total or total == 0.0
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 100), st.floats(0, 1000, allow_nan=False)),
-        min_size=1,
-        max_size=30,
-    ),
-    st.integers(min_value=1, max_value=10),
-)
-def test_moving_average_stays_within_bounds(series, window):
-    smoothed = moving_average(series, window)
-    lo = min(v for _t, v in series)
-    hi = max(v for _t, v in series)
-    assert all(lo - 1e-9 <= v <= hi + 1e-9 for _t, v in smoothed)
-    assert len(smoothed) == len(series)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ destinations that already replicate the data.
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.replication import REPL_LEASE_INTERVAL, REPL_LEASE_TIMEOUT
 from repro.cluster.shard import ShardId
 from repro.config import ClusterConfig
 from repro.faults import Fault, FaultPlan, InvariantChecker
@@ -415,8 +416,8 @@ def test_monitor_revalidates_leader_after_probe_yield():
     shard_id = ShardId(TABLE, 0)
     group = cluster.replication.group_for(shard_id)
     old_leader = group.leader_node_id
-    interval = cluster.config.repl_lease_interval
-    needed = math.ceil(cluster.config.repl_lease_timeout / interval)
+    interval = REPL_LEASE_INTERVAL
+    needed = math.ceil(REPL_LEASE_TIMEOUT / interval)
 
     real_send = cluster.rpc_send
     probes = {"count": 0}
