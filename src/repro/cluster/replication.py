@@ -55,8 +55,7 @@ class GroupLogEntry:
     """
 
     __slots__ = (
-        "seq", "kind", "origin", "xid", "records", "commit_ts", "sig",
-        "acked_by", "quorum_event",
+        "seq", "kind", "origin", "xid", "records", "commit_ts", "sig", "acked_by",
     )
 
     def __init__(self, seq, kind, origin, xid, records, commit_ts, sig):
@@ -68,7 +67,6 @@ class GroupLogEntry:
         self.commit_ts = commit_ts
         self.sig = sig
         self.acked_by = []  # replica ids holding the entry, in ack order
-        self.quorum_event = None
 
 
 class Replica:
@@ -651,10 +649,6 @@ class ReplicationManager:
 
     def group_for(self, shard_id):
         return self.groups.get(shard_id)
-
-    def epoch_of(self, shard_id):
-        group = self.groups.get(shard_id)
-        return group.epoch if group is not None else 0
 
     def leader_of(self, shard_id):
         group = self.groups.get(shard_id)

@@ -186,8 +186,8 @@ class InvariantChecker:
             for participant in txn.participants.values():
                 referenced.add((participant.node_id, participant.xid))
         if self.supervisor is not None:
-            for migration in getattr(self.supervisor.plan, "migrations", []):
-                propagation = getattr(migration, "propagation", None)
+            for migration in self.supervisor.plan.migrations:
+                propagation = migration.propagation
                 if propagation is None:
                     continue
                 for shadow, _entry in propagation._validated.values():

@@ -87,15 +87,22 @@ class MigrationStats:
 
 
 class BaseMigration:
-    """Common state for one migration of a shard group.
+    """Common state and the one lifecycle of a migration of a shard group.
 
     ``shard_ids`` may contain several shards (collocated migration, §3.8, or
     arbitrary multi-shard groups); all move from ``source`` to ``dest``
-    within one protocol run.
+    within one protocol run. Shards whose replication group already has a
+    member on the destination are handed over by a pure remastering
+    handshake first; every approach then ends through :meth:`finish`. A
+    crash (:func:`~repro.migration.recovery.crash_migration`) tears down
+    what the attributes below name, except the fences, which recovery
+    lifts (:meth:`lift_fences`).
     """
 
     name = "base"
     propagation = None  # the ISC approaches' WAL propagation pipeline
+    mocc = None  # Remus's sync barrier (the source's prepare gate)
+    access_hook = None  # per-access hook on the migrating shards
     # Remus's §3.5.1 ablation switches (constructor arguments there).
     use_cache_read_through = True
     cache_refresh_delay = 0.0
@@ -108,6 +115,7 @@ class BaseMigration:
         self.dest = dest
         self.catchup_threshold = catchup_threshold
         self.stats = MigrationStats()
+        self.copy_tasks = []  # data-moving processes a crash interrupts
         self._tm_txn = None  # in-flight T_m handle for 2PC crash recovery
         # Destination WAL position when the migration began: a replicated
         # shard's post-handover pump starts here, covering every record the
@@ -118,12 +126,9 @@ class BaseMigration:
                 raise ValueError(
                     "shard {!r} not on source {!r}".format(shard_id, source)
                 )
-        # Replicated shards still waiting for that pump: the destination's
-        # WAL is not recycled past the floor until none is left.
-        self._rehome_pending = {
-            s for s in self.shard_ids if cluster.replication.is_replicated(s)
-        }
-        if self._rehome_pending:
+        # Until the migration ends, the destination's WAL is not recycled
+        # past the floor: a replicated shard's rehomed pump reads from it.
+        if any(cluster.replication.is_replicated(s) for s in self.shard_ids):
             cluster.nodes[dest].wal.hold(self, self._dest_wal_floor)
 
     @property
@@ -189,52 +194,116 @@ class BaseMigration:
         self.stats.tm_commit_ts = commit_ts
         return commit_ts
 
-    def detached_cleanup(self, hook):
+    def install_access_hook(self, hook):
+        """Run ``hook.before_access`` on every access to a migrating shard
+        until :meth:`lift_fences`."""
+        self.access_hook = hook
+        for shard_id in self.shard_ids:
+            self.cluster.add_access_hook(shard_id, hook)
+
+    def lift_fences(self):
+        """Remove what guards the source copy against pre-T_m writers: the
+        MOCC prepare gate (sync barrier, or the fence a crash made of it)
+        and the access hook. Until then a crash leaves both standing."""
+        if self.mocc is not None:
+            self.mocc.remove()
+        if self.access_hook is not None:
+            for shard_id in self.shard_ids:
+                self.cluster.remove_access_hook(shard_id, self.access_hook)
+
+    def detached_cleanup(self):
         """Generator for a detached process that lets a migration end at
         once (lock-and-abort, Squall): wait out the pre-T_m transactions,
-        drop the access ``hook``, tear down propagation where there is one,
-        drop the source copy."""
+        lift the fences, tear down propagation where there is one,
+        then :meth:`finish`."""
         yield from self.cluster.wait_out(self.stats.tm_commit_ts)
-        for shard_id in self.shard_ids:
-            self.cluster.remove_access_hook(shard_id, hook)
-        if self.propagation is not None:
-            yield from self.teardown_propagation()
-        self.cleanup_source()
+        self.lift_fences()
+        yield from self.teardown_propagation()
+        yield from self.finish()
 
     def teardown_propagation(self):
-        """Generator: let replay drain, then stop the send process."""
+        """Generator: let replay drain, then stop the send process (where
+        there is one)."""
+        if self.propagation is None:
+            return
         yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
         yield from self.propagation.drain()
         self.propagation.stop()
 
-    def cleanup_source(self):
-        """Drop the migrated shards' data on the source node.
-
-        Replicated shards are kept: after the epoch-bumped handover the old
-        leader stays in the replication group as a follower, so its copy is
-        live state, not junk. The migration is over: its hold on the
-        destination's WAL goes too."""
-        self.release_dest_wal()
-        for shard_id in self.shard_ids:
-            if self.cluster.replication.is_replicated(shard_id):
-                continue
-            self.source_node.drop_shard(shard_id)
-
-    def rehome_replicated_shards(self):
-        """Generator: epoch-bumped leadership handover to the destination
-        for every migrated shard that has a replication group (the atomic
-        group reconfiguration closing a replicated-shard migration)."""
+    def finish(self):
+        """Generator: every migration's one ending (and crash recovery's
+        ``completed`` one), once the destination owns the shards and their
+        data: rehome each replicated shard's group onto the destination
+        (epoch bump), release the destination's WAL, and drop the source
+        copy of each unreplicated shard — the old leader of a replicated
+        one stays in its group as a follower."""
         for shard_id in self.shard_ids:
             group = self.cluster.replication.group_for(shard_id)
             if group is not None:
                 yield from group.rehome(self.dest, from_lsn=self._dest_wal_floor)
-                self._rehome_pending.discard(shard_id)
-        if not self._rehome_pending:
-            self.release_dest_wal()
+        self.release_dest_wal()
+        for shard_id in self.shard_ids:
+            if not self.cluster.replication.is_replicated(shard_id):
+                self.source_node.drop_shard(shard_id)
 
     def release_dest_wal(self):
         """Let the destination recycle its WAL past ``_dest_wal_floor``."""
         self.dest_node.wal.release(self)
+
+    # ------------------------------------------------------------------
+    # Prepositioned destinations (STAR-style asymmetric availability)
+    # ------------------------------------------------------------------
+    def remaster_prepositioned(self):
+        """Generator: hand over every *prepositioned* shard — one whose
+        replication group already has a member on the destination — with a
+        pure remastering handshake, and narrow the migration to the rest.
+        Returns the remaining ids.
+
+        The group feed is the only legal write path into a member's heap,
+        so no approach may copy, propagate or pull into it: a stale copied
+        row prepended over a newer replicated version would shadow
+        committed updates (lost updates)."""
+        replication = self.cluster.replication
+        pre, rest = [], []
+        for shard_id in self.shard_ids:
+            group = replication.group_for(shard_id)
+            if group is not None and group.replica_on(self.dest) is not None:
+                pre.append(shard_id)
+            else:
+                rest.append(shard_id)
+        if not pre:
+            return rest
+        # Close the routing gate, wait for on-the-fly transactions, drain the
+        # group feed (the propagation pipeline here) so the destination
+        # holds every committed change, flip the shard map, rehome.
+        self.shard_ids = pre
+        self.stats.phase_start(self.sim, "ownership_transfer")
+        self.cluster.close_routing_gate()
+        try:
+            yield from self.wait_on_the_fly()
+            groups = [replication.group_for(shard_id) for shard_id in pre]
+            for group in groups:
+                yield from group.drain()
+            yield from self.transfer_ownership(guarded=False)
+            for group in groups:
+                yield from group.rehome(self.dest, from_lsn=self._dest_wal_floor)
+        finally:
+            self.cluster.open_routing_gate()
+        self.stats.phase_end(self.sim, "ownership_transfer")
+        self.shard_ids = rest
+        return rest
+
+    def wait_on_the_fly(self):
+        """Generator: wait for every running user transaction, booking the
+        wait as sync wait."""
+        stats = self.stats
+        ongoing = [
+            txn.tid for txn in self.cluster.snapshot_active_txns() if not txn.is_shadow
+        ]
+        stats.sync_waits += len(ongoing)
+        wait_start = self.sim.now
+        yield self.cluster.wait_for_txns(ongoing)
+        stats.sync_wait_total += self.sim.now - wait_start
 
     def active_writers_of_shards(self):
         """Active transactions that have written any migrating shard."""

@@ -3,8 +3,8 @@
 The paper implements lock-and-abort and wait-and-remaster with the *same*
 snapshot copying, update propagation and parallel apply protocols as Remus
 (§4.2); they differ only in how ownership is transferred. This base class
-holds the shared phases, the one run skeleton and the common ending; each
-subclass supplies its ``_phase_ownership_transfer``.
+holds the shared phases and the one run skeleton; each subclass supplies its
+``_phase_ownership_transfer``.
 """
 
 from repro.migration.base import BaseMigration
@@ -20,89 +20,17 @@ class IscMigration(BaseMigration):
     def __init__(self, cluster, shard_ids, source, dest, **kwargs):
         super().__init__(cluster, shard_ids, source, dest, **kwargs)
         self.snapshot_ts = None
-        self.copy_tasks = []
 
     def run(self):
-        # STAR-style asymmetric path (shared ISC machinery): shards whose
-        # replication group already has a member on the destination are
-        # handed over with a pure remastering handshake — no copy, no
-        # propagation. Only the rest pays for the full transfer.
-        rest = yield from self.remaster_prepositioned()
-        if not rest:
-            return
-        yield from self.phase_snapshot_copy()
-        yield from self.phase_async_propagation()
-        yield from self._phase_ownership_transfer()
+        # STAR-style asymmetric path: shards whose replication group
+        # already has a member on the destination are handed over with a
+        # pure remastering handshake — no copy, no propagation. Only the
+        # rest pays for the full transfer.
+        if (yield from self.remaster_prepositioned()):
+            yield from self.phase_snapshot_copy()
+            yield from self.phase_async_propagation()
+            yield from self._phase_ownership_transfer()
         yield from self._finish()
-
-    def wait_on_the_fly(self):
-        """Generator: wait for every running user transaction, booking the
-        wait as sync wait."""
-        stats = self.stats
-        ongoing = [
-            txn.tid for txn in self.cluster.snapshot_active_txns() if not txn.is_shadow
-        ]
-        stats.sync_waits += len(ongoing)
-        wait_start = self.sim.now
-        yield self.cluster.wait_for_txns(ongoing)
-        stats.sync_wait_total += self.sim.now - wait_start
-
-    # ------------------------------------------------------------------
-    # Prepositioned destinations (STAR-style asymmetric availability)
-    # ------------------------------------------------------------------
-    def _split_prepositioned(self):
-        """Partition the migrating shards into (prepositioned, rest).
-
-        A shard is *prepositioned* when the destination already hosts a
-        member of its replication group: the group feed is the only legal
-        write path into that heap, so snapshot copy and WAL propagation
-        MUST NOT touch it — a stale copied row prepended over a newer
-        replicated version would shadow committed updates (lost updates).
-        """
-        replication = self.cluster.replication
-        pre, rest = [], []
-        for shard_id in self.shard_ids:
-            group = replication.group_for(shard_id)
-            if group is not None and group.replica_on(self.dest) is not None:
-                pre.append(shard_id)
-            else:
-                rest.append(shard_id)
-        return pre, rest
-
-    def remaster_prepositioned(self):
-        """Generator: hand over every prepositioned shard with a pure
-        remastering handshake (no copy, no propagation) and narrow the
-        migration to the remaining shards. Returns the remaining ids."""
-        pre, rest = self._split_prepositioned()
-        if pre:
-            yield from self._remaster_only(pre)
-            self.shard_ids = rest
-        return rest
-
-    def _remaster_only(self, shard_ids):
-        """Generator: transfer ownership of ``shard_ids`` to a destination
-        that already replicates them: close the routing gate, wait for
-        on-the-fly transactions, drain the group feed so the destination
-        holds the full committed prefix, flip the shard map, and rehome the
-        groups under the destination's leadership."""
-        all_ids = self.shard_ids
-        self.shard_ids = list(shard_ids)
-        stats = self.stats
-        stats.phase_start(self.sim, "ownership_transfer")
-        self.cluster.close_routing_gate()
-        try:
-            yield from self.wait_on_the_fly()
-            # The group feed is the propagation pipeline here: drain it so
-            # the destination replica holds every committed change.
-            for shard_id in self.shard_ids:
-                group = self.cluster.replication.group_for(shard_id)
-                yield from group.drain()
-            yield from self.transfer_ownership(guarded=False)
-            yield from self.rehome_replicated_shards()
-        finally:
-            self.cluster.open_routing_gate()
-            self.shard_ids = all_ids
-        stats.phase_end(self.sim, "ownership_transfer")
 
     def phase_snapshot_copy(self):
         stats = self.stats
@@ -151,8 +79,6 @@ class IscMigration(BaseMigration):
         self.stats.phase_end(self.sim, "async_propagation")
 
     def _finish(self):
-        """Generator: drain and stop propagation, hand replicated shards'
-        leadership to the destination, drop the source copy."""
+        """Generator: drain and stop propagation, then the one ending."""
         yield from self.teardown_propagation()
-        yield from self.rehome_replicated_shards()
-        self.cleanup_source()
+        yield from self.finish()

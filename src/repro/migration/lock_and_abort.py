@@ -63,31 +63,29 @@ class LockAndAbortMigration(IscMigration):
         stats = self.stats
         stats.phase_start(self.sim, "ownership_transfer")
         gate = _WriteGate(self)
-        self._gate = gate
-        for shard_id in self.shard_ids:
-            self.cluster.add_access_hook(shard_id, gate)
+        self.install_access_hook(gate)
+        try:
+            # Terminate transactions holding conflicting (write) access.
+            victims = []
+            for txn in self.active_writers_of_shards():
+                if txn.state is TxnState.ACTIVE:
+                    exc = MigrationAbort(
+                        "killed by lock-and-abort ownership transfer", txn_id=txn.tid
+                    )
+                    txn.doom(exc)
+                    stats.txns_aborted_by_migration += 1
+                    victims.append(txn.tid)
+                else:
+                    victims.append(txn.tid)  # already committing: wait it out
+            yield self.cluster.wait_for_txns(victims)
 
-        # Terminate transactions holding conflicting (write) access.
-        victims = []
-        for txn in self.active_writers_of_shards():
-            if txn.state is TxnState.ACTIVE:
-                exc = MigrationAbort(
-                    "killed by lock-and-abort ownership transfer", txn_id=txn.tid
-                )
-                txn.doom(exc)
-                stats.txns_aborted_by_migration += 1
-                victims.append(txn.tid)
-            else:
-                victims.append(txn.tid)  # already committing: wait it out
-        yield self.cluster.wait_for_txns(victims)
+            # Replay the remaining final updates before handing over ownership.
+            yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
 
-        # Replay the remaining final updates before handing over ownership.
-        yield self.propagation.wait_applied_through(self.source_node.wal.tail_lsn)
-
-        yield from self.transfer_ownership()
-
-        # Transfer done: blocked writers wake up and abort.
-        gate.release()
+            yield from self.transfer_ownership()
+        finally:
+            # Transfer done (or crashed): blocked writers wake up and abort.
+            gate.release()
         stats.phase_end(self.sim, "ownership_transfer")
 
     def _finish(self):
@@ -97,6 +95,6 @@ class LockAndAbortMigration(IscMigration):
         # migrations proceed back to back (which is why a long batch
         # transaction keeps dying on every transfer: the next one arrives
         # before the batch can finish, §4.4.1).
-        self.sim.spawn(self.detached_cleanup(self._gate), name="lock-cleanup")
+        self.sim.spawn(self.detached_cleanup(), name="lock-cleanup")
         return
         yield  # pragma: no cover - keeps this a generator like its peers

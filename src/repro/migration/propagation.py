@@ -112,7 +112,7 @@ class Propagation:
             self.source_node.wal, self.shard_set, from_lsn, self.source_node.cpu,
             self.costs.cpu_propagate, cluster.config.pump_batch_records,
         )
-        self.mocc = None  # set by enable_sync(); None => async mode
+        self.mocc = None  # set by MoccCoordinator.install(); None => async mode
         self._caches = {}  # source xid -> [change records]
         self._validated = {}  # source xid -> (prepared shadow, its _Replay)
         # Xids whose PREPARE started a validation, until their outcome record.
@@ -139,6 +139,7 @@ class Propagation:
         # lossy destination): the pipeline can no longer guarantee delivery
         # and the migration needs supervised crash recovery (§3.7).
         self.wounded = None
+        self.crashed = False  # set by crash(): the residue is handed over
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -149,41 +150,48 @@ class Propagation:
             name="propagation-send",
         )
 
-    def stop(self, kill_tasks=False):
-        """Stop the send process; with ``kill_tasks`` also kill every
-        replay task (crash injection).
-
-        Interrupted processes abort their shadow transactions (releasing
-        locks and replay slots); an entry not yet granted owns no process,
-        so it stops waiting at once and gives its slot request and records
-        up in a slot of its own, in sweep order with the interrupts. A
-        crashed migration thus leaves no residue behind — recovery (§3.7)
-        then resolves the already-prepared shadows. A normal teardown keeps
-        the tasks: in-flight shadow commits must complete or committed
-        source changes would be lost.
-        """
+    def stop(self):
+        """Stop the send process. The replay tasks keep running: in-flight
+        shadow commits must complete or committed source changes would be
+        lost."""
         if self._pump_process is not None and not self._pump_process.finished:
             self._pump_process.interrupt("propagation stopped")
-        if kill_tasks:
-            for task in list(self._tasks):
-                if type(task) is _Replay:
-                    if task.cursor is not None:
-                        self._kill_parked(task)
-                        continue
-                    task = task.process
-                if task is not None and not task.finished:
-                    task.interrupt("propagation stopped")
-            # Defensive sweep: abort shadows whose replay task already died
-            # (e.g. crashed) while holding locks. Prepared shadows survive —
-            # they are the residue recovery resolves by source outcome.
-            manager = self.dest_node.manager
-            for shadow in list(self._shadows):
-                participant = shadow.participant(self.dest)
-                if participant is None:
+
+    def crash(self):
+        """Crash teardown: stop the send process, kill every replay task,
+        and hand over the residue — {source xid: (prepared shadow, its
+        entry)} — for recovery (§3.7) to resolve by source outcome.
+
+        Interrupted processes abort their shadows, releasing locks and
+        slots; an entry not yet granted gives its slot request and records
+        up in a slot of its own, in sweep order with the interrupts. A
+        killed process may still take a step before its interrupt lands:
+        a shadow it prepares from now on rolls back (its source's wait was
+        terminated), and a record the send process handles is ignored.
+        """
+        self.crashed = True
+        self.stop()
+        for task in list(self._tasks):
+            if type(task) is _Replay:
+                if task.cursor is not None:
+                    self._kill_parked(task)
                     continue
-                if manager.force_abort_participant(participant):
-                    self.cluster.finish_txn(shadow, committed=False)
-                    self._shadows.discard(shadow)
+                task = task.process
+            if task is not None and not task.finished:
+                task.interrupt("propagation stopped")
+        # Defensive sweep: abort shadows whose replay task already died
+        # (e.g. crashed) while holding locks. Prepared shadows survive —
+        # they are the residue recovery resolves by source outcome.
+        manager = self.dest_node.manager
+        for shadow in list(self._shadows):
+            participant = shadow.participant(self.dest)
+            if participant is None:
+                continue
+            if manager.force_abort_participant(participant):
+                self.cluster.finish_txn(shadow, committed=False)
+                self._shadows.discard(shadow)
+        residual, self._validated = self._validated, {}
+        return residual
 
     def end_shadow(self, shadow, commit_ts=None):
         """Generator: a shadow transaction's one ending on the destination.
@@ -204,10 +212,6 @@ class Propagation:
         task = self.sim.spawn(generator, name=name)
         self._tasks.add(task)
         task.done_event.add_callback(lambda _ev: self._tasks.discard(task))
-
-    def enable_sync(self, mocc):
-        """Switch to synchronous propagation (the sync barrier is set)."""
-        self.mocc = mocc
 
     def hold_applies(self):
         """Buffer replay until the snapshot copy has installed the base rows
@@ -279,6 +283,8 @@ class Propagation:
     # Send process: the tailer calls this on each routed record
     # ------------------------------------------------------------------
     def _handle(self, record):
+        if self.crashed:
+            return
         kind = record.kind
         if kind.is_change:
             if record.shard_id in self.shard_set:
@@ -300,7 +306,7 @@ class Propagation:
         # The source is past MOCC's after_prepare, the set's only reader.
         self.validation_started.discard(xid)
         if xid in self._validated:
-            shadow, entry = self._validated.pop(xid)
+            shadow, entry = self._validated[xid]
             self._spawn_task(
                 self._end_prepared_shadow(xid, shadow, entry, commit_ts),
                 name="shadow-commit",
@@ -322,10 +328,9 @@ class Propagation:
         if records:
             self.pending_records -= len(records)
         if xid in self._validated:
-            shadow, entry = self._validated.pop(xid)
+            shadow, entry = self._validated[xid]
             self._spawn_task(
-                self._end_prepared_shadow(xid, shadow, entry),
-                name="shadow-rollback",
+                self._end_prepared_shadow(xid, shadow, entry), name="shadow-rollback"
             )
 
     # ------------------------------------------------------------------
@@ -526,7 +531,10 @@ class Propagation:
             yield from self._replay_ops(shadow, self._coalesce_changes(records))
             if commit_ts is None:
                 yield from self.dest_node.manager.local_prepare(shadow)
-                ack = True
+                if self.crashed:
+                    yield from self.end_shadow(shadow)
+                else:
+                    ack = True
             else:
                 yield from self.end_shadow(shadow, commit_ts)
         except (Interrupt, RpcAbort) as exc:
@@ -573,16 +581,16 @@ class Propagation:
 
     def _end_prepared_shadow(self, xid, shadow, entry, commit_ts=None):
         """Generator: resolve a validated shadow as its source transaction
-        ended — commit at ``commit_ts``, or roll back without one."""
+        ended — commit at ``commit_ts``, or roll back without one. The
+        shadow stays in ``_validated`` until it has ended, so a crash
+        teardown mid-resolution hands it to recovery (§3.7), which learns
+        the source's outcome and ends it there; this task then just stops."""
         try:
             # Decision delivery is persistent: the source outcome is final,
             # so it must reach the destination across any partition.
             yield from self.cluster.rpc_send(self.source, self.dest, 64, persistent=True)
+            yield from self.end_shadow(shadow, commit_ts)
         except Interrupt:
-            # Crash teardown mid-delivery: re-register the prepared shadow so
-            # recovery (§3.7) finds it in the residue and resolves it by the
-            # source CLOG outcome — never an orphaned PREPARED entry.
-            self._validated[xid] = (shadow, entry)
             return
-        yield from self.end_shadow(shadow, commit_ts)
+        self._validated.pop(xid, None)
         self._finish_task(entry)

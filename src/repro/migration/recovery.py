@@ -2,56 +2,66 @@
 
 A failure during a migration leaves residual state: a possibly-in-doubt T_m,
 prepared shadow transactions on the destination, source transactions blocked
-in their validation stage, and partially copied data. Recovery proceeds as
-the paper describes:
+in their validation stage, and partially copied data. ``crash_migration``
+tears down the migration's machinery and ``recover_migration`` starts in
+the same instant — it learns every decision still in flight and never waits
+for one to settle. Recovery proceeds as the paper describes:
 
-1. Source transactions waiting for a validation outcome are terminated.
-2. T_m is resolved with ordinary 2PC recovery: committed iff it entered its
-   second phase (here: a commit timestamp was assigned).
-3. Each prepared shadow transaction takes the same action as its source
+1. Source transactions waiting for a validation outcome are terminated (by
+   the teardown, which leaves MOCC as a fence: a source transaction that
+   writes the migrating shards fails at prepare until recovery lifts it).
+   A baseline's access hook stays as its fence the same way: the write gate
+   or chunk tracker aborts a pre-T_m writer that reaches the source.
+2. Each prepared shadow transaction takes the same action as its source
    transaction: commit with the source's commit timestamp, or roll back. A
    source still PREPARED is waited for, so the outcome is learned, not
    presumed.
+3. T_m is resolved with ordinary 2PC recovery: committed iff it entered its
+   second phase (here: a commit timestamp was assigned). Its straggler
+   prepare and commit legs may still land; each is idempotent at the
+   participant.
 4. If T_m did not commit, no transaction was ever diverted: the partially
    migrated data on the destination is dropped and the migration can be
    initiated again. If T_m committed, the destination owns the shards and
-   the migration is *continued*: a repair pass copies whatever committed
-   data is still missing, then the source copy is dropped.
+   the migration is *continued*: the pre-T_m transactions are waited out,
+   a repair pass then copies whatever committed data is still missing from
+   the now final source copy, and the migration ends as every migration
+   does (``BaseMigration.finish``).
 """
 
 from repro.storage.clog import TxnStatus
-from repro.txn.errors import MigrationAbort
 
 
 def crash_migration(migration):
-    """Simulate a crash of the migration machinery mid-flight.
-
-    Stops the send process, removes the sync barrier, and terminates source
-    transactions blocked in their validation stage. Returns the residual
-    prepared shadows for recovery to resolve.
-    """
-    propagation = migration.propagation
-    if propagation is not None:
-        propagation.stop(kill_tasks=True)
-    for task in getattr(migration, "copy_tasks", []):
+    """Simulate a crash of the migration machinery mid-flight: tear down
+    the propagation pipeline and the copy tasks, and turn the MOCC sync
+    barrier into a fence. The fences (that one, or the access hook) stand
+    until recovery knows no pre-T_m writer can reach the source copy.
+    Returns the residual prepared shadows for recovery to resolve."""
+    residual = {}
+    if migration.propagation is not None:
+        residual = migration.propagation.crash()
+    for task in migration.copy_tasks:
         if not task.finished:
             task.interrupt("crash")
-    mocc = getattr(migration, "mocc", None)
-    residual = {}
-    if mocc is not None:
-        mocc.active = False
-        migration.source_node.manager.remove_commit_hook(mocc)
-        # Terminate validation-stage waiters (§3.7).
-        for xid, waiter in list(mocc._waiters.items()):
-            del mocc._waiters[xid]
-            waiter.fail(MigrationAbort("terminated by crash during validation"))
-    if propagation is not None:
-        residual = dict(propagation._validated)
-        propagation._validated.clear()
+    if migration.mocc is not None:
+        migration.mocc.fence()
     return residual
 
 
-def _resolve_tm(cluster, migration, tm_txn, tm_committed):
+def _source_outcome(source_node, source_xid):
+    """Generator: the source transaction's commit timestamp, or None if it
+    aborted. Its decision is learned, never presumed: a source still
+    PREPARED (its commit in flight) may yet commit, so it is waited for."""
+    clog = source_node.clog
+    if clog.status(source_xid) is TxnStatus.PREPARED:
+        yield clog.wait_completion(source_xid)
+    if clog.status(source_xid) is TxnStatus.COMMITTED:
+        return clog.commit_ts(source_xid)
+    return None
+
+
+def _resolve_tm(cluster, tm_txn, tm_committed):
     """Generator: drive an in-doubt T_m to its 2PC outcome.
 
     The migration process owning T_m died mid-commit; its spawned per-node
@@ -83,26 +93,20 @@ def recover_migration(cluster, migration, residual_shadows=None):
     dest_node = migration.dest_node
     source_node = migration.source_node
 
-    # Step 1: resolve residual prepared shadows by their source's outcome.
+    # Step 2: resolve residual prepared shadows by their source's outcome.
     for source_xid, (shadow, _entry) in residual_shadows.items():
         participant = shadow.participant(dest_node.node_id)
-        if participant is None:
-            continue
-        if dest_node.clog.status(participant.xid) is not TxnStatus.PREPARED:
-            continue
-        # Learn the source's decision, never presume one: a source still
-        # PREPARED (its commit in flight) may yet commit.
-        if source_node.clog.status(source_xid) is TxnStatus.PREPARED:
-            yield source_node.clog.wait_completion(source_xid)
-        commit_ts = None
-        if source_node.clog.status(source_xid) is TxnStatus.COMMITTED:
-            commit_ts = source_node.clog.commit_ts(source_xid)
+        status = None if participant is None else dest_node.clog.status(participant.xid)
+        if status is not TxnStatus.PREPARED:
+            continue  # ended since, e.g. by a resolution the crash raced
+        commit_ts = yield from _source_outcome(source_node, source_xid)
+        if commit_ts is not None:
             yield from cluster.rpc_send(
                 dest_node.node_id, source_node.node_id, 64, persistent=True
             )
         yield from migration.propagation.end_shadow(shadow, commit_ts)
 
-    # Step 2: resolve T_m (2PC recovery). T_m committed iff it entered its
+    # Step 3: resolve T_m (2PC recovery). T_m committed iff it entered its
     # second phase, i.e. a commit timestamp was assigned — the assignment may
     # have happened just before the crash, so the in-flight handle is
     # authoritative even when the migration never recorded tm_commit_ts.
@@ -111,7 +115,7 @@ def recover_migration(cluster, migration, residual_shadows=None):
         tm_txn is not None and tm_txn.commit_ts is not None
     )
     if tm_txn is not None and not tm_txn.finished:
-        yield from _resolve_tm(cluster, migration, tm_txn, tm_committed)
+        yield from _resolve_tm(cluster, tm_txn, tm_committed)
     if tm_committed and migration.stats.tm_commit_ts is None:
         migration.stats.tm_commit_ts = tm_txn.commit_ts
     if not tm_committed:
@@ -132,14 +136,22 @@ def recover_migration(cluster, migration, residual_shadows=None):
             if cluster.shard_owner(shard_id) != owner:
                 cluster.record_ownership(shard_id, owner)
         cluster.clear_cache_read_through(migration.shard_ids)
+        migration.lift_fences()  # the source is authoritative again
         migration.release_dest_wal()  # given up: a retry is a new migration
         return "rolled_back"
 
-    # Step 3: T_m committed — the destination owns the shards. Continue the
-    # migration: repair-copy any committed rows that never made it across,
-    # then retire the source copy.
+    # Step 4: T_m committed — the destination owns the shards. Continue the
+    # migration: route to the destination, wait out the pre-T_m transactions
+    # (as in dual execution the source copy serves them until the last one
+    # is done, and the fences abort each one that writes it), then
+    # repair-copy the committed rows that never made it across. Only now is
+    # the source copy final: a repair taken earlier would miss a source
+    # write that commits after it.
     for shard_id in migration.shard_ids:
         cluster.record_ownership(shard_id, migration.dest)
+        cluster.refresh_caches(shard_id, migration.dest, migration.stats.tm_commit_ts)
+    cluster.clear_cache_read_through(migration.shard_ids)
+    yield from cluster.wait_out(migration.stats.tm_commit_ts)
     repair_ts = yield from cluster.oracle.start_timestamp(migration.source)
     snapshot = source_node.manager.read_snapshot(repair_ts)
     for shard_id in migration.shard_ids:
@@ -160,11 +172,11 @@ def recover_migration(cluster, migration, residual_shadows=None):
                 migration.source, migration.dest, len(missing) * 64, persistent=True
             )
             dest_node.bulk_install(shard_id, missing)
-        cluster.refresh_caches(shard_id, migration.dest, migration.stats.tm_commit_ts)
-    cluster.clear_cache_read_through(migration.shard_ids)
-    # Replicated shards: finish the epoch-bumped handover the crashed
-    # migration never reached, so the group keeps replicating under the
-    # destination's leadership.
-    yield from migration.rehome_replicated_shards()
-    migration.cleanup_source()
+    # Squall's tracker has pulled each chunk a destination transaction
+    # touched until here; the repair has copied the rest.
+    migration.lift_fences()
+    # The migration's own ending: replicated shards finish the epoch-bumped
+    # handover the crashed migration never reached, so each group keeps
+    # replicating under the destination's leadership; the source copy goes.
+    yield from migration.finish()
     return "completed"

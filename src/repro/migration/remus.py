@@ -9,8 +9,8 @@ The four phases of Figure 2:
    from the WAL; shadow transactions replay them on the destination with the
    same start/commit timestamps (§3.3). The phase ends when the destination
    has caught up (lag below a threshold).
-3. **Propagation mode changing** — the *sync barrier* is set (a MOCC commit
-   hook on the source manager): source transactions now wait at prepare for
+3. **Propagation mode changing** — the *sync barrier* is set (MOCC as the
+   source manager's prepare gate): source transactions now wait at prepare for
    their changes to be validated and applied on the destination. The
    transactions already in commit progress form TS_unsync; once they finish,
    the WAL tail is recorded as LSN_unsync and the phase ends when everything
@@ -21,7 +21,8 @@ The four phases of Figure 2:
    diversion barrier: transactions with start_ts >= T_m.commitTS route to the
    destination, older ones finish on the source under MOCC (§3.5). The
    migration completes when the last pre-T_m transaction finishes; the
-   source copy is then dropped.
+   barrier is lifted and the migration ends like every other
+   (:meth:`~repro.migration.base.BaseMigration.finish`).
 
 No transaction is ever blocked, suspended or aborted by the protocol itself;
 the only added cost is the validation wait of synchronized source
@@ -51,7 +52,6 @@ class RemusMigration(IscMigration):
         disabling read-through while delaying cache invalidation lets a
         post-T_m transaction be routed to the source by a stale entry."""
         super().__init__(cluster, shard_ids, source, dest, **kwargs)
-        self.mocc = None
         self.use_cache_read_through = use_cache_read_through
         self.cache_refresh_delay = cache_refresh_delay
 
@@ -59,13 +59,11 @@ class RemusMigration(IscMigration):
         # Shards the destination already replicates are handed over with a
         # pure remastering handshake (copy/propagation would double-write
         # the replica heap); the full protocol runs for the rest.
-        rest = yield from self.remaster_prepositioned()
-        if not rest:
-            return
-        yield from self.phase_snapshot_copy()
-        yield from self.phase_async_propagation()
-        yield from self._phase_mode_change()
-        yield from self._phase_dual_execution()
+        if (yield from self.remaster_prepositioned()):
+            yield from self.phase_snapshot_copy()
+            yield from self.phase_async_propagation()
+            yield from self._phase_mode_change()
+            yield from self._phase_dual_execution()
         yield from self._finish()
 
     # ------------------------------------------------------------------
@@ -74,13 +72,9 @@ class RemusMigration(IscMigration):
         stats.phase_start(self.sim, "mode_change")
         # Sync barrier: every source transaction entering commit from now on
         # validates through MOCC before it may commit.
-        self.mocc = MoccCoordinator(
-            self.cluster, self.shard_ids, stats, propagation=self.propagation
-        )
-        self.mocc.active = True
-        self.propagation.enable_sync(self.mocc)
-        self.source_node.manager.add_commit_hook(self.mocc)
-        # TS_unsync: transactions already in commit progress bypass the hook;
+        self.mocc = MoccCoordinator(self.cluster, self.shard_ids, stats, self.propagation)
+        self.mocc.install()
+        # TS_unsync: transactions already in commit progress bypass the gate;
         # wait for them, then everything up to the recorded WAL tail
         # (LSN_unsync) must be applied on the destination.
         ts_unsync = [
@@ -103,9 +97,5 @@ class RemusMigration(IscMigration):
         # Existing transactions (start_ts < T_m.commitTS) run to completion on
         # the source under MOCC; newly arriving ones are already diverted.
         yield from self.cluster.wait_out(tm_cts)
+        self.mocc.remove()
         stats.phase_end(self.sim, "dual_execution")
-
-    def _finish(self):
-        self.mocc.active = False
-        self.source_node.manager.remove_commit_hook(self.mocc)
-        yield from super()._finish()

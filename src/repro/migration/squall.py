@@ -22,6 +22,7 @@ Consequences reproduced from the paper:
 from repro.cluster.hashing import consistent_hash
 from repro.config import PULL_CHUNK_LATENCY
 from repro.migration.base import BaseMigration
+from repro.sim.errors import Interrupt
 from repro.sim.events import AllOf
 from repro.sim.network import MIGRATION_CLASS
 from repro.txn.errors import MigrationAbort
@@ -85,44 +86,50 @@ class SquallMigration(BaseMigration):
 
     # ------------------------------------------------------------------
     def run(self):
+        if (yield from self.remaster_prepositioned()):
+            yield from self._reconfigure_and_pull()
+        # The reconfiguration is done once every chunk has been pulled; the
+        # straggler handling (pre-flip transactions aborting on touch) and
+        # hook removal run detached, so consecutive migrations proceed back
+        # to back — Squall's consolidation completes much faster than the
+        # push approaches', as in the paper (§4.4.2).
+        self.sim.spawn(self.detached_cleanup(), name="squall-cleanup")
+
+    def _reconfigure_and_pull(self):
         stats = self.stats
         stats.phase_start(self.sim, "reconfig")
         # The tracking-table hook must be live *before* ownership flips: the
         # first destination-routed transaction triggers a reactive pull.
         # Pre-flip the hook is a no-op (owner == source, all chunks there).
-        for shard_id in self.shard_ids:
-            self.cluster.add_access_hook(shard_id, self)
+        self.install_access_hook(self)
         # Ownership flips immediately; missing data is pulled on demand.
         yield from self.transfer_ownership(label="squall_reconfig")
         stats.phase_end(self.sim, "reconfig")
 
         stats.phase_start(self.sim, "pulls")
         # One asynchronous background worker per migrating shard (§4.2).
-        workers = [
+        self.copy_tasks.extend(
             self.sim.spawn(self._background_puller(shard_id), name="squall-bg")
             for shard_id in self.shard_ids
-        ]
-        yield AllOf(workers)
+        )
+        yield AllOf(self.copy_tasks)
         stats.phase_end(self.sim, "pulls")
-        # The reconfiguration is done once every chunk has been pulled; the
-        # straggler handling (pre-flip transactions aborting on touch) and
-        # hook removal run detached, so consecutive migrations proceed back
-        # to back — Squall's consolidation completes much faster than the
-        # push approaches', as in the paper (§4.4.2).
-        self.sim.spawn(self.detached_cleanup(self), name="squall-cleanup")
 
     def _background_puller(self, shard_id):
         tracker = self.trackers[shard_id]
-        while not tracker.all_done:
-            pending = tracker.pending_chunks()
-            if not pending:
-                # Chunks still in "pulling" state: wait for the earliest one.
-                for i, state in enumerate(tracker.state):
-                    if state == "pulling":
-                        yield tracker.events[i]
-                        break
-                continue
-            yield from self._pull_chunk(shard_id, pending[0])
+        try:
+            while not tracker.all_done:
+                pending = tracker.pending_chunks()
+                if not pending:
+                    # Chunks still in "pulling" state: wait for the earliest.
+                    for i, state in enumerate(tracker.state):
+                        if state == "pulling":
+                            yield tracker.events[i]
+                            break
+                    continue
+                yield from self._pull_chunk(shard_id, pending[0])
+        except Interrupt:
+            return  # crash teardown: recovery moves what is left (§3.7)
 
     # ------------------------------------------------------------------
     # Access hook: reactive pulls and source-side aborts
@@ -173,12 +180,11 @@ class SquallMigration(BaseMigration):
         done = self.sim.event(name="pull:{}:{}".format(shard_id, chunk))
         tracker.events[chunk] = done
 
-        source_mgr = self.source_node.manager
+        locks = self.source_node.manager.shard_locks
         lock_owner = ("squall-pull", shard_id, chunk)
-        yield source_mgr.shard_locks.acquire(
-            shard_id, lock_owner, source_mgr.shard_locks.EXCLUSIVE
-        )
+        request = locks.acquire(shard_id, lock_owner, locks.EXCLUSIVE)
         try:
+            yield request
             heap = self.source_node.heap_for(shard_id)
             moved = []
             # The chunk filter only reads; versions are removed in a second
@@ -205,13 +211,21 @@ class SquallMigration(BaseMigration):
                 self.source, self.dest, size, traffic_class=MIGRATION_CLASS
             )
             self.dest_node.bulk_install(shard_id, moved)
-            for key, _value in moved:
-                for version in heap.chain(key):
-                    heap.remove_version(version)
+            # A replicated shard's rows stay: the source remains in the
+            # group as a follower (BaseMigration.finish keeps its copy).
+            if not self.cluster.replication.is_replicated(shard_id):
+                for key, _value in moved:
+                    for version in heap.chain(key):
+                        heap.remove_version(version)
             self.stats.chunks_pulled += 1
             self.stats.tuples_copied += len(moved)
             self.stats.bytes_copied += size
             tracker.state[chunk] = "done"
         finally:
-            source_mgr.shard_locks.release(shard_id, lock_owner)
+            # A crash teardown may interrupt the pull while it queues for
+            # the lock: withdraw the request instead of leaking the grant.
+            if request.triggered:
+                locks.release(shard_id, lock_owner)
+            else:
+                locks.cancel_wait(shard_id, lock_owner)
             done.succeed(None)

@@ -13,6 +13,11 @@ class StopAndCopyMigration(BaseMigration):
     name = "stop_and_copy"
 
     def run(self):
+        if (yield from self.remaster_prepositioned()):
+            yield from self._stop_and_copy()
+        yield from self.finish()
+
+    def _stop_and_copy(self):
         stats = self.stats
         stats.phase_start(self.sim, "stop_and_copy")
         self.cluster.close_routing_gate()
@@ -25,10 +30,10 @@ class StopAndCopyMigration(BaseMigration):
             yield self.cluster.wait_for_txns(ongoing)
             snapshot_ts = yield from self.cluster.oracle.start_timestamp(self.source)
             yield from copy_group_snapshot(
-                self.cluster, self.shard_ids, self.source, self.dest, snapshot_ts, stats
+                self.cluster, self.shard_ids, self.source, self.dest, snapshot_ts,
+                stats, task_sink=self.copy_tasks,
             )
             yield from self.transfer_ownership(guarded=False)
         finally:
             self.cluster.open_routing_gate()
-        self.cleanup_source()
         stats.phase_end(self.sim, "stop_and_copy")

@@ -7,8 +7,11 @@ T_m commit. The :class:`MigrationSupervisor` runs a plan batch by batch with
 a watchdog per migration:
 
 * a **crashed** migration (interrupted, or killed by an exception) is put
-  through standard crash recovery (§3.7: ``crash_migration`` +
-  ``recover_migration``);
+  through standard crash recovery (§3.7): ``crash_migration`` tears down
+  its machinery, leaving its fences standing, and ``recover_migration``
+  starts in the same instant, with no settle time — straggler 2PC legs and
+  source commits still in flight are decisions recovery learns, not ones
+  it waits out;
 * a **stalled** migration — no observable progress for ``STALL_TIMEOUT``
   simulated seconds, or a propagation pipeline wounded by an RPC failure —
   is treated exactly like a crash;
@@ -30,7 +33,6 @@ from repro.migration.recovery import crash_migration, recover_migration
 # Watchdog and retry timing, in simulated seconds.
 CHECK_INTERVAL = 0.1  # watchdog poll period
 STALL_TIMEOUT = 3.0  # no progress for this long => crash it
-GRACE = 0.4  # settle time between crash and recovery
 MAX_RETRIES = 3  # rolled-back batch retry budget
 RETRY_BACKOFF = 0.25  # base delay before retrying a batch
 RETRY_BACKOFF_CAP = 2.0
@@ -154,8 +156,8 @@ class MigrationSupervisor:
                 yield CHECK_INTERVAL
                 if proc.finished:
                     break
-                prop = getattr(migration, "propagation", None)
-                if prop is not None and getattr(prop, "wounded", None) is not None:
+                prop = migration.propagation
+                if prop is not None and prop.wounded is not None:
                     proc.interrupt("propagation wounded: {}".format(prop.wounded))
                     break
                 sig = self._progress_signature(migration)
@@ -175,11 +177,11 @@ class MigrationSupervisor:
         status, cause = proc.result()
         if status == "ok":
             return "ok"
-        # Crash path: tear down, settle, recover (§3.7).
+        # Crash path: tear down, then recover at once (§3.7): recovery
+        # learns every in-flight decision, it never waits for one to settle.
         self._note("migration crashed: {}".format(cause))
         self.cluster.metrics.mark("migration_crash")
         residual = crash_migration(migration)
-        yield GRACE  # let straggler 2PC workers resolve before recovery
         outcome = yield from recover_migration(self.cluster, migration, residual)
         migration.stats.crash_recoveries += 1
         self.cluster.metrics.mark("migration_recovered:{}".format(outcome))

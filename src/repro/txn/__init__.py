@@ -11,8 +11,8 @@
   participants, undo log, held locks, lifecycle state;
 - :mod:`repro.txn.manager` — the per-node transaction manager executing MVCC
   reads/writes under SI with first-updater-wins, plus the local halves of
-  2PC (prepare / commit / abort) with WAL flushes and commit hooks that the
-  migration protocols plug into.
+  2PC (prepare / commit / abort) with WAL flushes and the one prepare gate
+  that Remus's MOCC sync barrier plugs into.
 """
 
 from repro.txn.errors import (

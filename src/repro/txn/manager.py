@@ -7,12 +7,13 @@ implements the node-local parts of two-phase commit: PREPARE (write and flush
 a prepare/validation WAL record, mark PREPARED in the CLOG), COMMIT (commit
 record + flush, CLOG commit timestamp, release locks) and ABORT.
 
-Migration protocols plug in through *commit hooks*: objects registered with
-:meth:`add_commit_hook` whose ``after_prepare(txn, participant)`` generator
-runs once the prepare record is durable and the CLOG shows PREPARED. It may
-wait, or raise to doom the transaction. Remus uses this for the sync barrier
-+ MOCC validation wait (§3.4/§3.5.2) without the transaction layer knowing
-anything about migration; commit and abort run no hooks.
+Migration plugs in through one *prepare gate*: an object set as
+``prepare_gate`` whose ``after_prepare(txn, participant)`` generator runs
+once the prepare record is durable and the CLOG shows PREPARED. It may
+wait, or raise to doom the transaction. Remus's MOCC sync barrier
+(§3.4/§3.5.2) installs itself there and removes itself at the end of the
+migration, without the transaction layer knowing anything about migration;
+commit and abort run no gate.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class NodeTxnManager:
         self.shard_locks = SharedExclusiveLockTable(sim, name=node_id)
         self._row_locks = {}
         self._next_xid = 0
-        self._commit_hooks = []
+        self.prepare_gate = None  # MOCC's sync barrier while it is set
         self.active_xids = OrderedSet()
         self._first_change_lsn = {}  # xid -> LSN of its first change record
         self.flush_stall_until = 0.0  # chaos: WAL device stalled until then
@@ -120,13 +121,6 @@ class NodeTxnManager:
                 self.sim, name="{}:{}".format(self.node_id, shard_id)
             )
         return self._row_locks[shard_id]
-
-    def add_commit_hook(self, hook) -> None:
-        self._commit_hooks.append(hook)
-
-    def remove_commit_hook(self, hook) -> None:
-        if hook in self._commit_hooks:
-            self._commit_hooks.remove(hook)
 
     # ------------------------------------------------------------------
     # MVCC operations (generators)
@@ -401,8 +395,10 @@ class NodeTxnManager:
     def local_prepare(self, txn: "Transaction") -> Generator:
         """Write + flush the prepare (validation) record; mark PREPARED.
 
-        Runs the registered commit hooks afterwards — this is where Remus'
-        sync-mode MOCC validation wait happens.
+        Runs the prepare gate afterwards — this is where Remus' sync-mode
+        MOCC validation wait happens. A participant resolved while its
+        record was written or flushed (crash recovery aborting a straggler
+        2PC leg) votes no, before or after the flush alike.
         """
         participant = self.ensure_participant(txn)
         if self.clog.status(participant.xid) is not TxnStatus.IN_PROGRESS:
@@ -420,16 +416,20 @@ class NodeTxnManager:
             )
         )
         yield from self.flush_wal()
+        if self.clog.status(participant.xid) is not TxnStatus.IN_PROGRESS:
+            raise TransactionError("prepare after resolution", txn_id=txn.tid)
         self.clog.set_prepared(participant.xid)
-        for hook in list(self._commit_hooks):
-            yield from hook.after_prepare(txn, participant)
+        gate = self.prepare_gate
+        if gate is not None:
+            yield from gate.after_prepare(txn, participant)
 
     def local_commit(self, txn: "Transaction", commit_ts: int) -> Generator:
         """Durably commit the local participant and release its locks.
 
         Idempotent under redelivery: 2PC decisions are retransmitted, so the
-        same COMMIT may be applied twice (e.g. by a straggler commit process
-        racing crash recovery)."""
+        same COMMIT may be applied twice, even concurrently (a straggler
+        commit leg racing crash recovery): whichever flush ends second finds
+        the participant committed and leaves it be."""
         participant = txn.participant(self.node_id)
         if self.clog.status(participant.xid) is TxnStatus.COMMITTED:
             return
@@ -439,6 +439,8 @@ class NodeTxnManager:
             kind = WalRecordKind.COMMIT
         self.wal.append(WalRecord(kind, xid=participant.xid, commit_ts=commit_ts))
         yield from self.flush_wal()
+        if self.clog.status(participant.xid) is TxnStatus.COMMITTED:
+            return
         self.clog.set_committed(participant.xid, commit_ts)
         self._retire(participant)
 

@@ -1,9 +1,14 @@
-"""Crash-recovery tests for in-flight Remus migrations (§3.7)."""
+"""Crash-recovery tests for in-flight migrations (§3.7): Remus crashed at
+every phase, and the baselines' crashes."""
+
+import pytest
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.migration import RemusMigration
 from repro.migration.recovery import crash_migration, recover_migration
+from repro.txn.errors import TransactionError
+from repro.txn.transaction import TxnState
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
 
@@ -151,12 +156,10 @@ def test_crash_after_tm_recovers_under_live_workload():
     assert not crashes, crashes
 
 
-def _recover_residual_shadow(source_commits, settle):
+def _recover_residual_shadow(source_commits):
     """Crash a Remus migration while a validated shadow awaits its source's
-    decision, then recover after ``settle`` seconds; ``source_commits`` picks
-    whether the source is already committing or still waiting for its
-    validation ack."""
-    from repro.txn.transaction import TxnState
+    decision, then recover at once; ``source_commits`` picks whether the
+    source is already committing or still waiting for its validation ack."""
 
     cluster, workload = build()
     shard = cluster.shards_on_node("node-1", table="ycsb")[0]
@@ -194,8 +197,6 @@ def _recover_residual_shadow(source_commits, settle):
     assert not proc.finished
     proc.interrupt("crash")
     residual = crash_migration(migration)
-    if settle:
-        cluster.run(until=cluster.sim.now + settle)
     recover(cluster, migration, residual)
     return cluster, keys[0], outcome["committed"], residual
 
@@ -206,16 +207,11 @@ def test_residual_prepared_shadow_committed_iff_source_committed():
 
     Once the crashed source still waits for its validation ack (it is
     terminated, so the shadow rolls back), once it is already committing
-    (the shadow commits at the source's commit timestamp). Each case runs
-    after the supervisor's settle time and with no settle at all: recovery
-    must learn a still-PREPARED source's decision, never presume it."""
-    from repro.migration.supervisor import GRACE
-
-    cases = [(c, s) for c in (False, True) for s in (GRACE, 0.0)]
-    for source_commits, settle in cases:
-        cluster, key, committed, residual = _recover_residual_shadow(
-            source_commits, settle
-        )
+    (the shadow commits at the source's commit timestamp). Recovery starts
+    the instant the crash is torn down: it must learn a still-PREPARED
+    source's decision, never presume it."""
+    for source_commits in (False, True):
+        cluster, key, committed, residual = _recover_residual_shadow(source_commits)
         assert residual, "no prepared shadow left for recovery to resolve"
         assert committed is source_commits
         # The committed value is consistent on the new owner.
@@ -277,3 +273,360 @@ def test_lossy_destination_mid_replay_wounds_and_recovers():
     # Recovery (plus the batch retry) finished the move without losing data.
     assert cluster.shard_owner(shard) == "node-2"
     assert len(cluster.dump_table("ycsb")) == workload.config.num_tuples
+
+
+# ----------------------------------------------------------------------
+# Crash-point matrix: recovery is correct at any instant, with no settle
+# ----------------------------------------------------------------------
+def _after_entry(hops):
+    """Crash point: the interrupt is sent ``hops`` zero-delay slots after
+    the phase is entered, so it lands at the phase's first yield however
+    short the phase is (a mode change with nothing to wait for takes no
+    simulated time, and runs within one dispatch)."""
+    return ("entry", hops)
+
+
+def _when(predicate):
+    """Crash point: the first dispatch after which ``predicate(migration,
+    cluster, entered_at)`` holds while the phase is still running."""
+    return ("when", predicate)
+
+
+def _tm_in(state, settled_legs):
+    """T_m is in ``state`` and at least ``settled_legs`` participants have
+    reached it in their CLOG (PREPARED or COMMITTED)."""
+    want = {TxnState.PREPARING: "prepared", TxnState.COMMITTING: "committed"}[state]
+
+    def predicate(migration, cluster, _entered_at):
+        tm = migration._tm_txn
+        if tm is None or tm.state is not state:
+            return False
+        legs = sum(
+            cluster.nodes[p.node_id].clog.status(p.xid).value == want
+            for p in tm.participants.values()
+        )
+        return legs >= settled_legs
+
+    return predicate
+
+
+def _validated_source_committing(migration, cluster, _entered_at):
+    """A source transaction has a validated (prepared) shadow and is
+    already committing: its decision is in flight when the crash lands."""
+    validated = migration.propagation._validated
+    for txn in cluster.snapshot_active_txns():
+        participant = txn.participant(migration.source)
+        if (
+            txn.state is TxnState.COMMITTING
+            and participant is not None
+            and participant.xid in validated
+        ):
+            return True
+    return False
+
+
+#: cell -> (phase open at the crash, crash point, T_m committed by then).
+_CRASH_POINTS = {
+    "snapshot_copy@entry": ("snapshot_copy", _after_entry(1), False),
+    "snapshot_copy@0.05s": (
+        "snapshot_copy", _when(lambda m, c, t0: c.sim.now >= t0 + 0.05), False,
+    ),
+    "snapshot_copy@0.15s": (
+        "snapshot_copy", _when(lambda m, c, t0: c.sim.now >= t0 + 0.15), False,
+    ),
+    "async_propagation@entry": ("async_propagation", _after_entry(1), False),
+    "async_propagation@replaying": (
+        "async_propagation", _when(lambda m, c, t0: m.stats.records_applied > 0), False,
+    ),
+    "mode_change@barrier_set": ("mode_change", _after_entry(1), False),
+    "dual_execution@announce": ("dual_execution", _after_entry(1), False),
+    "tm_preparing@first": (
+        "dual_execution", _when(_tm_in(TxnState.PREPARING, 0)), False,
+    ),
+    "tm_preparing@leg_prepared": (
+        "dual_execution", _when(_tm_in(TxnState.PREPARING, 1)), False,
+    ),
+    "tm_committing@first": (
+        "dual_execution", _when(_tm_in(TxnState.COMMITTING, 0)), True,
+    ),
+    "tm_committing@leg_committed": (
+        "dual_execution", _when(_tm_in(TxnState.COMMITTING, 1)), True,
+    ),
+    "dual_execution@tm_committed": (
+        "dual_execution", _when(lambda m, c, t0: m.stats.tm_commit_ts is not None), True,
+    ),
+    "dual_execution@source_deciding": (
+        "dual_execution", _when(_validated_source_committing), True,
+    ),
+}
+
+
+def _writers(cluster, keys, last, state, count=3, kind="writer"):
+    """Live writers on the migrating shard, one per node. Each holds its
+    transaction open for a while so that some straddle every phase
+    boundary; a ``"reader"`` reads its key and holds before it writes it
+    too, so that one begun before T_m may write after it. ``last[key]`` is
+    the (commit ts, value) of the latest committed write."""
+    for i in range(count):
+        session = cluster.session(cluster.node_ids()[i % len(cluster.node_ids())])
+        rng = cluster.sim.rng("matrix-{}-{}".format(kind, i))
+
+        def loop(i=i, session=session, rng=rng):
+            seq = 0
+            while state["running"]:
+                seq += 1
+                key = keys[rng.randint(0, len(keys) - 1)]
+                value = {"f0": "{}{}-{}".format(kind[0], i, seq)}
+                txn = yield from session.begin(label=kind)
+                try:
+                    if kind == "reader":
+                        yield from session.read(txn, "ycsb", key)
+                        yield rng.random() * 0.03
+                    yield from session.update(txn, "ycsb", key, value)
+                    yield rng.random() * 0.03
+                    commit_ts = yield from session.commit(txn)
+                except TransactionError:
+                    if not txn.finished:
+                        yield from session.abort(txn)
+                    yield 0.002
+                    continue
+                if key not in last or last[key][0] < commit_ts:
+                    last[key] = (commit_ts, value)
+                yield 0.001
+
+        cluster.spawn(loop(), name="matrix-{}-{}".format(kind, i))
+
+
+def _assert_last_writes_kept(cluster, shard, last, cell):
+    """Every key the writers wrote holds its last committed write on the
+    shard's final owner."""
+    heap = cluster.nodes[cluster.shard_owner(shard)].heap_for(shard)
+    assert last, "the writers committed nothing"
+    lost = {
+        key: (value, heap.committed_version(key).value)
+        for key, (_ts, value) in last.items()
+        if heap.committed_version(key).value != value
+    }
+    assert not lost, "{}: last committed writes lost: {}".format(cell, lost)
+
+
+def _crash_and_recover(cell):
+    """Run one matrix cell: crash a Remus migration under live writers at
+    the cell's point, tear it down and recover in the same instant. The
+    writers stop at the crash (their in-flight transactions finish), so
+    no later write can paper over a lost one. Returns the outcome."""
+    from repro.storage.clog import TxnStatus
+
+    phase, (kind, how), tm_committed = _CRASH_POINTS[cell]
+    cluster, _workload = build()
+    shard = cluster.shards_on_node("node-1", table="ycsb")[0]
+    keys = sorted(cluster.nodes["node-1"].heap_for(shard).keys())
+    last, state = {}, {"running": True}
+    _writers(cluster, keys, last, state)
+    cluster.run(until=0.1)
+    migration = RemusMigration(cluster, [shard], "node-1", "node-2")
+    proc = cluster.spawn(migration.run(), name="migration")
+    entered = {}
+
+    def on_phase(name):
+        entered[name] = cluster.sim.now
+        if kind == "entry" and name == phase:
+            send_after(how)
+
+    def send_after(hops):
+        if hops:
+            cluster.sim.schedule(0.0, send_after, hops - 1)
+        else:
+            proc.interrupt("crash")
+
+    migration.stats.on_phase = on_phase
+    if kind == "when":
+        while not proc.finished:
+            start, end = migration.stats.phase_times.get(phase, (None, 0))
+            if end is None and how(migration, cluster, start):
+                proc.interrupt("crash")
+                break
+            cluster.sim.step()
+    while not proc.finished:
+        cluster.sim.step()
+    assert migration.stats.phase_times[phase][1] is None, "crashed outside " + phase
+    assert (migration.stats.tm_commit_ts is not None or (
+        migration._tm_txn is not None and migration._tm_txn.commit_ts is not None
+    )) is tm_committed
+    state["running"] = False
+    residual = crash_migration(migration)
+    recovery = cluster.spawn(recover_migration(cluster, migration, residual))
+    cluster.run(until=cluster.sim.now + 30.0)
+    assert recovery.finished
+    outcome = recovery.result()
+    assert outcome == ("completed" if tm_committed else "rolled_back")
+
+    assert cluster.shard_owner(shard) == ("node-2" if tm_committed else "node-1")
+    _assert_last_writes_kept(cluster, shard, last, cell)
+    prepared = [
+        (node_id, xid)
+        for node_id, node in cluster.nodes.items()
+        for xid, status in node.clog.statuses()
+        if status is TxnStatus.PREPARED
+    ]
+    assert not prepared, prepared
+    assert not [t for t in cluster.snapshot_active_txns() if t.is_shadow]
+    assert not [
+        (p.name, e) for p, e in cluster.sim.failed_processes if p is not proc
+    ]
+    return outcome
+
+
+@pytest.mark.parametrize("cell", sorted(_CRASH_POINTS))
+def test_crash_point_matrix(cell):
+    """A Remus migration crashed at any of 13 points spread over every
+    phase — snapshot copy, async propagation, mode change, T_m prepare, T_m
+    commit and dual execution — and recovered at once: every key on its
+    final owner holds its last committed write, no CLOG entry is left
+    PREPARED and no shadow transaction active."""
+    _crash_and_recover(cell)
+
+
+def test_crash_point_matrix_catches_a_presumed_source_outcome(monkeypatch):
+    """The matrix is sharp: with recovery presuming a still-PREPARED
+    source aborted (not waiting for its decision) a shadow is rolled back
+    while its source commits, and the cells where a decision is in flight
+    lose that write."""
+    from repro.migration import recovery
+    from repro.storage.clog import TxnStatus
+
+    def presumed_outcome(source_node, source_xid):
+        clog = source_node.clog
+        if clog.status(source_xid) is TxnStatus.COMMITTED:
+            return clog.commit_ts(source_xid)
+        return None
+        yield  # pragma: no cover - a generator like the real one
+
+    monkeypatch.setattr(recovery, "_source_outcome", presumed_outcome)
+    with pytest.raises(AssertionError, match="last committed writes lost"):
+        _crash_and_recover("dual_execution@source_deciding")
+
+
+# ----------------------------------------------------------------------
+# The baselines crash too: their access hooks fence the source until
+# recovery is done, then go
+# ----------------------------------------------------------------------
+def _crash_baseline(approach, phase, crash_when, **kwargs):
+    """Crash a baseline migration under the matrix's writers and readers
+    once ``phase`` is running and ``crash_when(migration)`` holds, tear it
+    down and recover at once. A reader writes late in its transaction, so
+    some begun before T_m write the source copy while recovery runs. Both
+    stop when recovery is done; then every key must hold its last committed
+    write on its final owner, and no access hook may remain. Returns
+    (outcome, commits of fresh writers on the shard in the 2 s after)."""
+    from repro.migration import APPROACHES
+
+    cluster, workload = build()
+    if approach == "squall":
+        cluster.cc_mode = "shard_lock"
+    shard = cluster.shards_on_node("node-1", table="ycsb")[0]
+    keys = sorted(cluster.nodes["node-1"].heap_for(shard).keys())
+    last, writing = {}, {"running": True}
+    _writers(cluster, keys, last, writing)
+    _writers(cluster, keys, last, writing, kind="reader")
+    cluster.run(until=0.5)
+    migration = APPROACHES[approach](cluster, [shard], "node-1", "node-2", **kwargs)
+    proc = cluster.spawn(migration.run(), name="migration")
+    while not proc.finished:
+        _start, end = migration.stats.phase_times.get(phase, (None, 0))
+        if end is None and crash_when(migration):
+            proc.interrupt("crash")
+            break
+        cluster.sim.step()
+    while not proc.finished:
+        cluster.sim.step()
+    assert migration.stats.phase_times[phase][1] is None, "crashed outside " + phase
+    residual = crash_migration(migration)
+    recovery = cluster.spawn(recover_migration(cluster, migration, residual))
+    deadline = cluster.sim.now + 30.0
+    while not recovery.finished and cluster.sim.now < deadline:
+        cluster.sim.step()
+    assert recovery.finished
+    writing["running"] = False
+    cluster.run(until=cluster.sim.now + 1.0)
+    outcome = recovery.result()
+    assert not cluster._access_hooks
+    _assert_last_writes_kept(cluster, shard, last, "{}[{}]".format(approach, phase))
+    committed = len(cluster.metrics.commits)
+    again = {"running": True}
+    _writers(cluster, keys, {}, again)
+    cluster.run(until=cluster.sim.now + 2.0)
+    committed = len(cluster.metrics.commits) - committed
+    again["running"] = False
+    cluster.run(until=cluster.sim.now + 1.0)
+    assert len(cluster.dump_table("ycsb")) == workload.config.num_tuples
+    assert not [(p.name, e) for p, e in cluster.sim.failed_processes if p is not proc]
+    return outcome, committed
+
+
+def _writers_blocked(migration):
+    gate = migration.access_hook
+    return gate is not None and gate.blocked > 0
+
+
+def _tm_committed(migration):
+    return migration.stats.tm_commit_ts is not None
+
+
+@pytest.mark.parametrize(
+    "crash_when,expected",
+    [(_writers_blocked, "rolled_back"), (_tm_committed, "completed")],
+    ids=["writers_blocked", "tm_committed"],
+)
+def test_lock_and_abort_crash_in_transfer_releases_blocked_writers(crash_when, expected):
+    """A lock-and-abort migration crashed in its ownership transfer: while
+    writers are blocked on its write gate (T_m not yet run), or once T_m
+    has committed and the cache refresh is still on its way. The gate opens
+    (blocked writers abort and retry) but stays installed until recovery
+    is done, so no pre-T_m writer commits on the source copy recovery
+    drops; then it goes, and writers commit again."""
+    outcome, committed = _crash_baseline(
+        "lock_and_abort", "ownership_transfer", crash_when
+    )
+    assert outcome == expected
+    assert committed > 0
+
+
+#: cell -> (phase open at the crash, crash point, recovery outcome).
+_SQUALL_CRASHES = {
+    "reconfig": ("reconfig", lambda m: m._tm_txn is not None, "rolled_back"),
+    "pulls@entry": ("pulls", lambda m: True, "completed"),
+    "pulls@chunk_pulled": ("pulls", lambda m: m.stats.chunks_pulled > 0, "completed"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_SQUALL_CRASHES))
+def test_squall_crash_removes_its_tracker_hook(cell):
+    """A Squall migration crashed while it flips ownership (T_m in flight),
+    as its pulls begin, or once it has pulled a chunk: the teardown stops
+    the background pullers; the tracking-table hook keeps pulling for
+    destination transactions and aborting pre-T_m ones on moved chunks
+    until recovery has rolled back or completed the move, then goes, and
+    writers commit again."""
+    phase, crash_when, expected = _SQUALL_CRASHES[cell]
+    outcome, committed = _crash_baseline("squall", phase, crash_when, chunk_bytes=4096)
+    assert outcome == expected
+    assert committed > 0
+
+
+def test_baseline_crash_check_catches_a_hook_removed_at_the_crash(monkeypatch):
+    """The baseline check is sharp: with the crash teardown removing the
+    write gate at once, a pre-T_m transaction writes the source copy while
+    recovery waits it out, and that write is lost with the source copy."""
+    import sys
+
+    real_crash = crash_migration
+
+    def crash_and_unhook(migration):
+        residual = real_crash(migration)
+        migration.lift_fences()
+        return residual
+
+    monkeypatch.setattr(sys.modules[__name__], "crash_migration", crash_and_unhook)
+    with pytest.raises(AssertionError, match="last committed writes lost"):
+        _crash_baseline("lock_and_abort", "ownership_transfer", _tm_committed)

@@ -176,7 +176,7 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
             self.results.append((xid, ok))
 
     mocc = MoccStub()
-    prop.enable_sync(mocc)
+    prop.mocc = mocc  # synchronous mode, as MoccCoordinator.install() sets it
     prop.start()
 
     # A destination transaction commits key `key` at ts=100, after the
@@ -238,7 +238,7 @@ def test_ww_conflict_interrupt_mid_abort_releases_slot(cluster):
     assert [type(exc) for _proc, exc in failures] == [Interrupt]
     assert failures[0][0].name == "shadow-validate"
     cluster.sim.failed_processes.clear()
-    prop.stop(kill_tasks=True)
+    prop.crash()
 
 
 def test_applied_watermark_waits_for_a_consumed_commit_to_be_handled():
@@ -313,10 +313,8 @@ def test_prepare_consumed_but_not_yet_handled_waits_for_its_validation():
     prop = Propagation(
         cluster, [shard], "node-1", "node-2", 0, from_lsn=source.wal.tail_lsn, stats=stats
     )
-    mocc = MoccCoordinator(cluster, [shard], stats, propagation=prop)
-    mocc.active = True
-    prop.enable_sync(mocc)
-    source.manager.add_commit_hook(mocc)
+    mocc = MoccCoordinator(cluster, [shard], stats, prop)
+    mocc.install()
     prop.start()
 
     seen = {}
@@ -485,7 +483,7 @@ def _granted_not_yet_run(prop, entries):
     [_park_behind_gate, _park_behind_predecessor, _park_on_slot_queue, _granted_not_yet_run],
 )
 def test_crash_sweep_clears_an_entry_in_every_pre_grant_state(state):
-    """``stop(kill_tasks=True)`` with the last committed transaction's entry
+    """``crash()`` with the last committed transaction's entry
     parked behind the apply gate, behind an unfinished predecessor, queued
     on the slot ``Resource``, or granted a slot in this instant but not yet
     run: afterwards no slot is held or queued, no record is counted,
@@ -524,7 +522,7 @@ def test_crash_sweep_clears_an_entry_in_every_pre_grant_state(state):
     while not reached():
         assert cluster.sim.now < 1.0 and cluster.sim.step()
     assert type(entries[-1]) is _Replay and entries[-1].process is None
-    prop.stop(kill_tasks=True)
+    prop.crash()
     cluster.run(until=cluster.sim.now + 1.0)
 
     assert prop._slots.in_use == 0 and prop._slots.queued == 0

@@ -14,7 +14,7 @@ from repro.cluster.shard import ShardId
 from repro.config import ClusterConfig
 from repro.faults import Fault, FaultPlan, InvariantChecker
 from repro.faults.plan import PHASES
-from repro.migration import RemusMigration, WaitAndRemasterMigration
+from repro.migration import APPROACHES, RemusMigration, WaitAndRemasterMigration
 from repro.profiling import COUNTERS
 from repro.sim import SeedSequence
 from repro.workloads.client import run_transaction
@@ -186,24 +186,42 @@ def test_no_lost_updates_across_election():
 # ----------------------------------------------------------------------
 # Migration of a replicated shard
 # ----------------------------------------------------------------------
-def test_remus_rehomes_group_onto_nonmember_dest():
-    cluster = build()
+def _migrate_replicated_shard(cluster, approach, member_dest, until=20.0):
+    """Move the first replicated shard on node-1 to a member of its group
+    (``member_dest``) or to the lowest non-member node, under the counter
+    clients, with ``approach``; returns (group, destination, migration,
+    client state) once the clients have stopped and the group settled."""
+    if approach == "squall":
+        cluster.cc_mode = "shard_lock"
     state = {"running": True, "committed": 0}
     run_clients(cluster, state)
     cluster.run(until=0.3)
     shard_id = cluster.shards_on_node("node-1", table=TABLE)[0]
     group = cluster.replication.group_for(shard_id)
     members = {r.node_id for r in group.replicas}
-    dest = min(n for n in cluster.node_ids() if n not in members)
-    migration = RemusMigration(cluster, [shard_id], "node-1", dest)
+    if member_dest:
+        dest = min(n for n in members if n != group.leader_node_id)
+    else:
+        dest = min(n for n in cluster.node_ids() if n not in members)
+    migration = APPROACHES[approach](cluster, [shard_id], "node-1", dest)
     proc = cluster.spawn(migration.run(), name="migration")
-    cluster.run(until=20.0)
+    cluster.run(until=until)
     assert proc.finished
     proc.result()
     state["running"] = False
     cluster.run(until=cluster.sim.now + 1.5)
+    return group, dest, migration, state
+
+
+@pytest.mark.parametrize("approach", sorted(APPROACHES))
+def test_migration_rehomes_group_onto_nonmember_dest(approach):
+    """Every approach ends through the one ending, which hands a replicated
+    shard's group to the destination: owner, leader and epoch agree, and
+    the group converges with no committed increment lost."""
+    cluster = build()
+    group, dest, migration, state = _migrate_replicated_shard(cluster, approach, False)
     # Epoch-bumped handover: the destination joined the group and leads it.
-    assert cluster.shard_owner(shard_id) == dest
+    assert cluster.shard_owner(group.shard_id) == dest
     assert group.leader_node_id == dest
     assert group.epoch == 2
     assert group.replica_on(dest) is not None
@@ -214,10 +232,12 @@ def test_remus_rehomes_group_onto_nonmember_dest():
     assert not cluster.sim.failed_processes
 
 
-def test_rehomed_pump_reads_the_held_dest_wal_across_recycles():
+@pytest.mark.parametrize("approach", sorted(APPROACHES))
+def test_rehomed_pump_reads_the_held_dest_wal_across_recycles(approach):
     """The destination recycles its WAL on every vacuum pass while the
     migration runs; the migration's hold at ``_dest_wal_floor`` keeps every
-    record the post-handover pump starts from, and goes with the handover."""
+    record the post-handover pump starts from, and goes with the handover —
+    inline, or in a detached ending (lock-and-abort, Squall)."""
     COUNTERS.reset()
     cluster = Cluster(ClusterConfig(num_nodes=4, seed=0, vacuum_interval=0.002))
     cluster.create_table(TABLE, num_shards=NUM_SHARDS, tuple_size=64)
@@ -226,39 +246,51 @@ def test_rehomed_pump_reads_the_held_dest_wal_across_recycles():
     cluster.bulk_load(TABLE, [(k, {"n": 0}) for k in range(3000)])
     cluster.enable_replication(TABLE, n_followers=2)
     cluster.start_vacuum_daemons()
-    state = {"running": True, "committed": 0}
-    run_clients(cluster, state)
-    cluster.run(until=0.3)
     shard_id = cluster.shards_on_node("node-1", table=TABLE)[0]
     group = cluster.replication.group_for(shard_id)
     members = {r.node_id for r in group.replicas}
-    dest = min(n for n in cluster.node_ids() if n not in members)
-    dest_wal = cluster.nodes[dest].wal
-    migration = RemusMigration(cluster, [shard_id], "node-1", dest)
-    assert dest_wal._holds == {migration: migration._dest_wal_floor}
-    held_recycles = []
+    dest_wal = cluster.nodes[min(n for n in cluster.node_ids() if n not in members)].wal
+    held_recycles, holds = [], set()
     recycle = dest_wal.recycle
 
     def recording_recycle(floor):
-        if migration in dest_wal._holds:
+        if dest_wal._holds:  # only the migration holds this WAL
             held_recycles.append(floor)
+            holds.update(dest_wal._holds.items())
         dropped = recycle(floor)
-        assert dest_wal._base_lsn <= migration._dest_wal_floor or not dest_wal._holds
+        assert all(dest_wal._base_lsn <= held for held in dest_wal._holds.values())
         return dropped
 
     dest_wal.recycle = recording_recycle
-    proc = cluster.spawn(migration.run(), name="migration")
-    cluster.run(until=1.0)
-    assert proc.finished
-    proc.result()
-    state["running"] = False
-    cluster.run(until=cluster.sim.now + 1.5)
+    group, dest, migration, state = _migrate_replicated_shard(
+        cluster, approach, False, until=1.0
+    )
+    assert dest_wal is cluster.nodes[dest].wal
     assert group.leader_node_id == dest and group.epoch == 2
     assert not dest_wal._holds
+    # The migration held the WAL at its floor, and nothing else held it.
+    assert holds == {(migration, migration._dest_wal_floor)}
     # Some pass ran while the destination's WAL held records above the
     # floor that nothing else needed, and recycling went past it afterwards.
     assert max(held_recycles) > migration._dest_wal_floor
     assert dest_wal._base_lsn > migration._dest_wal_floor
+    assert_group_converged(group)
+    total = sum(row["n"] for row in cluster.dump_table(TABLE).values())
+    assert total == state["committed"]
+    assert not cluster.sim.failed_processes
+
+
+@pytest.mark.parametrize("approach", ["squall", "stop_and_copy"])
+def test_member_dest_remasters_for_every_approach(approach):
+    """The pull and stop-and-copy approaches take the pure remaster path
+    onto a member destination too: nothing is copied or pulled into the
+    follower's heap, and the group converges under its new leader."""
+    cluster = build()
+    group, dest, migration, state = _migrate_replicated_shard(cluster, approach, True)
+    assert migration.stats.bytes_copied == 0
+    assert cluster.shard_owner(group.shard_id) == dest
+    assert group.leader_node_id == dest
+    assert group.epoch == 2
     assert_group_converged(group)
     total = sum(row["n"] for row in cluster.dump_table(TABLE).values())
     assert total == state["committed"]
