@@ -59,7 +59,8 @@ class Session:
         Returns the commit timestamp. Raises (and aborts the transaction) on
         MOCC validation failure or any participant error.
         """
-        txn.check_doomed()
+        if txn.doomed is not None:
+            txn.check_doomed()
         if txn.state is not TxnState.ACTIVE:
             raise TransactionError("commit in state {}".format(txn.state), txn_id=txn.tid)
         writers = [p for p in txn.participants.values() if p.writes]
@@ -236,7 +237,8 @@ class Session:
         return all_keys
 
     def _execute(self, txn, table, key, op, value=None):
-        txn.check_doomed()
+        if txn.doomed is not None:
+            txn.check_doomed()
         cluster = self.cluster
         node = self.node
         schema = cluster.tables[table]
@@ -247,7 +249,12 @@ class Session:
         # waking the process in between (not use_run, which would hold the
         # slot across both and starve a charge queued between them).
         yield node.cpu.use(CLIENT_OVERHEAD, then=CPU_ROUTE)
-        owner = self._cached_owner(txn, shard_id)
+        cache = node.shardmap_cache  # as in _route
+        owner = None
+        if shard_id not in cache.read_through:
+            owner, cached_cts = cache.entries[shard_id]
+            if cached_cts > txn.start_ts:
+                owner = None
         if owner is None:
             owner = yield from self._read_owner(txn, shard_id)
         if cluster.replication.groups:
@@ -293,36 +300,30 @@ class Session:
     def _route(self, txn, shard_id):
         """Generator: resolve the owning node for ``shard_id`` (§3.5.1).
 
-        Fast path: the private cache (:meth:`_cached_owner`). Slow path
-        (:meth:`_read_owner`): an MVCC read of the shard map table under the
-        transaction's snapshot, inheriting prepare-wait on an in-flight T_m.
+        Fast path: the private cache. Slow path (:meth:`_read_owner`): an
+        MVCC read of the shard map table under the transaction's snapshot,
+        inheriting prepare-wait on an in-flight T_m — taken when (a) the
+        shard is in cache-read-through state, the window around T_m's
+        execution, or (b) the cached entry is *newer* than this
+        transaction's snapshot: the shard moved after the transaction
+        started, and it must keep seeing the pre-migration owner.
         """
         yield self.node.cpu.use(CPU_ROUTE)
-        owner = self._cached_owner(txn, shard_id)
+        cache = self.node.shardmap_cache
+        owner = None
+        if shard_id not in cache.read_through:
+            owner, cached_cts = cache.entries[shard_id]
+            if cached_cts > txn.start_ts:
+                owner = None
         if owner is None:
             owner = yield from self._read_owner(txn, shard_id)
-        return owner
-
-    def _cached_owner(self, txn, shard_id):
-        """The owner from the private cache, or ``None`` when the shard map
-        table must be read: either (a) the shard is in cache-read-through
-        state — the window around T_m's execution — or (b) the cached entry
-        is *newer* than this transaction's snapshot, i.e. the shard moved
-        after the transaction started and it must keep seeing the
-        pre-migration owner."""
-        cache = self.node.shardmap_cache
-        if cache.is_read_through(shard_id):
-            return None
-        owner, cached_cts = cache.entry(shard_id)
-        if cached_cts > txn.start_ts:
-            return None
         return owner
 
     def _read_owner(self, txn, shard_id):
         """Generator: the owner visible to ``txn`` in the shard map table."""
         node = self.node
         cache = node.shardmap_cache
-        read_through = cache.is_read_through(shard_id)
+        read_through = shard_id in cache.read_through
         if read_through:
             cache.read_through_lookups += 1
         yield node.cpu.use(CPU_SHARDMAP_READ)

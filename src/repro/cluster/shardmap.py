@@ -25,50 +25,45 @@ SHARDMAP_SHARD = ShardId("__shardmap__", 0)
 
 
 class ShardMapCache:
-    """Ordered private routing cache for one coordinator node."""
+    """Ordered private routing cache for one coordinator node (session
+    routing reads ``entries`` and ``read_through`` in place)."""
 
     def __init__(self, node_id):
         self.node_id = node_id
-        self._entries = {}  # shard_id -> (owner_node_id, version_cts)
-        self._read_through = set()
+        self.entries = {}  # shard_id -> (owner_node_id, version_cts)
+        self.read_through = set()
         self.read_through_lookups = 0
-        self.cache_lookups = 0
 
     def install(self, shard_id, owner, cts=RESERVED_MIN_TS):
-        self._entries[shard_id] = (owner, cts)
+        self.entries[shard_id] = (owner, cts)
 
     def lookup(self, shard_id):
-        self.cache_lookups += 1
-        entry = self._entries.get(shard_id)
-        if entry is None:
-            raise KeyError("shard {!r} not in cache on {}".format(shard_id, self.node_id))
-        return entry[0]
+        return self.entry(shard_id)[0]
 
     def entry(self, shard_id):
         """(owner, version_cts) — callers compare the cts against their
         snapshot to detect a cache entry newer than what they may see."""
-        self.cache_lookups += 1
-        entry = self._entries.get(shard_id)
+        entry = self.entries.get(shard_id)
         if entry is None:
             raise KeyError("shard {!r} not in cache on {}".format(shard_id, self.node_id))
         return entry
 
     def maybe_update(self, shard_id, owner, cts):
         """Refresh the entry if ``cts`` is newer than the cached version."""
-        current = self._entries.get(shard_id)
+        current = self.entries.get(shard_id)
         if current is None or cts > current[1]:
-            self._entries[shard_id] = (owner, cts)
+            self.entries[shard_id] = (owner, cts)
             return True
         return False
 
     def is_read_through(self, shard_id):
-        return shard_id in self._read_through
+        return shard_id in self.read_through
 
     def set_read_through(self, shard_ids):
-        self._read_through.update(shard_ids)
+        self.read_through.update(shard_ids)
 
     def clear_read_through(self, shard_ids):
-        self._read_through.difference_update(shard_ids)
+        self.read_through.difference_update(shard_ids)
 
 
 def read_shard_owner(shardmap_heap, clog, shard_id, snapshot):

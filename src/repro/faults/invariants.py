@@ -11,9 +11,9 @@ must survive any combination of faults and recoveries:
   are legal by design: §3.5.1's read-through + T_m commit-timestamp ordering
   makes them safe);
 * **no orphaned PREPARED** — every PREPARED CLOG entry is referenced by a
-  live transaction, a residual shadow awaiting resolution, or gets resolved
-  within a grace period (2PC decisions may legitimately be in flight across
-  a partition);
+  live client transaction, a shadow that a live propagation or a running
+  recovery owns, or gets resolved within a grace period (2PC decisions may
+  legitimately be in flight across a partition);
 * **no lost updates** (snapshot isolation) — checked at the end against a
   counter workload: the committed counter sum must equal the number of
   committed increments (:meth:`final_check`).
@@ -181,18 +181,21 @@ class InvariantChecker:
                     self._suspects.pop(key, None)
 
     def _check_prepared_orphans(self):
-        referenced = set()
-        for txn in self.cluster.active_txns.values():
-            for participant in txn.participants.values():
-                referenced.add((participant.node_id, participant.xid))
-        if self.supervisor is not None:
-            for migration in self.supervisor.plan.migrations:
+        # A shadow stays registered until ended: it counts only while its
+        # uncrashed propagation, or the recovery a crash handed it to, owns it.
+        owners = [txn for txn in self.cluster.active_txns.values() if not txn.is_shadow]
+        supervisor = self.supervisor
+        if supervisor is not None:
+            owners += [shadow for shadow, _entry in supervisor.residue.values()]
+            for migration in supervisor.plan.migrations:
                 propagation = migration.propagation
-                if propagation is None:
-                    continue
-                for shadow, _entry in propagation._validated.values():
-                    for participant in shadow.participants.values():
-                        referenced.add((participant.node_id, participant.xid))
+                if propagation is not None and not propagation.crashed:
+                    owners += propagation._shadows
+        referenced = {
+            (participant.node_id, participant.xid)
+            for txn in owners
+            for participant in txn.participants.values()
+        }
         for node_id, node in self.cluster.nodes.items():
             for xid, status in node.clog.statuses():
                 key = "prepared:{}:{}".format(node_id, xid)
@@ -204,8 +207,8 @@ class InvariantChecker:
                     continue
                 self._suspect(
                     key,
-                    "orphaned PREPARED xid {} on {} (no live transaction "
-                    "references it)".format(xid, node_id),
+                    "orphaned PREPARED xid {} on {} (no live transaction, "
+                    "propagation or recovery references it)".format(xid, node_id),
                 )
 
     def _check_replication(self):

@@ -17,10 +17,6 @@ CATCHUP_POLL = 0.02  # seconds between catch-up checks
 class IscMigration(BaseMigration):
     """Base for push migrations: snapshot copy + async propagation."""
 
-    def __init__(self, cluster, shard_ids, source, dest, **kwargs):
-        super().__init__(cluster, shard_ids, source, dest, **kwargs)
-        self.snapshot_ts = None
-
     def run(self):
         # STAR-style asymmetric path: shards whose replication group
         # already has a member on the destination are handed over with a
@@ -36,7 +32,6 @@ class IscMigration(BaseMigration):
         stats = self.stats
         stats.phase_start(self.sim, "snapshot_copy")
         snapshot_ts = yield from self.cluster.oracle.start_timestamp(self.source)
-        self.snapshot_ts = snapshot_ts
         # Pin vacuum so the snapshot's versions survive the scan (§4.8).
         self.cluster.add_vacuum_hold(snapshot_ts)
         # The propagation stream must cover every change of transactions that

@@ -20,7 +20,6 @@ class MoccCoordinator:
     """Source-side MOCC state: validation result events + sync-wait stats."""
 
     def __init__(self, cluster, shard_ids, stats, propagation):
-        self.cluster = cluster
         self.sim = cluster.sim
         self.shard_set = set(shard_ids)
         self.stats = stats

@@ -33,13 +33,12 @@ DEFAULT_CHUNK_BYTES = 8 << 20  # 8 MB, as suggested in the Squall paper
 class _ChunkTracker:
     """Migration-status tracking table for one shard's chunks."""
 
-    def __init__(self, sim, shard_id, hash_range, num_chunks):
+    def __init__(self, shard_id, hash_range, num_chunks):
         self.shard_id = shard_id
         self.hash_range = hash_range
         self.num_chunks = max(1, num_chunks)
         self.state = ["source"] * self.num_chunks  # "source"|"pulling"|"done"
         self.events = [None] * self.num_chunks
-        self.sim = sim
 
     def chunk_of(self, key):
         offset = consistent_hash(key) - self.hash_range.lo
@@ -80,9 +79,7 @@ class SquallMigration(BaseMigration):
                 cluster.nodes[source].heap_for(shard_id).key_count * schema.tuple_size
             )
             num_chunks = max(1, round(shard_bytes / chunk_bytes))
-            self.trackers[shard_id] = _ChunkTracker(
-                self.sim, shard_id, hash_range, num_chunks
-            )
+            self.trackers[shard_id] = _ChunkTracker(shard_id, hash_range, num_chunks)
 
     # ------------------------------------------------------------------
     def run(self):

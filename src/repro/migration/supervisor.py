@@ -47,6 +47,7 @@ class MigrationSupervisor:
         self.plan = plan
         self.current = None  # in-flight migration, for the nemesis
         self.current_proc = None
+        self.residue = {}  # the prepared shadows a running recovery resolves
         self.events = []  # (time, description) recovery timeline
         self._phase_waiters = {}  # phase name -> [Event]
 
@@ -124,11 +125,7 @@ class MigrationSupervisor:
             self.plan.stats.merge(migration.stats)
             self.cluster.metrics.mark("batch_end")
             if outcome in ("ok", "completed"):
-                if all(
-                    self.cluster.shard_owner(s) == dest for s in shard_ids
-                ):
-                    return
-                continue  # shards scattered by an election: move the rest
+                continue  # done, or shards scattered by an election: move the rest
             attempt += 1
             if attempt > MAX_RETRIES:
                 self.plan.stats.batches_skipped += 1
@@ -181,8 +178,9 @@ class MigrationSupervisor:
         # learns every in-flight decision, it never waits for one to settle.
         self._note("migration crashed: {}".format(cause))
         self.cluster.metrics.mark("migration_crash")
-        residual = crash_migration(migration)
-        outcome = yield from recover_migration(self.cluster, migration, residual)
+        self.residue = crash_migration(migration)
+        outcome = yield from recover_migration(self.cluster, migration, self.residue)
+        self.residue = {}
         migration.stats.crash_recoveries += 1
         self.cluster.metrics.mark("migration_recovered:{}".format(outcome))
         self._note("recovered as {!r}".format(outcome))

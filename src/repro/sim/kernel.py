@@ -35,7 +35,6 @@ from repro.sim.rng import RngStream, SeedSequence
 ScheduledCall = list
 
 _TIME = 0
-_SEQ = 1
 _CALLBACK = 2
 _ARGS = 3
 
@@ -182,25 +181,24 @@ class Simulator:
         pop = heapq.heappop
         if until is None:
             while heap:
-                entry = pop(heap)
-                callback = entry[_CALLBACK]
+                time, _seq, callback, args = pop(heap)
                 if callback is None:
                     self._cancelled -= 1
                     continue
-                self.now = entry[_TIME]
-                callback(*entry[_ARGS])
+                self.now = time
+                callback(*args)
             return self.now
         while heap:
-            entry = heap[0]
-            if entry[_CALLBACK] is None:
+            time, _seq, callback, args = heap[0]
+            if callback is None:
                 pop(heap)
                 self._cancelled -= 1
                 continue
-            if entry[_TIME] > until:
+            if time > until:
                 break
             pop(heap)
-            self.now = entry[_TIME]
-            entry[_CALLBACK](*entry[_ARGS])
+            self.now = time
+            callback(*args)
         if until > self.now:
             self.now = until
         return self.now

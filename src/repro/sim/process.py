@@ -145,6 +145,11 @@ class Process:
         self._detach_wait()
         self.sim.schedule(0.0, self._resume_interrupt)
 
+    def withdraw_interrupt(self, cause):
+        """Drop the pending interrupt of ``cause``, met by other means."""
+        if self._interrupt_pending is not None and self._interrupt_pending.cause is cause:
+            self._interrupt_pending = None
+
     def _resume_interrupt(self):
         exc, self._interrupt_pending = self._interrupt_pending, None
         if exc is None or self.finished:

@@ -107,7 +107,21 @@ class CpuResource:
         if duration < 0 or (then is not None and then < 0):
             raise SimulationError("negative CPU duration")
         charge = Charge(then)
-        self._start(duration, charge)
+        if self._free <= 0:  # a slot is free only while nothing is queued
+            self._queue.append((duration, charge))
+            return charge
+        self._free -= 1
+        sim = self.sim
+        now = sim.now
+        # A charge inside one bin: the one addition the per-bin loop makes.
+        index = int(now / self.bin_width)
+        if duration > (index + 1) * self.bin_width - now:
+            self._account(now, duration)
+        else:
+            self.total_busy_time += duration
+            if duration > 1e-12:
+                self._busy_bins[index] = self._busy_bins.get(index, 0.0) + duration
+        sim.schedule(duration, self._complete, charge)
         return charge
 
     def use_run(self, unit, count, tag=None):
@@ -136,10 +150,8 @@ class CpuResource:
         return charge
 
     def _start(self, duration, charge):
-        """Grant ``charge`` a slot for ``duration`` now, or queue it."""
+        """Grant a chain's second leg a slot now, or queue it."""
         if self._free > 0:
-            # A slot is free only while nothing is queued (or _complete is
-            # handing it to the head of the queue): grant it now.
             self._free -= 1
             sim = self.sim
             self._account(sim.now, duration)
@@ -156,7 +168,9 @@ class CpuResource:
         The wakeup's sequence number is claimed *before* the hand-off (as
         ``succeed`` before the hand-off always did) and the continuation
         runs *after* it: a waiter resumed earlier would find this slot
-        still busy and queue where the heap order grants.
+        still busy and queue where the heap order grants. A chain's second
+        leg taking the tail slot joins the queue before the hand-off, which
+        grants it this slot only if nothing else waits.
         """
         sim = self.sim
         process = charge.process
@@ -171,17 +185,25 @@ class CpuResource:
                 sim.schedule(0.0, process._resume, None, None)
         else:
             charge.then = None
-            inline = sim.take_tail_slot()
-            if not inline:
-                sim.schedule(0.0, self._start, then, charge)
-        self._free += 1
-        if self._queue:  # the oldest queued charge takes the slot at once
-            self._start(*self._queue.popleft())
-        if inline:
-            if then is None:
-                process._resume(None, None)
+            if sim.take_tail_slot():
+                self._queue.append((then, charge))
             else:
-                self._start(then, charge)
+                sim.schedule(0.0, self._start, then, charge)
+        if self._queue:  # the oldest queued charge takes the slot at once
+            duration, waiting = self._queue.popleft()
+            now = sim.now
+            index = int(now / self.bin_width)  # as in use()
+            if duration > (index + 1) * self.bin_width - now:
+                self._account(now, duration)
+            else:
+                self.total_busy_time += duration
+                if duration > 1e-12:
+                    self._busy_bins[index] = self._busy_bins.get(index, 0.0) + duration
+            sim.schedule(duration, self._complete, waiting)
+        else:
+            self._free += 1
+        if inline:
+            process._resume(None, None)
 
     def _account(self, start, duration):
         """Spread ``duration`` of one slot's busy time across time bins."""

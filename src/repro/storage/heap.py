@@ -16,13 +16,13 @@ bulk loads and every migration install) is mapped to its bare value, not to
 a version. It stands for one version created by ``BOOTSTRAP_XID`` at
 ``RESERVED_MIN_TS`` and never deleted, so it is visible to every snapshot,
 its chain length is 1 and a read traverses one version: the read paths
-(``read``, ``visible_version``, ``scan_visible_fast``, ``committed_version``,
-``chain_length``) answer it as such without storing anything, handing out a
-transient version where they return one. The row *materializes*, in its own
-dict slot so that key order never moves, only where a caller may change the
-version: ``latest_committed_or_locked`` (writers, replication apply,
-Squall), ``chain`` (vacuum, ``remove_version``, invariant checks) and a
-``put_version`` over it. On the hot paths the frozen test is an inline
+(``frozen_value``, ``visible_version``, ``scan_visible_fast``,
+``committed_version``, ``chain_length``) answer it as such without storing
+anything, handing out a transient version where they return one. The row
+*materializes*, in its own dict slot so that key order never moves, only
+where a caller may change the version: ``latest_committed_or_locked``
+(writers, replication apply, Squall), ``chain`` (vacuum, ``remove_version``,
+invariant checks) and a ``put_version`` over it. On the hot paths the frozen test is an inline
 ``type(head) is TupleVersion``. No code outside this module knows whether a
 row is frozen. Vacuum and ``remove_version`` relink survivors in place
 (``_relink``); an unlinked version keeps its ``older`` link, so a reader
@@ -277,15 +277,18 @@ class HeapTable:
 
     def read(self, key, snapshot):
         """Generator returning (value_or_None, versions_traversed)."""
-        head = self._chains.get(key)
-        if type(head) is not TupleVersion and head is not None:
-            COUNTERS.visibility_checks += 1
-            COUNTERS.visibility_versions += 1
-            return head, 1
         version, traversed = yield from self.visible_version(key, snapshot)
-        if version is None:
-            return None, traversed
-        return version.value, traversed
+        return (None if version is None else version.value), traversed
+
+    def frozen_value(self, key):
+        """A frozen row's value, counted as the one-version visibility check
+        a read of it makes; ``None`` for any other key (read it then)."""
+        head = self._chains.get(key)
+        if type(head) is TupleVersion or head is None:
+            return None
+        COUNTERS.visibility_checks += 1
+        COUNTERS.visibility_versions += 1
+        return head
 
     def latest_committed_or_locked(self, key):
         """Newest version not created by an aborted transaction (or None).

@@ -115,13 +115,6 @@ class NodeTxnManager:
         self._read_snapshot_cache = (self.active_epoch, start_ts, snapshot)
         return snapshot
 
-    def row_locks(self, shard_id) -> RowLockTable:
-        if shard_id not in self._row_locks:
-            self._row_locks[shard_id] = RowLockTable(
-                self.sim, name="{}:{}".format(self.node_id, shard_id)
-            )
-        return self._row_locks[shard_id]
-
     # ------------------------------------------------------------------
     # MVCC operations (generators)
     # ------------------------------------------------------------------
@@ -131,15 +124,20 @@ class NodeTxnManager:
         The CPU charge grows with the row's version-chain length: as in
         PostgreSQL, a reader walks the whole HOT chain of not-yet-vacuumed
         versions, so long-running snapshots that hold vacuum back slow every
-        reader down (the paper's §4.8 effect).
+        reader down (the paper's §4.8 effect). A frozen row is one version
+        long and answered without entering the heap's read generator.
         """
-        txn.check_doomed()
+        if txn.doomed is not None:
+            txn.check_doomed()
         heap = self.heap_for(shard_id)
         yield self.cpu.use(self.costs.cpu_read)
-        value, _traversed = yield from heap.read(key, txn.snapshot_for(self.node_id))
-        chain_extra = heap.chain_length(key) - 1
-        if chain_extra > 0:
-            yield self.cpu.use(self.costs.cpu_per_version * chain_extra)
+        snapshot = txn.snapshot_for(self.node_id)
+        value = heap.frozen_value(key)
+        if value is None:
+            value, _traversed = yield from heap.read(key, snapshot)
+            chain_extra = heap.chain_length(key) - 1
+            if chain_extra > 0:
+                yield self.cpu.use(self.costs.cpu_per_version * chain_extra)
         txn.op_count += 1
         return value
 
@@ -169,75 +167,42 @@ class NodeTxnManager:
         txn.op_count += 1
         return keys
 
+    # The four write statements hand back the one ``_write`` generator: a
+    # wrapping generator per statement would add a frame to every
+    # resumption underneath.
     def update(self, txn: "Transaction", shard_id, key, value, size: int = 0) -> Generator:
         """SI update with first-updater-wins; appends a new version."""
-        participant, latest = yield from self._write_entry(txn, shard_id, key)
-        heap = self.heap_for(shard_id)
-        if latest is None:
-            raise MissingRow(key)
-        visible = yield from self._resolve_write_target(txn, participant, heap, latest)
-        if visible is None:
-            raise MissingRow(key)
-        heap.mark_deleted(visible, participant.xid)
-        heap.put_version(key, value, participant.xid)
-        self._log_change(WalRecordKind.UPDATE, participant, txn, shard_id, key, value, size)
-        yield self.cpu.use(self.costs.cpu_write)
-        return True
+        return self._write(txn, shard_id, key, WalRecordKind.UPDATE, value, size)
 
     def insert(self, txn: "Transaction", shard_id, key, value, size: int = 0) -> Generator:
         """Insert with primary-key uniqueness enforcement."""
-        participant, latest = yield from self._write_entry(txn, shard_id, key)
-        heap = self.heap_for(shard_id)
-        if latest is not None:
-            alive = yield from self._version_alive(participant, latest)
-            if alive:
-                raise UniqueViolation("duplicate key {!r}".format(key), txn_id=txn.tid)
-        heap.put_version(key, value, participant.xid)
-        self._log_change(WalRecordKind.INSERT, participant, txn, shard_id, key, value, size)
-        yield self.cpu.use(self.costs.cpu_write)
-        return True
+        return self._write(txn, shard_id, key, WalRecordKind.INSERT, value, size)
 
     def delete(self, txn: "Transaction", shard_id, key, size: int = 0) -> Generator:
         """SI delete with first-updater-wins."""
-        participant, latest = yield from self._write_entry(txn, shard_id, key)
-        heap = self.heap_for(shard_id)
-        if latest is None:
-            raise MissingRow(key)
-        visible = yield from self._resolve_write_target(txn, participant, heap, latest)
-        if visible is None:
-            raise MissingRow(key)
-        heap.mark_deleted(visible, participant.xid)
-        self._log_change(WalRecordKind.DELETE, participant, txn, shard_id, key, None, size)
-        yield self.cpu.use(self.costs.cpu_write)
-        return True
+        return self._write(txn, shard_id, key, WalRecordKind.DELETE, None, size)
 
     def lock_row(self, txn: "Transaction", shard_id, key, size: int = 0) -> Generator:
-        """Explicit row lock (SELECT ... FOR UPDATE) with WW semantics."""
-        participant, latest = yield from self._write_entry(txn, shard_id, key)
-        heap = self.heap_for(shard_id)
-        if latest is None:
-            raise MissingRow(key)
-        visible = yield from self._resolve_write_target(txn, participant, heap, latest)
-        if visible is None:
-            raise MissingRow(key)
-        self._log_change(WalRecordKind.LOCK, participant, txn, shard_id, key, None, size)
-        return visible.value
+        """Explicit row lock (SELECT ... FOR UPDATE) with WW semantics;
+        returns the locked row's value."""
+        return self._write(txn, shard_id, key, WalRecordKind.LOCK, None, size)
 
-    def _write_entry(self, txn, shard_id, key):
-        """Common entry for write ops: doom check, row lock, newest version."""
-        txn.check_doomed()
-        participant = self.ensure_participant(txn)
-        yield from self._acquire_row_lock(txn, participant, shard_id, key)
-        txn.check_doomed()
-        heap = self.heap_for(shard_id)
-        yield self.cpu.use(self.costs.cpu_write)
-        latest = heap.latest_committed_or_locked(key)
-        txn.op_count += 1
-        return participant, latest
-
-    def _acquire_row_lock(self, txn, participant, shard_id, key):
-        table = self.row_locks(shard_id)
-        if table.try_acquire(key, participant.xid):
+    def _write(self, txn, shard_id, key, kind, value, size):
+        """Generator: one write statement in one frame. It yields, in order:
+        the row lock (the pre-triggered ``sim.ready`` when uncontended, the
+        queued grant otherwise), the entry charge, any prepare-wait of the
+        first-updater-wins conflict check (or, for an insert, of the
+        uniqueness check), then — for all but a row lock — the write charge.
+        """
+        if txn.doomed is not None:
+            txn.check_doomed()
+        participant = txn.participants.get(self.node_id) or self.ensure_participant(txn)
+        xid = participant.xid
+        table = self._row_locks.get(shard_id)
+        if table is None:
+            name = "{}:{}".format(self.node_id, shard_id)
+            table = self._row_locks[shard_id] = RowLockTable(self.sim, name=name)
+        if table.try_acquire(key, xid):
             # Uncontended (or reentrant) grab. Yield the pre-triggered
             # event: the resumption lands at the exact (time, seq) slot the
             # queued path's named event would have produced, so interleaving
@@ -245,86 +210,93 @@ class NodeTxnManager:
             # event-name formatting and queue bookkeeping are skipped.
             COUNTERS.lock_fast_acquires += 1
             yield self.sim.ready
-            participant.row_locks.add((shard_id, key))
-            return
-        COUNTERS.lock_slow_acquires += 1
-        event = table.acquire(key, participant.xid)
-        try:
-            yield event
-        except Interrupt:
-            table.cancel_wait(key, participant.xid)
-            raise
+        else:
+            COUNTERS.lock_slow_acquires += 1
+            event = table.acquire(key, xid)
+            try:
+                yield event
+            except Interrupt:
+                table.cancel_wait(key, xid)
+                raise
         participant.row_locks.add((shard_id, key))
-
-    def _version_alive(self, participant, version):
-        """Generator: is ``version`` still the live row (for uniqueness)?
-
-        Called under the row lock. A version is dead for uniqueness purposes
-        if a committed transaction deleted it.
-        """
-        if version.xmax is None:
-            # Created by self, or committed/prepared insert not yet deleted.
-            if version.xmin == participant.xid:
-                return True
-            while self.clog.status(version.xmin) is TxnStatus.PREPARED:
-                yield self.clog.wait_completion(version.xmin)
-            return self.clog.status(version.xmin) is TxnStatus.COMMITTED
-        if version.xmax == participant.xid:
-            return False  # deleted by self earlier in this txn
-        while self.clog.status(version.xmax) is TxnStatus.PREPARED:
-            yield self.clog.wait_completion(version.xmax)
-        return self.clog.status(version.xmax) is not TxnStatus.COMMITTED
-
-    def _resolve_write_target(self, txn, participant, heap, latest):
-        """Generator: first-updater-wins conflict resolution under SI.
-
-        Returns the version this transaction may overwrite, or None if the
-        row is gone for this snapshot. Raises SerializationFailure when a
-        concurrent transaction (commit ts > our start ts) already changed it.
-        """
-        version = latest
-        while True:
-            if version is None:
-                return None
-            if version.xmin == participant.xid:
-                return version  # updating our own earlier write
-            while self.clog.status(version.xmin) is TxnStatus.PREPARED:
-                yield self.clog.wait_completion(version.xmin)
-            status = self.clog.status(version.xmin)
-            if status is TxnStatus.COMMITTED:
-                break
-            if status is TxnStatus.IN_PROGRESS:
-                # Cannot happen under row locking; fail loudly rather than spin.
-                raise SerializationFailure(
-                    "in-progress writer {} despite row lock".format(version.xmin),
-                    txn_id=txn.tid,
-                )
-            # The creator aborted while we waited: retry on the next newest
-            # surviving version.
-            version = heap.latest_committed_or_locked(version.key)
-        if self.clog.commit_ts(version.xmin) > txn.start_ts:
-            raise SerializationFailure(
-                "concurrent update committed after our snapshot", txn_id=txn.tid
-            )
-        if version.xmax is not None and version.xmax != participant.xid:
-            while self.clog.status(version.xmax) is TxnStatus.PREPARED:
-                yield self.clog.wait_completion(version.xmax)
-            if self.clog.status(version.xmax) is TxnStatus.COMMITTED:
-                if self.clog.commit_ts(version.xmax) > txn.start_ts:
+        if txn.doomed is not None:
+            txn.check_doomed()
+        heap = self.heap_for(shard_id)
+        yield self.cpu.use(self.costs.cpu_write)
+        version = heap.latest_committed_or_locked(key)
+        txn.op_count += 1
+        if kind is WalRecordKind.INSERT:
+            if version is not None:
+                # Uniqueness: a version is live once its creator committed,
+                # and until its deleter commits (our own writes count as
+                # committed); a PREPARED creator or deleter is waited for.
+                creation = version.xmax is None
+                writer = version.xmin if creation else version.xmax
+                committed = writer == xid
+                if not committed:
+                    while self.clog.status(writer) is TxnStatus.PREPARED:
+                        yield self.clog.wait_completion(writer)
+                    committed = self.clog.status(writer) is TxnStatus.COMMITTED
+                if committed is creation:
+                    raise UniqueViolation("duplicate key {!r}".format(key), txn_id=txn.tid)
+            heap.put_version(key, value, xid)
+        else:
+            # First-updater-wins under SI: find the version this write may
+            # overwrite, or fail when a transaction that committed after our
+            # snapshot changed the row. A committed creator's hint (stamped
+            # by latest_committed_or_locked) is its commit timestamp.
+            clog = self.clog
+            while True:
+                if version is None:
+                    raise MissingRow(key)
+                if version.xmin == xid:
+                    break  # our own earlier write
+                created = version.cts_min
+                if created is None:
+                    status, created = clog.entry(version.xmin)
+                    while status is TxnStatus.PREPARED:
+                        yield clog.wait_completion(version.xmin)
+                        status, created = clog.entry(version.xmin)
+                    if status is TxnStatus.IN_PROGRESS:
+                        # Cannot happen under row locking; fail loudly rather
+                        # than spin.
+                        raise SerializationFailure(
+                            "in-progress writer {} despite row lock".format(version.xmin),
+                            txn_id=txn.tid,
+                        )
+                    if status is TxnStatus.ABORTED:
+                        # The creator aborted while we waited: retry on the
+                        # next newest surviving version.
+                        version = heap.latest_committed_or_locked(key)
+                        continue
+                if created > txn.start_ts:
                     raise SerializationFailure(
-                        "concurrent delete committed after our snapshot",
-                        txn_id=txn.tid,
+                        "concurrent update committed after our snapshot", txn_id=txn.tid
                     )
-                return None  # deleted before our snapshot
-        return version
-
-    def _log_change(self, kind, participant, txn, shard_id, key, value, size):
+                deleter = version.xmax
+                if deleter is not None and deleter != xid:
+                    status, deleted = clog.entry(deleter)
+                    while status is TxnStatus.PREPARED:
+                        yield clog.wait_completion(deleter)
+                        status, deleted = clog.entry(deleter)
+                    if status is TxnStatus.COMMITTED:
+                        if deleted > txn.start_ts:
+                            raise SerializationFailure(
+                                "concurrent delete committed after our snapshot",
+                                txn_id=txn.tid,
+                            )
+                        raise MissingRow(key)  # deleted before our snapshot
+                break
+            if kind is not WalRecordKind.LOCK:
+                heap.mark_deleted(version, xid)
+                if kind is WalRecordKind.UPDATE:
+                    heap.put_version(key, value, xid)
         participant.writes += 1
         participant.wrote_shards.add(shard_id)
         lsn = self.wal.append(
             WalRecord(
                 kind,
-                xid=participant.xid,
+                xid=xid,
                 shard_id=shard_id,
                 key=key,
                 value=value,
@@ -332,7 +304,11 @@ class NodeTxnManager:
                 start_ts=txn.start_ts,
             )
         )
-        self._first_change_lsn.setdefault(participant.xid, lsn)
+        self._first_change_lsn.setdefault(xid, lsn)
+        if kind is WalRecordKind.LOCK:
+            return version.value
+        yield self.cpu.use(self.costs.cpu_write)
+        return True
 
     def oldest_active_change_lsn(self) -> int:
         """Lowest WAL LSN a new propagation stream must start from so that
@@ -431,9 +407,10 @@ class NodeTxnManager:
         commit leg racing crash recovery): whichever flush ends second finds
         the participant committed and leaves it be."""
         participant = txn.participant(self.node_id)
-        if self.clog.status(participant.xid) is TxnStatus.COMMITTED:
+        status = self.clog.status(participant.xid)
+        if status is TxnStatus.COMMITTED:
             return
-        if self.clog.status(participant.xid) is TxnStatus.PREPARED:
+        if status is TxnStatus.PREPARED:
             kind = WalRecordKind.COMMIT_PREPARED
         else:
             kind = WalRecordKind.COMMIT
@@ -497,8 +474,9 @@ class NodeTxnManager:
         self._first_change_lsn.pop(participant.xid, None)
 
     def _release_locks(self, participant):
+        tables = self._row_locks
         for shard_id, key in list(participant.row_locks):
-            self.row_locks(shard_id).release(key, participant.xid)
+            tables[shard_id].release(key, participant.xid)
         participant.row_locks.clear()
         for shard_id in list(participant.shard_locks):
             self.shard_locks.release(shard_id, participant.xid)

@@ -146,8 +146,13 @@ class Transaction:
             self.process.interrupt(exc)
 
     def check_doomed(self) -> None:
-        if self.doomed is not None:
-            exc, self.doomed = self.doomed, None
+        """Raise the doom once. Called from the owner's own process, which
+        is running, so the interrupt the doom left pending is withdrawn."""
+        exc = self.doomed
+        if exc is not None:
+            self.doomed = None
+            if self.process is not None:
+                self.process.withdraw_interrupt(exc)
             raise exc
 
     def __repr__(self):

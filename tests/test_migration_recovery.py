@@ -156,10 +156,12 @@ def test_crash_after_tm_recovers_under_live_workload():
     assert not crashes, crashes
 
 
-def _recover_residual_shadow(source_commits):
+def _crash_with_residual_shadow(source_commits):
     """Crash a Remus migration while a validated shadow awaits its source's
-    decision, then recover at once; ``source_commits`` picks whether the
-    source is already committing or still waiting for its validation ack."""
+    decision; ``source_commits`` picks whether the source is already
+    committing or still waiting for its validation ack. Returns the
+    cluster, the migration, the written key, the writer's outcome and the
+    residue the crash hands to recovery."""
 
     cluster, workload = build()
     shard = cluster.shards_on_node("node-1", table="ycsb")[0]
@@ -196,9 +198,14 @@ def _recover_residual_shadow(source_commits):
         cluster.sim.step()
     assert not proc.finished
     proc.interrupt("crash")
-    residual = crash_migration(migration)
+    return cluster, migration, keys[0], outcome, crash_migration(migration)
+
+
+def _recover_residual_shadow(source_commits):
+    """:func:`_crash_with_residual_shadow`, then recover at once."""
+    cluster, migration, key, outcome, residual = _crash_with_residual_shadow(source_commits)
     recover(cluster, migration, residual)
-    return cluster, keys[0], outcome["committed"], residual
+    return cluster, key, outcome["committed"], residual
 
 
 def test_residual_prepared_shadow_committed_iff_source_committed():
@@ -226,6 +233,37 @@ def test_residual_prepared_shadow_committed_iff_source_committed():
             assert shadow.finished
             assert shadow.state.value == status.value
             assert shadow.tid not in cluster.active_txns
+
+
+@pytest.mark.parametrize("owned", [True, False])
+def test_invariant_check_reports_a_shadow_no_recovery_owns(owned):
+    """A crash hands the pipeline's prepared shadows to recovery. One that
+    no recovery resolves stays PREPARED on the destination for ever, holding
+    its row locks, although it is still a registered transaction: the
+    invariant checker reports it once the grace period has passed, and
+    stays quiet while a running recovery owns it."""
+    from repro.faults.invariants import GRACE, InvariantChecker
+    from repro.migration import MigrationPlan
+    from repro.migration.supervisor import MigrationSupervisor
+
+    cluster, migration, _key, _outcome, residual = _crash_with_residual_shadow(False)
+    supervisor = MigrationSupervisor(cluster, MigrationPlan(RemusMigration, []))
+    supervisor.plan.migrations.append(migration)
+    if owned:
+        supervisor.residue = residual
+    checker = InvariantChecker(cluster, supervisor=supervisor)
+    checker.check_once()
+    cluster.run(until=cluster.sim.now + GRACE)
+    checker.check_once()
+    orphans = [d for _t, d in checker.violations if "orphaned PREPARED" in d]
+    shadows = [shadow for shadow, _entry in residual.values()]
+    assert shadows and all(shadow.tid in cluster.active_txns for shadow in shadows)
+    expected = [] if owned else [
+        "orphaned PREPARED xid {} on node-2 (no live transaction, propagation or "
+        "recovery references it)".format(shadow.participant("node-2").xid)
+        for shadow in shadows
+    ]
+    assert orphans == expected
 
 
 def test_lossy_destination_mid_replay_wounds_and_recovers():

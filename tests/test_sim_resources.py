@@ -247,6 +247,68 @@ def test_cpu_bins_and_completion_instants_match_the_reference_loop(capacity):
     assert cpu._free == capacity and not cpu._queue
 
 
+@pytest.mark.parametrize("sim_cls", [Counting, NeverInline])
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_cpu_bins_through_use_chains_and_hand_offs_match_the_reference_loop(
+    sim_cls, capacity
+):
+    """Every way a leg is granted — by ``use`` on arrival, by a completing
+    leg's hand-off, as a chain's second leg (inline or from its own slot) and
+    by ``use_run`` — books busy time exactly as the per-bin loop would for
+    the instant and duration the kernel schedules it with."""
+    width = 0.5
+    sim = sim_cls()
+    cpu = CpuResource(sim, capacity=capacity, bin_width=width)
+    grants = []  # (start, duration) of every leg, in grant order
+
+    def recording(delay, callback, *args, _schedule=sim.schedule):
+        if callback == cpu._complete:
+            grants.append((sim.now, delay))
+        return _schedule(delay, callback, *args)
+
+    sim.schedule = recording
+
+    def chain(first, second):
+        yield cpu.use(first, then=second)
+
+    def single(duration):
+        yield cpu.use(duration)
+
+    def run(unit, count):
+        charge = cpu.use_run(unit, count)
+        if charge is None:
+            for _ in range(count):
+                yield cpu.use(unit)
+        else:
+            cursor = sim.now  # use_run's repeated addition, as sequential uses
+            for _ in range(count):
+                grants.append((cursor, unit))
+                cursor += unit
+            yield charge
+
+    def later(delay, generator):
+        yield delay
+        yield from generator
+
+    for index, (first, second) in enumerate([(0.3, 0.45), (0.2, 1e-13), (0.7, 0.05)]):
+        sim.spawn(chain(first, second))
+        sim.spawn(later(0.1 * index, single(0.25 + 0.1 * index)))
+    sim.spawn(later(0.45, run(0.1, 3)))
+    sim.spawn(later(2.0, run(0.3, 4)))
+    sim.spawn(later(2.0, chain(0.6, 0.6)))
+    sim.run()
+
+    bins = {}
+    total = 0.0
+    for start, duration in grants:
+        _reference_account(bins, start, duration, width)
+        total += duration
+    assert len(grants) == 18
+    assert cpu._busy_bins == bins
+    assert cpu.total_busy_time == total
+    assert cpu._free == capacity and not cpu._queue
+
+
 # ----------------------------------------------------------------------
 # Charges and tail dispatch (DESIGN.md §8, "The ordering rule")
 # ----------------------------------------------------------------------
