@@ -328,7 +328,7 @@ class Session:
             cache.read_through_lookups += 1
         yield node.cpu.use(CPU_SHARDMAP_READ)
         owner, cts = yield from read_shard_owner(
-            node.shardmap_heap, node.clog, shard_id, txn.plain_snapshot()
+            node.shardmap_heap, node.clog, shard_id, txn.snapshot_for(None)
         )
         if read_through:
             cache.maybe_update(shard_id, owner, cts)

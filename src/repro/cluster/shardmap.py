@@ -16,8 +16,8 @@ when a newer committed version becomes visible.
 """
 
 from repro.cluster.shard import ShardId
-from repro.storage.clog import TxnStatus
-from repro.storage.tuples import BOOTSTRAP_XID, RESERVED_MIN_TS  # re-exported
+from repro.storage.snapshot import resolve_creator
+from repro.storage.tuples import BOOTSTRAP_XID, RESERVED_MIN_TS  # noqa: F401 (re-exported)
 
 # The shard map replica is addressed like a shard so that T_m can update it
 # through the ordinary transaction manager on each node.
@@ -76,10 +76,7 @@ def read_shard_owner(shardmap_heap, clog, shard_id, snapshot):
     version, _traversed = yield from shardmap_heap.visible_version(shard_id, snapshot)
     if version is None:
         raise KeyError("shard {!r} missing from shard map".format(shard_id))
-    if version.xmin == BOOTSTRAP_XID:
-        cts = RESERVED_MIN_TS
-    elif clog.status(version.xmin) is TxnStatus.COMMITTED:
-        cts = clog.commit_ts(version.xmin)
-    else:
+    cts = resolve_creator(version, clog)
+    if cts is None:  # the reader's own uncommitted write
         cts = RESERVED_MIN_TS
     return version.value, cts

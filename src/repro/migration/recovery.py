@@ -30,6 +30,7 @@ for one to settle. Recovery proceeds as the paper describes:
 """
 
 from repro.storage.clog import TxnStatus
+from repro.storage.snapshot import Snapshot
 
 
 def crash_migration(migration):
@@ -153,7 +154,7 @@ def recover_migration(cluster, migration, residual_shadows=None):
     cluster.clear_cache_read_through(migration.shard_ids)
     yield from cluster.wait_out(migration.stats.tm_commit_ts)
     repair_ts = yield from cluster.oracle.start_timestamp(migration.source)
-    snapshot = source_node.manager.read_snapshot(repair_ts)
+    snapshot = Snapshot(repair_ts)
     for shard_id in migration.shard_ids:
         source_heap = source_node.heap_for(shard_id)
         dest_heap = dest_node.heap_for(shard_id)

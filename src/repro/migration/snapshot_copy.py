@@ -39,7 +39,7 @@ from repro.config import WAL_FLUSH
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
 from repro.sim.network import MIGRATION_CLASS
-from repro.storage.snapshot import UNDECIDED
+from repro.storage.snapshot import UNDECIDED, Snapshot
 from repro.txn.errors import RpcAbort
 
 BATCH_TUPLES = 256  # tuples per snapshot-copy RPC batch
@@ -59,10 +59,7 @@ def copy_shard_snapshot(cluster, shard_id, source, dest, snapshot_ts, stats):
     else:
         tuple_size = DEFAULT_TUPLE_SIZE
     costs = cluster.config.costs
-    # Shared epoch-tagged snapshot from the source's manager: carries the
-    # active-xid set for introspection and is reused by concurrent readers
-    # at the same timestamp instead of allocating per scan.
-    snapshot = source_node.manager.read_snapshot(snapshot_ts)
+    snapshot = Snapshot(snapshot_ts)
     scan_cost = costs.snapshot_scan_per_tuple
     # Charge-run cap for the batched scan: the run's stale-check window must
     # stay within one WAL flush (see module docstring). A per-tuple charge

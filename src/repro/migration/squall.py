@@ -25,6 +25,7 @@ from repro.migration.base import BaseMigration
 from repro.sim.errors import Interrupt
 from repro.sim.events import AllOf
 from repro.sim.network import MIGRATION_CLASS
+from repro.storage.snapshot import is_committed, resolve_deleter
 from repro.txn.errors import MigrationAbort
 
 DEFAULT_CHUNK_BYTES = 8 << 20  # 8 MB, as suggested in the Squall paper
@@ -194,9 +195,9 @@ class SquallMigration(BaseMigration):
                 version = heap.latest_committed_or_locked(key)
                 if version is None:
                     continue
-                if version.xmax is not None and self.source_node.clog.status(
-                    version.xmax
-                ).value == "committed":
+                if version.xmax is not None and is_committed(
+                    resolve_deleter(version, heap.clog)
+                ):
                     continue  # deleted row
                 moved.append((key, version.value))
             # Chunk transfer: storage I/O plus the wire.

@@ -92,7 +92,7 @@ class CpuResource:
         self._busy_bins = {}
         self.total_busy_time = 0.0
 
-    def use(self, duration, tag=None, then=None):
+    def use(self, duration, then=None):
         """Occupy one CPU slot for ``duration``; returns the charge to yield.
 
         With ``then``, the charge is a chain: when the first leg ends its
@@ -124,7 +124,7 @@ class CpuResource:
         sim.schedule(duration, self._complete, charge)
         return charge
 
-    def use_run(self, unit, count, tag=None):
+    def use_run(self, unit, count):
         """Occupy one slot for ``count`` back-to-back charges of ``unit``.
 
         Returns the charge to yield, or ``None`` when no slot is immediately

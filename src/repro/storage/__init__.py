@@ -12,12 +12,13 @@ This package implements the storage substrate the paper's protocols rely on:
   process) and the replication pump run on;
 - :mod:`repro.storage.heap` — versioned heap tables (one per shard) with a
   primary-key index and MVCC reads/writes;
-- :mod:`repro.storage.snapshot` — snapshots and visibility checking.
+- :mod:`repro.storage.snapshot` — snapshots, the one resolver of a
+  version's writer against the CLOG, and visibility checking.
 """
 
 from repro.storage.clog import Clog, TxnStatus
 from repro.storage.heap import HeapTable
-from repro.storage.snapshot import Snapshot, VisibilityError
+from repro.storage.snapshot import Snapshot
 from repro.storage.tuples import TupleVersion
 from repro.storage.wal import Wal, WalRecord, WalRecordKind, WalTailer
 
@@ -27,7 +28,6 @@ __all__ = [
     "Snapshot",
     "TupleVersion",
     "TxnStatus",
-    "VisibilityError",
     "Wal",
     "WalRecord",
     "WalRecordKind",

@@ -36,25 +36,30 @@ keys whose chain may hold garbage now or later (fed by ``put_version`` and
 churn since the last pass costs, not what the heap holds. The invariant is
 spelled out on :meth:`HeapTable.vacuum` and in DESIGN.md §9.
 
-Hot-path note: :meth:`HeapTable.visible_version` decides visibility through
-the non-blocking hint-bit checks (``creation_visible_fast``) and only falls
-back to the blocking generator when a writer is PREPARED, so the common
-read pays no sub-generator frames and, once hints are stamped, no CLOG
-lookups at all. Hints cache terminal CLOG verdicts, so every answer is the
-one a CLOG-only reader would give; ``tests/test_properties.py`` keeps that
-reader as the oracle.
+Writer verdicts: every path here that needs a version's creator or deleter
+— reads, the writer's ``latest_committed_or_locked``, ``committed_version``,
+the batched scan and vacuum — takes it from the hint, or from the resolvers
+of :mod:`repro.storage.snapshot` (``resolve_creator``/``resolve_deleter``),
+the only code that reads the CLOG for it and stamps the hint.
+:meth:`HeapTable.visible_version` and :meth:`HeapTable.vacuum` test the
+hint inline, so a hit costs no call; a read falls back to the blocking
+generator only when a writer is PREPARED. Hints cache terminal CLOG
+verdicts, so every answer is the one a CLOG-only reader would give;
+``tests/test_properties.py`` keeps that reader as the oracle.
 """
 
 from bisect import bisect_left, insort
 
 from repro.profiling.counters import COUNTERS
-from repro.storage.clog import TxnStatus
 from repro.storage.snapshot import (
     UNDECIDED,
     creation_visible,
     creation_visible_fast,
     deletion_visible,
     deletion_visible_fast,
+    is_committed,
+    resolve_creator,
+    resolve_deleter,
 )
 from repro.storage.tuples import ABORTED, BOOTSTRAP_XID, RESERVED_MIN_TS, TupleVersion
 
@@ -301,18 +306,9 @@ class HeapTable:
         version = self._chains.get(key)
         if type(version) is not TupleVersion and version is not None:
             version = self._chains[key] = _frozen_version(key, version)
-        while version is not None:
-            hint = version.cts_min
-            if hint is None:
-                status = clog.status(version.xmin)
-                if status is TxnStatus.ABORTED:
-                    hint = version.cts_min = ABORTED
-                elif status is TxnStatus.COMMITTED:
-                    version.cts_min = clog.commit_ts(version.xmin)
-            if hint is not ABORTED:
-                return version
+        while version is not None and resolve_creator(version, clog) is ABORTED:
             version = version.older
-        return None
+        return version
 
     def committed_version(self, key):
         """The key's committed live version (or None): the newest surviving
@@ -321,9 +317,9 @@ class HeapTable:
         if type(head) is not TupleVersion:
             return None if head is None else _frozen_version(key, head)
         version = self.latest_committed_or_locked(key)
-        if version is None or self.clog.status(version.xmin) is not TxnStatus.COMMITTED:
-            return None
-        if version.xmax is not None and self.clog.status(version.xmax) is TxnStatus.COMMITTED:
+        if version is None or version.cts_min is None:
+            return None  # its creator is still IN_PROGRESS or PREPARED
+        if version.xmax is not None and is_committed(resolve_deleter(version, self.clog)):
             return None
         return version
 
@@ -355,33 +351,20 @@ class HeapTable:
             version = _frozen_version(key, version)
         while version is not None:
             traversed += 1
-            hint = version.cts_min
-            if hint is None:
-                status = clog.status(version.xmin)
-                if status is TxnStatus.ABORTED:
-                    hint = version.cts_min = ABORTED
-                elif status is not TxnStatus.COMMITTED:
-                    return UNDECIDED
-                else:
-                    hint = version.cts_min = clog.commit_ts(version.xmin)
-            if hint is ABORTED or hint > start_ts:
+            created = resolve_creator(version, clog)
+            if created is None:
+                return UNDECIDED
+            if created is ABORTED or created > start_ts:
                 version = version.older
                 continue
             # Creation visible: the row survives iff its deletion is not.
             if version.xmax is None:
                 outcome = version
                 break
-            dhint = version.cts_max
-            if dhint is None:
-                status = clog.status(version.xmax)
-                if status is TxnStatus.ABORTED:
-                    version.cts_max = ABORTED
-                    outcome = version
-                    break
-                if status is not TxnStatus.COMMITTED:
-                    return UNDECIDED
-                dhint = version.cts_max = clog.commit_ts(version.xmax)
-            if dhint is ABORTED or dhint > start_ts:
+            deleted = resolve_deleter(version, clog)
+            if deleted is None:
+                return UNDECIDED
+            if deleted is ABORTED or deleted > start_ts:
                 outcome = version
             break
         COUNTERS.visibility_checks += 1
@@ -432,7 +415,7 @@ class HeapTable:
         candidates = self._vacuum_candidates
         if not candidates:
             return 0
-        entry_of = self.clog.entry
+        clog = self.clog
         chains = self._chains
         survivors = {}
         removed = 0
@@ -443,22 +426,15 @@ class HeapTable:
             watch = False
             while version is not None:
                 cts_min = version.cts_min
-                unsettled = False
                 if cts_min is None:
-                    status = entry_of(version.xmin)[0]
-                    if status is TxnStatus.ABORTED:
-                        cts_min = version.cts_min = ABORTED
-                    else:
-                        unsettled = status is not TxnStatus.COMMITTED
+                    cts_min = resolve_creator(version, clog)
+                unsettled = cts_min is None
                 reclaim = cts_min is ABORTED
                 if not reclaim and version.xmax is not None:
                     cts_max = version.cts_max
                     if cts_max is None:
-                        status, commit_ts = entry_of(version.xmax)
-                        if status is TxnStatus.COMMITTED:
-                            cts_max = version.cts_max = commit_ts
-                        elif status is not TxnStatus.ABORTED:
-                            unsettled = True
+                        cts_max = resolve_deleter(version, clog)
+                        unsettled = unsettled or cts_max is None
                     if cts_max is not None and cts_max is not ABORTED:
                         if cts_max <= horizon_ts:
                             reclaim = True

@@ -1,7 +1,7 @@
-"""Snapshots and MVCC visibility checking with prepare-wait.
+"""Snapshots, the writer verdict and MVCC visibility with prepare-wait.
 
-A transaction reads with a :class:`Snapshot` carrying its start timestamp.
-Visibility of a tuple version is decided by consulting the CLOG for the
+A transaction reads with a :class:`Snapshot`: its start timestamp and its
+own xid. Visibility of a tuple version is decided by the verdict on its
 creating (and, if set, deleting) transaction:
 
 - aborted / in-progress writers are ignored,
@@ -10,29 +10,35 @@ creating (and, if set, deleting) transaction:
 - committed writers are visible iff their commit timestamp is <= the
   snapshot's start timestamp.
 
-The check functions are generators so that prepare-wait can block the calling
-simulated process.
+Writer verdict
+--------------
+:func:`resolve_creator` and :func:`resolve_deleter` are the only code that
+reads the CLOG for a version's writer and stamps its hint bit
+(``repro.storage.tuples``): each returns the writer's commit timestamp,
+:data:`~repro.storage.tuples.ABORTED`, or ``None`` while the writer is
+IN_PROGRESS or PREPARED. Every other reader of a writer's fate — the
+visibility checks here, the heap's writer, scan and vacuum paths, the
+transaction manager's uniqueness and first-updater-wins checks, shard-map
+routing and Squall's pull — calls them, or :func:`settle_creator` /
+:func:`settle_deleter`, which prepare-wait on a PREPARED writer first.
+The hottest loops (``HeapTable.visible_version``, ``HeapTable.vacuum``)
+test the hint inline and call a resolver only on a miss. Hints are
+immutable CLOG facts, so stamping one never moves a verdict.
 
 Fast path
 ---------
-The hot variant of each check (:func:`creation_visible_fast`,
-:func:`deletion_visible_fast`) is a plain function: it decides visibility
-from the tuple's hint bits — or from a non-blocking CLOG probe, stamping the
-hint for next time — and returns :data:`UNDECIDED` only when the writer is
-PREPARED and the caller must block. Callers (``HeapTable.visible_version``)
-try the fast variant first and fall back to the generator only for the rare
-prepare-wait, which removes two generator frames and several dict/enum
-operations per version on the common path. The verdicts are identical by
-construction: hints are immutable CLOG facts (``repro.storage.tuples``).
+The hot variant of each visibility check (:func:`creation_visible_fast`,
+:func:`deletion_visible_fast`) is a plain function that returns
+:data:`UNDECIDED` only when the writer is PREPARED and the caller must
+block; the generators :func:`creation_visible` / :func:`deletion_visible`
+do the prepare-wait. Callers (``HeapTable.visible_version``) try the fast
+variant first and fall back to the generator only for the rare
+prepare-wait.
 """
 
 from repro.profiling.counters import COUNTERS
 from repro.storage.clog import TxnStatus
 from repro.storage.tuples import ABORTED
-
-
-class VisibilityError(Exception):
-    """Internal inconsistency detected during a visibility check."""
 
 
 class _Undecided:
@@ -49,62 +55,109 @@ UNDECIDED = _Undecided()
 
 
 class Snapshot:
-    """An MVCC read snapshot.
+    """An MVCC read snapshot: a start timestamp and the reader's own xid.
+
+    Visibility is decided by CLOG commit timestamps plus prepare-wait
+    (§2.2), so nothing else is needed.
 
     Attributes:
         start_ts: the snapshot (start) timestamp.
         xid: the reading transaction's id on this node, so it sees its own
             uncommitted writes; None for pure snapshot reads (e.g. the
             migration's snapshot scan).
-        active_xids: optional frozenset of the node-local xids that were
-            active when the snapshot was built (epoch-tagged shared
-            snapshots attach it). Purely informational — visibility is
-            decided by commit timestamps — but ``xid in snapshot`` is O(1)
-            frozenset membership for invariant checks and introspection.
     """
 
-    __slots__ = ("start_ts", "xid", "active_xids")
+    __slots__ = ("start_ts", "xid")
 
-    def __init__(self, start_ts, xid=None, active_xids=None):
+    def __init__(self, start_ts, xid=None):
         self.start_ts = start_ts
         self.xid = xid
-        self.active_xids = active_xids
-
-    def __contains__(self, xid):
-        """O(1): was ``xid`` active on the owning node at snapshot build?"""
-        if self.active_xids is None:
-            return False
-        return xid in self.active_xids
 
     def __repr__(self):
         return "Snapshot(start_ts={}, xid={})".format(self.start_ts, self.xid)
+
+
+def resolve_creator(version, clog):
+    """The verdict on ``version``'s creator: its commit timestamp,
+    :data:`ABORTED`, or ``None`` while it is IN_PROGRESS or PREPARED.
+
+    Read from the ``cts_min`` hint, or from one CLOG lookup that stamps the
+    hint once the creator is terminal.
+    """
+    hint = version.cts_min
+    if hint is None:
+        status, commit_ts = clog.entry(version.xmin)
+        if status is TxnStatus.COMMITTED:
+            hint = version.cts_min = commit_ts
+        elif status is TxnStatus.ABORTED:
+            hint = version.cts_min = ABORTED
+    return hint
+
+
+def resolve_deleter(version, clog):
+    """The verdict on ``version``'s deleter (``xmax`` must be set), from
+    the ``cts_max`` hint or one CLOG lookup that stamps it, as
+    :func:`resolve_creator`."""
+    hint = version.cts_max
+    if hint is None:
+        status, commit_ts = clog.entry(version.xmax)
+        if status is TxnStatus.COMMITTED:
+            hint = version.cts_max = commit_ts
+        elif status is TxnStatus.ABORTED:
+            hint = version.cts_max = ABORTED
+    return hint
+
+
+def is_committed(verdict):
+    """Is a resolver's verdict a commit timestamp?"""
+    return verdict is not None and verdict is not ABORTED
+
+
+def _prepared(clog, xid):
+    return clog.entry(xid)[0] is TxnStatus.PREPARED
+
+
+def settle_creator(version, clog):
+    """Generator: :func:`resolve_creator`, prepare-waiting while the
+    creator is PREPARED; ``None`` then means it is IN_PROGRESS."""
+    while True:
+        verdict = resolve_creator(version, clog)
+        if verdict is not None or not _prepared(clog, version.xmin):
+            return verdict
+        yield clog.wait_completion(version.xmin)
+
+
+def settle_deleter(version, clog):
+    """Generator: :func:`resolve_deleter`, prepare-waiting while the
+    deleter is PREPARED; ``None`` then means it is IN_PROGRESS."""
+    while True:
+        verdict = resolve_deleter(version, clog)
+        if verdict is not None or not _prepared(clog, version.xmax):
+            return verdict
+        yield clog.wait_completion(version.xmax)
+
+
+def _visible(verdict, writer, snapshot, clog):
+    """A resolver's verdict on ``writer`` as a visibility answer for
+    ``snapshot``: :data:`UNDECIDED` while the writer is PREPARED."""
+    if verdict is None:
+        return UNDECIDED if _prepared(clog, writer) else False
+    if verdict is ABORTED:
+        return False
+    return verdict <= snapshot.start_ts
 
 
 def creation_visible_fast(version, snapshot, clog):
     """Non-blocking: is the *creation* of ``version`` visible to ``snapshot``?
 
     Returns True/False, or :data:`UNDECIDED` when the creator is PREPARED
-    and the caller must prepare-wait. Stamps the ``cts_min`` hint whenever
-    the creator resolves to a terminal state.
+    and the caller must prepare-wait.
     """
     if snapshot.xid is not None and version.xmin == snapshot.xid:
         return True
-    hint = version.cts_min
-    if hint is not None:
-        if hint is ABORTED:
-            return False
-        return hint <= snapshot.start_ts
-    status = clog.status(version.xmin)
-    COUNTERS.clog_slow_lookups += 1
-    if status is TxnStatus.ABORTED:
-        version.cts_min = ABORTED
-        return False
-    if status is TxnStatus.IN_PROGRESS:
-        return False
-    if status is TxnStatus.PREPARED:
-        return UNDECIDED
-    commit_ts = version.cts_min = clog.commit_ts(version.xmin)
-    return commit_ts <= snapshot.start_ts
+    if version.cts_min is None:
+        COUNTERS.clog_slow_lookups += 1
+    return _visible(resolve_creator(version, clog), version.xmin, snapshot, clog)
 
 
 def deletion_visible_fast(version, snapshot, clog):
@@ -116,22 +169,9 @@ def deletion_visible_fast(version, snapshot, clog):
         return False
     if snapshot.xid is not None and version.xmax == snapshot.xid:
         return True
-    hint = version.cts_max
-    if hint is not None:
-        if hint is ABORTED:
-            return False
-        return hint <= snapshot.start_ts
-    status = clog.status(version.xmax)
-    COUNTERS.clog_slow_lookups += 1
-    if status is TxnStatus.ABORTED:
-        version.cts_max = ABORTED
-        return False
-    if status is TxnStatus.IN_PROGRESS:
-        return False
-    if status is TxnStatus.PREPARED:
-        return UNDECIDED
-    commit_ts = version.cts_max = clog.commit_ts(version.xmax)
-    return commit_ts <= snapshot.start_ts
+    if version.cts_max is None:
+        COUNTERS.clog_slow_lookups += 1
+    return _visible(resolve_deleter(version, clog), version.xmax, snapshot, clog)
 
 
 def creation_visible(version, snapshot, clog):

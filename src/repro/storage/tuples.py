@@ -7,9 +7,12 @@ commit timestamp of the creating/deleting transaction lives in the CLOG, not
 in the tuple, exactly as in the paper's design.
 
 On top of that the header carries PostgreSQL-style **hint bits**
-(``cts_min``/``cts_max``): once a visibility check resolves the creating or
-deleting transaction to a *terminal* CLOG state, it stamps the outcome on
-the version so repeat checks skip the CLOG entirely. A hint is either
+(``cts_min``/``cts_max``): once the creating or deleting transaction
+resolves to a *terminal* CLOG state, the outcome is stamped on the version
+so repeat checks skip the CLOG entirely. The two resolvers of
+:mod:`repro.storage.snapshot` (``resolve_creator``/``resolve_deleter``)
+are the only code that reads the CLOG for a version's writer and stamps
+its hint. A hint is either
 
 - ``None`` — not yet resolved (or resolved to a non-terminal state),
 - the transaction's commit timestamp — it committed, or

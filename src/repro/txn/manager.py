@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Generator
 from repro.config import WAL_FLUSH
 from repro.profiling.counters import COUNTERS
 from repro.sim.errors import Interrupt
-from repro.sim.ordered import OrderedSet
 from repro.storage.clog import TxnStatus
-from repro.storage.snapshot import Snapshot
+from repro.storage.snapshot import is_committed, settle_creator, settle_deleter
+from repro.storage.tuples import ABORTED
 from repro.storage.wal import WalRecord, WalRecordKind
 from repro.txn.errors import SerializationFailure, TransactionError, UniqueViolation
 from repro.txn.locks import RowLockTable, SharedExclusiveLockTable
@@ -53,15 +53,8 @@ class NodeTxnManager:
         self._row_locks = {}
         self._next_xid = 0
         self.prepare_gate = None  # MOCC's sync barrier while it is set
-        self.active_xids = OrderedSet()
         self._first_change_lsn = {}  # xid -> LSN of its first change record
         self.flush_stall_until = 0.0  # chaos: WAL device stalled until then
-        # Epoch-tagged snapshot caching: bumped on every active_xids change
-        # (begin/commit/abort), so cached frozensets / shared read snapshots
-        # are reused until the node's transaction state actually moves.
-        self.active_epoch = 0
-        self._active_set_cache = None  # (epoch, frozenset)
-        self._read_snapshot_cache = None  # (epoch, start_ts, Snapshot)
 
     # ------------------------------------------------------------------
     # Participant management
@@ -72,8 +65,6 @@ class NodeTxnManager:
             self._next_xid += 1
             participant = txn.add_participant(self.node_id, self._next_xid)
             self.clog.begin(participant.xid)
-            self.active_xids.add(participant.xid)
-            self.active_epoch += 1
         return participant
 
     def allocate_local_xid(self) -> int:
@@ -85,35 +76,6 @@ class NodeTxnManager:
         """
         self._next_xid += 1
         return self._next_xid
-
-    def active_xid_set(self) -> frozenset:
-        """Frozenset view of the active xids, cached per epoch."""
-        cached = self._active_set_cache
-        if cached is not None and cached[0] == self.active_epoch:
-            return cached[1]
-        xids = frozenset(self.active_xids)
-        self._active_set_cache = (self.active_epoch, xids)
-        return xids
-
-    def read_snapshot(self, start_ts) -> Snapshot:
-        """Shared xid-free snapshot at ``start_ts`` for pure snapshot reads
-        (migration snapshot scans, repair reads, shard-map lookups).
-
-        Epoch-tagged: the same :class:`Snapshot` object — including its
-        ``active_xids`` frozenset — is handed out until a transaction
-        begins or resolves on this node. Snapshots are immutable, so
-        sharing is invisible to MVCC semantics.
-        """
-        cached = self._read_snapshot_cache
-        if (
-            cached is not None
-            and cached[0] == self.active_epoch
-            and cached[1] == start_ts
-        ):
-            return cached[2]
-        snapshot = Snapshot(start_ts, active_xids=self.active_xid_set())
-        self._read_snapshot_cache = (self.active_epoch, start_ts, snapshot)
-        return snapshot
 
     # ------------------------------------------------------------------
     # MVCC operations (generators)
@@ -231,20 +193,20 @@ class NodeTxnManager:
                 # and until its deleter commits (our own writes count as
                 # committed); a PREPARED creator or deleter is waited for.
                 creation = version.xmax is None
-                writer = version.xmin if creation else version.xmax
-                committed = writer == xid
-                if not committed:
-                    while self.clog.status(writer) is TxnStatus.PREPARED:
-                        yield self.clog.wait_completion(writer)
-                    committed = self.clog.status(writer) is TxnStatus.COMMITTED
+                if (version.xmin if creation else version.xmax) == xid:
+                    committed = True
+                else:
+                    settle = settle_creator if creation else settle_deleter
+                    verdict = yield from settle(version, self.clog)
+                    committed = is_committed(verdict)
                 if committed is creation:
                     raise UniqueViolation("duplicate key {!r}".format(key), txn_id=txn.tid)
             heap.put_version(key, value, xid)
         else:
             # First-updater-wins under SI: find the version this write may
             # overwrite, or fail when a transaction that committed after our
-            # snapshot changed the row. A committed creator's hint (stamped
-            # by latest_committed_or_locked) is its commit timestamp.
+            # snapshot changed the row. A terminal creator's verdict is
+            # already stamped by latest_committed_or_locked.
             clog = self.clog
             while True:
                 if version is None:
@@ -253,18 +215,15 @@ class NodeTxnManager:
                     break  # our own earlier write
                 created = version.cts_min
                 if created is None:
-                    status, created = clog.entry(version.xmin)
-                    while status is TxnStatus.PREPARED:
-                        yield clog.wait_completion(version.xmin)
-                        status, created = clog.entry(version.xmin)
-                    if status is TxnStatus.IN_PROGRESS:
+                    created = yield from settle_creator(version, clog)
+                    if created is None:
                         # Cannot happen under row locking; fail loudly rather
                         # than spin.
                         raise SerializationFailure(
                             "in-progress writer {} despite row lock".format(version.xmin),
                             txn_id=txn.tid,
                         )
-                    if status is TxnStatus.ABORTED:
+                    if created is ABORTED:
                         # The creator aborted while we waited: retry on the
                         # next newest surviving version.
                         version = heap.latest_committed_or_locked(key)
@@ -273,13 +232,9 @@ class NodeTxnManager:
                     raise SerializationFailure(
                         "concurrent update committed after our snapshot", txn_id=txn.tid
                     )
-                deleter = version.xmax
-                if deleter is not None and deleter != xid:
-                    status, deleted = clog.entry(deleter)
-                    while status is TxnStatus.PREPARED:
-                        yield clog.wait_completion(deleter)
-                        status, deleted = clog.entry(deleter)
-                    if status is TxnStatus.COMMITTED:
+                if version.xmax is not None and version.xmax != xid:
+                    deleted = yield from settle_deleter(version, clog)
+                    if is_committed(deleted):
                         if deleted > txn.start_ts:
                             raise SerializationFailure(
                                 "concurrent delete committed after our snapshot",
@@ -465,12 +420,8 @@ class NodeTxnManager:
         self._retire(participant)
 
     def _retire(self, participant):
-        """Release the participant's locks, then drop its xid from the
-        active set (invalidating epoch-tagged snapshots) and forget its
-        first change."""
+        """Release the participant's locks and forget its first change."""
         self._release_locks(participant)
-        self.active_xids.discard(participant.xid)
-        self.active_epoch += 1
         self._first_change_lsn.pop(participant.xid, None)
 
     def _release_locks(self, participant):

@@ -77,12 +77,14 @@ class Transaction:
         self.shard_epochs: dict = {}
         # node_id -> Snapshot, reused across operations on that node until
         # the participant set changes (the only input besides the immutable
-        # start_ts). Key None caches the xid-free routing snapshot.
+        # start_ts). Key None caches the xid-free routing snapshot, which
+        # is never invalidated.
         self._snapshots: dict = {}
 
     # ------------------------------------------------------------------
-    def snapshot_for(self, node_id: str) -> Snapshot:
-        """MVCC snapshot for reads executed on ``node_id``.
+    def snapshot_for(self, node_id: str | None) -> Snapshot:
+        """MVCC snapshot for reads executed on ``node_id``; ``None`` gives
+        the xid-free snapshot at ``start_ts`` (routing / shard-map reads).
 
         Snapshots are immutable value objects, so one per (txn, node) is
         shared across every read/scan the transaction runs there;
@@ -97,19 +99,6 @@ class Transaction:
         participant = self.participants.get(node_id)
         xid = participant.xid if participant else None
         snapshot = self._snapshots[node_id] = Snapshot(self.start_ts, xid=xid)
-        return snapshot
-
-    def plain_snapshot(self) -> Snapshot:
-        """The xid-free snapshot at ``start_ts`` (routing / shard-map reads).
-
-        Never invalidated: it depends only on the immutable start_ts.
-        """
-        snapshot = self._snapshots.get(None)
-        if snapshot is not None:
-            COUNTERS.snapshot_cache_hits += 1
-            return snapshot
-        COUNTERS.snapshot_cache_misses += 1
-        snapshot = self._snapshots[None] = Snapshot(self.start_ts)
         return snapshot
 
     def participant(self, node_id: str) -> Participant | None:

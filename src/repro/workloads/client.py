@@ -3,9 +3,9 @@
 A client owns a session on one coordinator node and repeatedly runs a
 transaction *body* — a generator taking ``(session, txn)`` that issues the
 statements. Aborts (WW conflicts, migration kills, interrupts from
-lock-and-abort) roll the transaction back and, if retry is enabled, run it
-again — the paper's clients behave the same way ("we add repeatable retry
-logic for the batch insert client", §4.3).
+lock-and-abort) roll the transaction back and run it again until it
+commits or the client is stopped — the paper's clients behave the same way
+("we add repeatable retry logic for the batch insert client", §4.3).
 """
 
 from repro.sim.errors import Interrupt
@@ -55,8 +55,6 @@ class ClosedLoopClient:
         body_factory,
         label,
         think_time=0.0,
-        retry_aborted=True,
-        max_retries=None,
         node_resolver=None,
     ):
         """``body_factory()`` returns a fresh transaction body generator
@@ -73,8 +71,6 @@ class ClosedLoopClient:
         self.body_factory = body_factory
         self.label = label
         self.think_time = think_time
-        self.retry_aborted = retry_aborted
-        self.max_retries = max_retries
         self.process = None
         self.committed = 0
         self.aborted = 0
@@ -97,37 +93,24 @@ class ClosedLoopClient:
 
     def _loop(self):
         while self._running:
-            self._rebind()
             first_attempt = self.cluster.sim.now
-            body = self.body_factory()
-            committed, _error = yield from run_transaction(
-                self.session, body, label=self.label, process=self.process
-            )
-            if committed:
-                self.committed += 1
-            else:
+            begin_time = None  # a retry's latency runs from the first attempt
+            while True:
+                self._rebind()
+                committed, _error = yield from run_transaction(
+                    self.session,
+                    self.body_factory(),
+                    label=self.label,
+                    process=self.process,
+                    begin_time=begin_time,
+                )
+                if committed:
+                    self.committed += 1
+                    break
                 self.aborted += 1
-                retries = 0
-                while (
-                    self._running
-                    and not committed
-                    and self.retry_aborted
-                    and (self.max_retries is None or retries < self.max_retries)
-                ):
-                    retries += 1
-                    self._rebind()
-                    body = self.body_factory()
-                    committed, _error = yield from run_transaction(
-                        self.session,
-                        body,
-                        label=self.label,
-                        process=self.process,
-                        begin_time=first_attempt,
-                    )
-                    if committed:
-                        self.committed += 1
-                    else:
-                        self.aborted += 1
+                if not self._running:
+                    break
+                begin_time = first_attempt
             if self.think_time:
                 yield self.think_time
 

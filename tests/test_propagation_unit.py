@@ -471,6 +471,20 @@ def _park_on_slot_queue(prop, entries):
     )
 
 
+def _gate_release_queued(prop, entries):
+    """Behind the gate, released in the crash's own instant: the entry's
+    wakeup is queued when the crash comes."""
+    gated = _park_behind_gate(prop, entries)
+
+    def reached():
+        if not gated():
+            return False
+        prop.release_applies()
+        return True
+
+    return reached
+
+
 def _granted_not_yet_run(prop, entries):
     return lambda: (
         len(entries) == 2 and entries[1].request is not None
@@ -480,14 +494,20 @@ def _granted_not_yet_run(prop, entries):
 
 @pytest.mark.parametrize(
     "state",
-    [_park_behind_gate, _park_behind_predecessor, _park_on_slot_queue, _granted_not_yet_run],
+    [
+        _park_behind_gate, _gate_release_queued, _park_behind_predecessor,
+        _park_on_slot_queue, _granted_not_yet_run,
+    ],
 )
 def test_crash_sweep_clears_an_entry_in_every_pre_grant_state(state):
     """``crash()`` with the last committed transaction's entry
-    parked behind the apply gate, behind an unfinished predecessor, queued
-    on the slot ``Resource``, or granted a slot in this instant but not yet
-    run: afterwards no slot is held or queued, no record is counted,
-    nothing is in flight, ``drain()`` returns and no shadow is ACTIVE."""
+    parked behind the apply gate, released from it in this instant, behind
+    an unfinished predecessor, queued on the slot ``Resource``, or granted
+    a slot in this instant but not yet run. In the two same-instant states
+    the entry's wakeup is already queued when the crash comes. Afterwards
+    the entry never started a replay, no slot is held or queued, no record
+    is counted, nothing is in flight, ``drain()`` returns, no shadow is
+    ACTIVE and no process failed."""
     from repro.migration.propagation import _Replay
     from repro.txn.transaction import TxnState
 
@@ -510,21 +530,34 @@ def test_crash_sweep_clears_an_entry_in_every_pre_grant_state(state):
         entries.append(next(reversed(list(prop._inflight))))
 
     prop._enqueue = recording_enqueue
+    replayed = []
+    replay = prop._replay
+
+    def recording_replay(entry, *args):
+        replayed.append(entry)
+        return replay(entry, *args)
+
+    prop._replay = recording_replay
     reached = state(prop, entries)
     prop.start()
     _commit_source_txn(cluster, 1, WalRecordKind.INSERT, 2000)
-    if state is not _park_behind_gate:
+    if state not in (_park_behind_gate, _gate_release_queued):
         same_key = state is _park_behind_predecessor
         _commit_source_txn(
             cluster, 2, WalRecordKind.UPDATE if same_key else WalRecordKind.INSERT,
             2000 if same_key else 2001,
         )
+    sim = cluster.sim
     while not reached():
-        assert cluster.sim.now < 1.0 and cluster.sim.step()
-    assert type(entries[-1]) is _Replay and entries[-1].process is None
+        assert sim.now < 1.0 and sim.step()
+    parked = entries[-1]
+    assert type(parked) is _Replay and parked.process is None
+    queued = any(call[2] is parked and call[0] == sim.now for call in sim._heap)
+    assert queued is (state in (_gate_release_queued, _granted_not_yet_run))
     prop.crash()
-    cluster.run(until=cluster.sim.now + 1.0)
+    cluster.run(until=sim.now + 1.0)
 
+    assert parked not in replayed and parked.process is None
     assert prop._slots.in_use == 0 and prop._slots.queued == 0
     assert prop.pending_records == prop.unreplayed_records == 0
     assert not prop._inflight and not prop._tasks

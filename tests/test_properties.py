@@ -170,6 +170,27 @@ def _clog_only_read(chain, snapshot, clog):
     return None, len(chain)
 
 
+def _clog_only_committed(chain, clog):
+    """The committed live version ``HeapTable.committed_version`` must
+    find, asked of the CLOG alone: the newest version whose creator did not
+    abort, if that creator committed and no deleter of it committed."""
+    for version in chain:
+        if clog.status(version.xmin) is TxnStatus.ABORTED:
+            continue
+        if clog.status(version.xmin) is not TxnStatus.COMMITTED:
+            return None
+        if version.xmax is not None and clog.status(version.xmax) is TxnStatus.COMMITTED:
+            return None
+        return version
+    return None
+
+
+def _fields(version):
+    return None if version is None else (
+        version.key, version.value, version.xmin, version.xmax
+    )
+
+
 def _first_step(generator):
     """Run a visibility generator to its first yield: its return value, or
     ``(_WAIT, None)`` if it parks on a prepare-wait."""
@@ -209,7 +230,8 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads, preload)
     repeatedly, so later reads trust the hints earlier ones stamped, while
     in-doubt writers settle in between. Every answer matches the CLOG-only
     reader: ``visible_version`` (version and chain positions walked, or a
-    prepare-wait), ``latest_committed_or_locked``, and
+    prepare-wait), ``latest_committed_or_locked``, ``committed_version``
+    (against the CLOG-only committed-row reader), and
     ``scan_visible_fast`` whenever it decides without a fallback.
 
     With ``preload`` the chain is built over a bootstrap row, frozen until
@@ -242,6 +264,7 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads, preload)
     for start_ts, own, settle in reads:
         snapshot = Snapshot(start_ts, xid=0 if own else None)
         expected = _clog_only_read(chain, snapshot, clog)
+        assert heap.committed_version("k") is _clog_only_committed(chain, clog)
         scanned = heap.scan_visible_fast("k", snapshot)
         if scanned is not UNDECIDED:
             assert scanned is expected[0]
@@ -251,6 +274,9 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads, preload)
         )
         assert heap.latest_committed_or_locked("k") is latest
         if frozen is not None:
+            assert _fields(heap.committed_version("f")) == _fields(
+                _clog_only_committed(frozen, clog)
+            )
             (expected_version, expected_n) = _clog_only_read(frozen, snapshot, clog)
             for version, traversed in (
                 _first_step(heap.visible_version("f", snapshot)),
@@ -259,10 +285,7 @@ def test_hint_bits_match_the_clog_only_reader(chain_spec, fates, reads, preload)
                 if version is UNDECIDED:
                     continue
                 assert traversed == expected_n == heap.chain_length("f") == 1
-                assert (version.key, version.value, version.xmin, version.xmax) == (
-                    expected_version.key, expected_version.value,
-                    expected_version.xmin, expected_version.xmax,
-                )
+                assert _fields(version) == _fields(expected_version)
             assert _first_step(heap.read("f", snapshot)) == ("frozen", 1)
         if settle is not None and settle[0] != 0 and not clog.is_finished(settle[0]):
             xid, commit = settle
